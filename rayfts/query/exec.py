@@ -212,7 +212,10 @@ def _union_ordinals(seg: SegmentReader, field: str, ordinals: np.ndarray) -> Mat
 
 
 def _exec_range(q: Range, seg: SegmentReader, stats: GlobalStats) -> Matches:
-    fdef = seg.schema.field(q.field)
+    try:
+        fdef = seg.schema.field(q.field)
+    except KeyError:
+        raise QueryError(f"unknown range field {q.field!r}") from None
     if fdef.type in NUMERIC_TYPES and fdef.fast:
         col = seg.fast_column(q.field)
         conv = float if fdef.type == "f64" else int

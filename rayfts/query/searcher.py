@@ -49,10 +49,7 @@ from rayfts.query.ast import QueryError  # noqa: F401 (canonical home)
 class Hit:
     score: float
     doc_id: int  # global docid
-    segment: str
-    local_docid: int
     doc: dict[str, list] | None = None
-    snippet: str | None = None
 
 
 @dataclass
@@ -84,6 +81,9 @@ class Searcher:
             ordered = [s for s in ordered if s.segment_id in wanted]
         self.segments = ordered
         self.offsets = offsets
+        # global start docid of each of THIS searcher's segments, ascending
+        # (the doc locator's search array)
+        self._starts = np.array([offsets[s.segment_id] for s in ordered], np.int64)
         self.readers = [
             SegmentReader(segment_path(index_dir, s.segment_id), self.schema)
             for s in ordered
@@ -183,33 +183,36 @@ class Searcher:
         query = self._resolve(q)
         stats = stats or self.stats_for(query)
         pairs = self._union_terms(query)
-        merged: list[tuple[float, int, int, int]] = []  # (-score, gdoc, seg_i, local)
+        parts = []
         for si, reader in enumerate(self.readers):
             if pairs is not None:
                 docids, scores = top_k_term_union(reader, stats, pairs, limit)
             else:
                 docids, scores = self._execute(query, reader, stats)
+            parts.append((si, docids, scores))
+        return self._merge(parts, limit)
+
+    def _merge(
+        self, parts: list[tuple[int, np.ndarray, np.ndarray]], limit: int
+    ) -> list[Hit]:
+        """Global top-``limit`` of per-segment ``(segment index, local
+        docids, keys)`` by (key desc, global docid asc). Keys are BM25
+        scores or fast-field values; each becomes its hit's score. The
+        per-segment trim is tie-safe: lexsort respects the same order, so
+        equal keys at the k-th boundary keep the smallest docids."""
+        keys, gids = [], []
+        for si, docids, k in parts:
             if docids.size == 0:
                 continue
-            # tie-safe per-segment trim: lexsort respects the documented
-            # (score desc, docid asc) tie-break, so equal-score docs at the
-            # k-th boundary keep the smallest docids (merge-invariant)
-            keep = np.lexsort((docids, -scores))[: min(limit, docids.size)]
-            off = self.offsets[self.segments[si].segment_id]
-            for i in keep:
-                merged.append((-float(scores[i]), off + int(docids[i]), si, int(docids[i])))
-        merged.sort()
-        out = []
-        for negs, gdoc, si, local in merged[:limit]:
-            out.append(
-                Hit(
-                    score=-negs,
-                    doc_id=gdoc,
-                    segment=self.segments[si].segment_id,
-                    local_docid=local,
-                )
-            )
-        return out
+            keep = np.lexsort((docids, -k))[:limit]
+            keys.append(k[keep])
+            gids.append(docids[keep].astype(np.int64) + self._starts[si])
+        if not keys:
+            return []
+        keys, gids = np.concatenate(keys), np.concatenate(gids)
+        top = np.lexsort((gids, -keys))[:limit]
+        return [Hit(score=s, doc_id=g)
+                for s, g in zip(keys[top].tolist(), gids[top].tolist())]
 
     def count(self, q: Query | str | dict) -> int:
         query = self._resolve(q)
@@ -231,9 +234,13 @@ class Searcher:
         return np.concatenate(ids), np.concatenate(scs)
 
     # -- doc retrieval & snippets --------------------------------------
-    def _fetch_doc(self, si: int, local: int) -> dict[str, list]:
-        store = self.readers[si].store()
-        row = store.slice(local, 1).to_pylist()[0]
+    def _fetch_doc(self, gid: int) -> dict[str, list] | None:
+        """Stored doc of global docid ``gid``; ``None`` when no segment of
+        this searcher holds it."""
+        si = int(np.searchsorted(self._starts, gid, side="right")) - 1
+        if si < 0 or gid >= self._starts[si] + self.segments[si].num_docs:
+            return None
+        row = self.readers[si].store().slice(gid - int(self._starts[si]), 1).to_pylist()[0]
         # multi-valued parity: every field comes back as a list of values
         # (tantivy NamedFieldDocument — test/basic.js:41 indexes doc.id[0])
         return {
@@ -269,7 +276,7 @@ class Searcher:
         ``[{score, doc, snippet}]`` (``handles.rs:112-117``)."""
         query = self._resolve(s)
         stats = self.stats_for(query)
-        hits = self.top_k(query, limit)
+        hits = self.top_k(query, limit, stats)
         gen = None
         if snippet_field is not None:
             fdef = self.schema.field(snippet_field)
@@ -279,10 +286,7 @@ class Searcher:
             gen = SnippetGenerator(analyzer, self._snippet_terms(query, snippet_field, stats))
         out = []
         for h in hits:
-            si = next(
-                i for i, s_ in enumerate(self.segments) if s_.segment_id == h.segment
-            )
-            doc = self._fetch_doc(si, h.local_docid)
+            doc = self._fetch_doc(h.doc_id)
             snippet = None
             if gen is not None:
                 vals = doc.get(snippet_field, [])
@@ -316,60 +320,28 @@ class Searcher:
             hits = self.top_k(query, limit)  # pruned (block-max) path
         else:
             stats = self.stats_for(query)
-            rows: list[tuple[float, int, int, int]] = []  # (-key, gdoc, si, local)
+            parts = []
             facet_acc: dict[str, dict[str, int]] = {}
             for si, reader in enumerate(self.readers):
                 docids, scores = self._execute(query, reader, stats)
                 if docids.size == 0:
                     continue
-                off = self.offsets[self.segments[si].segment_id]
-                k = min(limit, docids.size)
                 if sort_field is not None:
                     # order by fast value desc; reported score = the value
                     # cast to float (search.rs:67-77)
-                    keyvals = reader.fast_column(sort_field)[docids].astype(np.float64)
-                else:
-                    keyvals = scores
-                for i in np.lexsort((docids, -keyvals))[:k]:
-                    rows.append((-float(keyvals[i]), off + int(docids[i]), si, int(docids[i])))
+                    scores = reader.fast_column(sort_field)[docids].astype(np.float64)
+                parts.append((si, docids, scores))
                 if search.facets:
                     self._accumulate_facets(reader, docids, search.facets, facet_acc)
-            rows.sort()
-            hits = [
-                Hit(score=-nv, doc_id=g, segment=self.segments[si].segment_id, local_docid=l)
-                for nv, g, si, l in rows[:limit]
-            ]
+            hits = self._merge(parts, limit)
         for h in hits:
-            si = next(i for i, s_ in enumerate(self.segments) if s_.segment_id == h.segment)
-            h.doc = self._fetch_doc(si, h.local_docid)
+            h.doc = self._fetch_doc(h.doc_id)
         facets: list[dict] = []
         if search.facets:
             for field in search.facets:
                 for term, cnt in sorted(facet_acc.get(field, {}).items()):
                     facets.append({"term": term, "count": cnt})
         return SearchResults(hits=len(hits), docs=hits, facets=facets)
-
-    def _top_k_by_fast_field(self, query: Query, field: str, limit: int) -> list[Hit]:
-        """Order matched docs by the fast-field value (descending) instead of
-        BM25; the reported score is the value cast to float
-        (``search.rs:67-77``)."""
-        stats = self.stats_for(query)
-        rows: list[tuple[float, int, int, int]] = []
-        for si, r in enumerate(self.readers):
-            docids, _ = self._execute(query, r, stats)
-            if docids.size == 0:
-                continue
-            vals = r.fast_column(field)[docids].astype(np.float64)
-            # tie-safe trim: (value desc, docid asc)
-            keep = np.lexsort((docids, -vals))[: min(limit, docids.size)]
-            off = self.offsets[self.segments[si].segment_id]
-            for i in keep:
-                rows.append((-float(vals[i]), off + int(docids[i]), si, int(docids[i])))
-        rows.sort()
-        return [
-            Hit(score=-nv, doc_id=g, segment=self.segments[si].segment_id, local_docid=l)
-            for nv, g, si, l in rows[:limit]
-        ]
 
     def facet_counts(
         self, q: Query | str | dict, facets: dict[str, list[str]]
@@ -457,30 +429,3 @@ class Searcher:
                     parts = [p for p in v.split("/") if p]
                     child = "/" + "/".join(parts[: depth + 1])
                     counts[child] = counts.get(child, 0) + c
-
-    # -- tabular output (for oracle comparisons & Dataset sinks) -------
-    def hits_table(
-        self, q: Query | str | dict, limit: int = 10, columns: list[str] | None = None
-    ) -> pa.Table:
-        hits = self.top_k(q, limit)
-        cols: dict[str, list] = {"rank": [], "gdoc": [], "score": []}
-        extra = [c for c in (columns or []) if c not in cols]
-        for c in extra:
-            cols[c] = []
-        for rank, h in enumerate(hits, 1):
-            si = next(i for i, s_ in enumerate(self.segments) if s_.segment_id == h.segment)
-            doc = self._fetch_doc(si, h.local_docid)
-            cols["rank"].append(rank)
-            cols["gdoc"].append(h.doc_id)
-            cols["score"].append(h.score)
-            for c in extra:
-                v = doc.get(c, [None])
-                cols[c].append(v[0] if v else None)
-        arrays = {
-            "rank": pa.array(cols["rank"], type=pa.int64()),
-            "gdoc": pa.array(cols["gdoc"], type=pa.int64()),
-            "score": pa.array(cols["score"], type=pa.float64()),
-        }
-        for c in extra:
-            arrays[c] = pa.array(cols[c])
-        return pa.table(arrays)

@@ -5,8 +5,9 @@ reader/parser singletons behind a strictly serial stdio loop
 (``rpc.rs:121-131`` — one request at a time). Here each ``QueryActor``
 owns a *subset* of segments (mmapped posting files + lazily cached term
 dictionaries, loaded once in ``__init__``), and a ``SearchService``
-fans a query out to all actors and k-way-merges their per-shard top-k
-by (score desc, global docid asc) — SURVEY.md §2.3 #24 and §7.2.7.
+fans a query out to the actors whose segments can match it (or to one
+hot-tier replica) and merges their per-shard top-k by (score desc,
+global docid asc) — SURVEY.md §2.3 #24 and §7.2.7.
 
 Statistics are searcher-level across the WHOLE index in every actor
 (each actor reads the full manifest but opens only its own segments),
@@ -24,6 +25,8 @@ import numpy as np
 import ray
 
 from rayfts.index.manifest import read_manifest
+from rayfts.query.ast import collect_scored_terms, routing_terms
+from rayfts.query.exec import GlobalStats
 from rayfts.query.parser import QueryParseError
 from rayfts.query.searcher import QueryError, Searcher
 
@@ -79,25 +82,11 @@ class QueryActor:
         """Doc freqs over THIS actor's segments (summed service-side)."""
         return self.searcher.global_df(pairs)
 
-    def top_k(self, query, limit: int, df: dict | None = None) -> list[tuple[float, int]]:
-        """Per-shard top-k -> (score, global docid) pairs (small).
-        ``df`` carries the cross-actor global doc freqs so BM25 idf is
-        searcher-level no matter how segments are sharded."""
-        from rayfts.query.exec import GlobalStats
-
-        stats = None
-        if df is not None:
-            stats = GlobalStats(
-                n_docs=self.searcher.n_docs, avgdl=self.searcher.avgdl, df=df
-            )
-        hits = self.searcher.top_k(query, limit, stats=stats)
-        return [(h.score, h.doc_id) for h in hits]
-
     def top_k_many(self, queries: list, limit: int, df: dict) -> list[list[tuple[float, int]]]:
-        """Batched per-shard top-k: one actor round-trip for a whole query
-        batch (amortizes RPC + scheduling over the batch)."""
-        from rayfts.query.exec import GlobalStats
-
+        """Per-shard top-k -> (score, global docid) pairs (small), one
+        actor round-trip for a whole query batch. ``df`` carries the
+        cross-actor global doc freqs so BM25 idf is searcher-level no
+        matter how segments are sharded."""
         stats = GlobalStats(
             n_docs=self.searcher.n_docs, avgdl=self.searcher.avgdl, df=df
         )
@@ -117,14 +106,10 @@ class QueryActor:
         return self.searcher.facet_counts_by_field(query, facets)
 
     def fetch_docs(self, global_ids: list[int]) -> dict[int, dict]:
-        out = {}
-        for g in global_ids:
-            for si, seg in enumerate(self.searcher.segments):
-                off = self.searcher.offsets[seg.segment_id]
-                if off <= g < off + seg.num_docs:
-                    out[g] = self.searcher._fetch_doc(si, g - off)
-                    break
-        return out
+        """Stored docs of the ids THIS actor's segments hold (others are
+        left out)."""
+        docs = {g: self.searcher._fetch_doc(g) for g in global_ids}
+        return {g: d for g, d in docs.items() if d is not None}
 
 
 class SearchService:
@@ -154,15 +139,14 @@ class SearchService:
     def __init__(self, index_dir: str, num_actors: int = 4,
                  hot_replicas: int = 0, hot_cache_size: int = 4096):
         self.index_dir = index_dir
-        manifest = read_manifest(index_dir)
-        ordered = [s.segment_id for s in manifest.ordered_segments()]
-        num_actors = max(1, min(num_actors, len(ordered) or 1))
-        self.shards = [list(x) for x in np.array_split(ordered, num_actors)]
+        ordered, shards = self._split(max(1, num_actors))
+        # at most one actor per segment, at least one actor
+        self.shards = [x for x in shards if x] or shards[:1]
         self.actors = [
             QueryActor.remote(index_dir, shard) for shard in self.shards
         ]
         self.hot_actors = [
-            QueryActor.remote(index_dir, list(ordered), cache_size=hot_cache_size)
+            QueryActor.remote(index_dir, ordered, cache_size=hot_cache_size)
             for _ in range(hot_replicas)
         ]
         self._hot_rr = 0  # round-robin cursor over the tier
@@ -171,12 +155,17 @@ class SearchService:
         self._resolver = Searcher(index_dir, segment_ids=[])
         ray.get([a.ready.remote() for a in self.actors + self.hot_actors])
 
-    def refresh(self) -> None:
+    def _split(self, num_shards: int) -> tuple[list[str], list[list[str]]]:
+        """The current manifest's ordered segment ids, and their split
+        into ``num_shards`` contiguous (possibly empty) shards."""
         manifest = read_manifest(self.index_dir)
         ordered = [s.segment_id for s in manifest.ordered_segments()]
-        shards = [list(x) for x in np.array_split(ordered, len(self.actors))]
+        return ordered, [list(x) for x in np.array_split(ordered, num_shards)]
+
+    def refresh(self) -> None:
+        ordered, shards = self._split(len(self.actors))
         ray.get([a.refresh.remote(s) for a, s in zip(self.actors, shards)]
-                + [a.refresh.remote(list(ordered)) for a in self.hot_actors])
+                + [a.refresh.remote(ordered) for a in self.hot_actors])
         self.shards = shards
 
     def _route_live(self, need, parts_df) -> list[int]:
@@ -191,112 +180,84 @@ class SearchService:
         most half the shards — the signature of head-term traffic."""
         return bool(self.hot_actors) and len(live) > max(1, len(self.actors) // 2)
 
-    def search(self, query, limit: int = 10, fetch: bool = False):
-        """Global top-k in two fan-outs: (1) partial df per actor -> summed
-        searcher-level df; (2) per-actor top-k with the global stats;
-        merged by (score desc, global docid asc)."""
-        from rayfts.query.ast import collect_scored_terms, routing_terms
+    def _top_k(self, queries: list, limit: int) -> list[list[tuple]]:
+        """Global top-k of every query in TWO fan-outs for the whole batch:
+        (1) partial df per shard actor for the union of all scored terms,
+        summed to searcher-level df; (2) one batched top-k per actor that
+        any query was routed to. Returns per query the merged
+        ``(score, global docid, actor)`` hits, by (score desc, global
+        docid asc); the actor is the one that returned the hit and so
+        holds its stored doc.
 
-        resolved = self._resolver._resolve(query)
-        pairs = collect_scored_terms(resolved)
-        parts_df = ray.get([a.partial_df.remote(pairs) for a in self.actors])
-        df: dict = {}
-        for part in parts_df:
-            for k, v in part.items():
-                df[k] = df.get(k, 0) + v
-        # term-dictionary routing: skip shards that provably cannot match
-        need = routing_terms(resolved)
-        live = self._route_live(need, parts_df)
-        if self._is_hot(live):
-            # hot tier: one full-index evaluation on one replica
-            ha = self.hot_actors[self._hot_rr % len(self.hot_actors)]
-            self._hot_rr += 1
-            hits = ray.get(ha.top_k_many_local.remote([resolved], limit))[0]
-            if not fetch:
-                return hits
-            docs = ray.get(ha.fetch_docs.remote([g for _s, g in hits]))
-            return [(s, g, docs.get(g)) for s, g in hits]
-        parts = ray.get([self.actors[ai].top_k.remote(resolved, limit, df)
-                         for ai in live])
-        merged = sorted(
-            ((-s, g, ai) for ai, part in zip(live, parts) for s, g in part)
-        )[:limit]
-        hits = [(-negs, g) for negs, g, _ai in merged]
-        if not fetch:
-            return hits
-        by_actor: dict[int, list[int]] = {}
-        for negs, g, ai in merged:
-            by_actor.setdefault(ai, []).append(g)
-        docs: dict[int, dict] = {}
-        for ai, gids in by_actor.items():
-            docs.update(ray.get(self.actors[ai].fetch_docs.remote(gids)))
-        return [(s, g, docs.get(g)) for s, g in hits]
-
-    def search_many(self, queries: list, limit: int = 10) -> list[list[tuple[float, int]]]:
-        """Batched global top-k: TWO fan-outs total for the whole batch
-        (one partial-df for the union of all scored terms, one batched
-        top-k) instead of two per query — the latency shape for the
-        100 TB mode where the index is sharded across the actor pool.
-
-        Each query is ROUTED: it is evaluated only on actors whose term
-        dictionaries contain at least one of its necessary terms
-        (:func:`rayfts.query.ast.routing_terms`, decided from the
-        partial-df results the df fan-out already fetched). Without
-        routing, N shards evaluate every query against 1/N of the index
-        and per-query cost is sub-linear in index size (block-max WAND),
-        so sharded fan-out used to LOSE to one merged searcher; routing
-        restores the win for the common mid/rare-term traffic."""
-        from rayfts.query.ast import collect_scored_terms, routing_terms
-
+        Each query is ROUTED: a tier-eligible query (see ``_is_hot``) goes
+        to one hot replica, round-robin; any other is evaluated only on
+        the shard actors whose term dictionaries contain at least one of
+        its necessary terms (:func:`rayfts.query.ast.routing_terms`,
+        decided from the partial-df results the df fan-out already
+        fetched). Without routing, N shards evaluate every query against
+        1/N of the index and per-query cost is sub-linear in index size
+        (block-max WAND), so sharded fan-out used to LOSE to one merged
+        searcher; routing restores the win for mid/rare-term traffic."""
+        actors, hot_actors = self.actors, self.hot_actors
         resolved = [self._resolver._resolve(q) for q in queries]
         pairs = sorted({p for r in resolved for p in collect_scored_terms(r)})
-        parts_df = ray.get([a.partial_df.remote(pairs) for a in self.actors])
+        parts_df = ray.get([a.partial_df.remote(pairs) for a in actors])
         df: dict = {}
         for part in parts_df:
             for k, v in part.items():
                 df[k] = df.get(k, 0) + v
-        routes: list[list[int]] = [[] for _ in self.actors]
-        hot_routes: list[list[int]] = [[] for _ in self.hot_actors]
-        per_query: list[list[tuple[float, int]]] = [[] for _ in queries]
-        final: list[bool] = [False] * len(queries)  # tier results are exact
+        routes: list[list[int]] = [[] for _ in actors]
+        hot_routes: list[list[int]] = [[] for _ in hot_actors]
         for qi, r in enumerate(resolved):
-            need = routing_terms(r)
-            live = self._route_live(need, parts_df)
+            live = self._route_live(routing_terms(r), parts_df)
             if self._is_hot(live):
-                hot_routes[self._hot_rr % len(self.hot_actors)].append(qi)
+                hot_routes[self._hot_rr % len(hot_actors)].append(qi)
                 self._hot_rr += 1
-                final[qi] = True
             else:
                 for ai in live:
                     routes[ai].append(qi)
-        live_shards = [ai for ai, idx in enumerate(routes) if idx]
-        refs = [
-            self.actors[ai].top_k_many.remote(
-                [resolved[i] for i in routes[ai]], limit, df)
-            for ai in live_shards
-        ]
+        # shard and tier requests are all in flight before either wait
+        shard_live = [ai for ai, idx in enumerate(routes) if idx]
+        refs = [actors[ai].top_k_many.remote([resolved[i] for i in routes[ai]], limit, df)
+                for ai in shard_live]
         hot_live = [hi for hi, idx in enumerate(hot_routes) if idx]
-        hot_refs = [
-            self.hot_actors[hi].top_k_many_local.remote(
-                [resolved[i] for i in hot_routes[hi]], limit)
-            for hi in hot_live
-        ]
-        parts = ray.get(refs)
-        hot_parts = ray.get(hot_refs)
-        for ai, part in zip(live_shards, parts):
-            for qi, hits in zip(routes[ai], part):
-                per_query[qi].extend(hits)
-        for hi, part in zip(hot_live, hot_parts):
-            for qi, hits in zip(hot_routes[hi], part):
-                per_query[qi] = hits
-        out = []
-        for qi, hits in enumerate(per_query):
-            if final[qi]:
-                out.append(hits)
-                continue
-            merged = sorted((-s, g) for s, g in hits)[:limit]
-            out.append([(-ns, g) for ns, g in merged])
-        return out
+        hot_refs = [hot_actors[hi].top_k_many_local.remote(
+                        [resolved[i] for i in hot_routes[hi]], limit)
+                    for hi in hot_live]
+        parts = ray.get(refs) if refs else []
+        hot_parts = ray.get(hot_refs) if hot_refs else []
+        per_query: list[list[tuple]] = [[] for _ in queries]
+        for group, routed, live, got in ((actors, routes, shard_live, parts),
+                                         (hot_actors, hot_routes, hot_live, hot_parts)):
+            for i, part in zip(live, got):
+                for qi, hits in zip(routed[i], part):
+                    per_query[qi].extend((s, g, group[i]) for s, g in hits)
+        return [sorted(hits, key=lambda h: (-h[0], h[1]))[:limit] for hits in per_query]
+
+    def search(self, query, limit: int = 10, fetch: bool = False):
+        """Global top-k of one query as ``(score, global docid)`` pairs, or
+        ``(score, global docid, stored doc)`` with ``fetch``: each doc
+        comes from the actor that returned its hit (one RPC per such
+        actor, all sent before one wait)."""
+        hits = self._top_k([query], limit)[0]
+        if not fetch:
+            return [(s, g) for s, g, _a in hits]
+        by_actor: dict = {}
+        for _s, g, a in hits:
+            by_actor.setdefault(a, []).append(g)
+        docs: dict[int, dict] = {}
+        if by_actor:
+            for part in ray.get([a.fetch_docs.remote(gids)
+                                 for a, gids in by_actor.items()]):
+                docs.update(part)
+        return [(s, g, docs.get(g)) for s, g, _a in hits]
+
+    def search_many(self, queries: list, limit: int = 10) -> list[list[tuple[float, int]]]:
+        """Batched global top-k: the same two fan-outs as ``search``, once
+        for the whole batch instead of twice per query — the latency
+        shape for the 100 TB mode where the index is sharded across the
+        actor pool."""
+        return [[(s, g) for s, g, _a in hits] for hits in self._top_k(queries, limit)]
 
     def count(self, query) -> int:
         return sum(ray.get([a.count.remote(query) for a in self.actors]))

@@ -21,6 +21,16 @@ def built(ray_session, tmp_path_factory):
 QUERIES = ["merge", "the", "spark window", "query AND batch", '"batch batch"']
 
 
+def assert_fetch_parity(svc, local, queries):
+    """``search(q, fetch=True)`` returns the hits of ``search_many([q])``
+    and exactly the stored docs a local searcher returns for ``q``."""
+    for q in queries:
+        got = svc.search(q, limit=10, fetch=True)
+        assert [(s, g) for s, g, _d in got] == svc.search_many([q], limit=10)[0], q
+        assert [d for _s, _g, d in got] == [
+            row["doc"] for row in local.query_string(q, 10)], q
+
+
 def snapshot(path):
     s = Searcher(path)
     return {
@@ -80,8 +90,7 @@ def test_search_service_matches_local(built, ray_session):
                 (round(s, 12), g) for s, g in local_hits
             ], q
         assert svc.count("the") == local.count("the")
-        hits = svc.search("merge", limit=3, fetch=True)
-        assert all(doc and "doc_id" in doc for _s, _g, doc in hits)
+        assert_fetch_parity(svc, local, QUERIES + ["zzz_not_there"])
         # batched two-fan-out path returns the same results per query
         many = svc.search_many(QUERIES, limit=10)
         for q, got in zip(QUERIES, many):
@@ -90,6 +99,40 @@ def test_search_service_matches_local(built, ray_session):
         # distributed facet collector == local facet counts
         facets = {"lang": [""]}
         assert svc.facet_counts("the", facets) == local.facet_counts("the", facets)
+    finally:
+        svc.shutdown()
+
+
+def test_doc_locator_segment_boundaries(built, ray_session):
+    """The doc locator finds the first and last global docid of every
+    segment (a wrong ``searchsorted`` side misses one of them) and nothing
+    outside the index; a shard actor's ``fetch_docs`` returns exactly the
+    ids its own segments hold."""
+    import ray
+
+    from rayfts.query.serve import SearchService
+
+    local = Searcher(built)
+    assert len(local.segments) > 1
+    edges: dict[str, list[int]] = {}
+    for seg, reader in zip(local.segments, local.readers):
+        start = local.offsets[seg.segment_id]
+        edges[seg.segment_id] = [start, start + seg.num_docs - 1]
+        for g in edges[seg.segment_id]:
+            row = reader.store().slice(g - start, 1).to_pylist()[0]
+            want = {k: v if isinstance(v, list) else [v]
+                    for k, v in row.items() if not k.startswith("__")}
+            assert local._fetch_doc(g) == want, (seg.segment_id, g)
+    assert local._fetch_doc(-1) is None
+    assert local._fetch_doc(local.n_docs) is None
+    ids = sorted(g for pair in edges.values() for g in pair)
+    svc = SearchService(built, num_actors=3)
+    try:
+        for actor, shard in zip(svc.actors, svc.shards):
+            got = ray.get(actor.fetch_docs.remote(ids))
+            own = sorted(g for sid in shard for g in edges[sid])
+            assert sorted(got) == own, shard
+            assert all(got[g] == local._fetch_doc(g) for g in own)
     finally:
         svc.shutdown()
 
@@ -628,9 +671,8 @@ def test_hot_tier_parity_and_cache(built, ray_session):
         # the hot term really went to the tier (cache populated somewhere)
         sizes = _ray.get([a.cache_stats.remote() for a in tiered.hot_actors])
         assert sum(sizes) > 0
-        # single-query tier path with stored-doc fetch
-        hits = tiered.search("the", limit=3, fetch=True)
-        assert len(hits) == 3 and all(doc and "doc_id" in doc for _s, _g, doc in hits)
+        # single-query tier and routed paths with stored-doc fetch
+        assert_fetch_parity(tiered, local, mixed)
         # refresh drops caches and keeps parity
         tiered.refresh()
         assert _ray.get([a.cache_stats.remote() for a in tiered.hot_actors]) == [0, 0]

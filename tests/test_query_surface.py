@@ -141,6 +141,10 @@ def test_parse_errors(idx):
         idx.searcher().count("unknownfield:foo")
     with pytest.raises(QueryParseError):
         idx.searcher().count("(unbalanced")
+    from rayfts.query.searcher import QueryError
+
+    with pytest.raises(QueryError):  # a DSL range over an unknown field
+        idx.searcher().search({"query": {"range": {"term": {}}}, "limit": 3})
 
 
 def test_separator_only_query_matches_nothing(idx):
@@ -221,6 +225,37 @@ def test_wand_pruned_union_matches_naive(ray_session, tmp_path_factory):
     naive = [(round(float(scores[i]), 6), int(gids[i])) for i in order]
     got = [(round(h.score, 6), int(h.doc_id)) for h in pruned]
     assert got == naive
+
+
+def test_merge_matches_loop_reference(tmp_path):
+    """``Searcher._merge`` equals the per-element loop it replaced: trim
+    each segment to ``limit`` by (key desc, docid asc), add the segment's
+    global start, sort the (-key, gid) tuples and cut — with many tied
+    keys, empty segments and float32/float64 keys mixed."""
+    import numpy as np
+
+    cat = IndexCatalog(str(tmp_path), auto_merge_min=0)
+    h = cat.create_index("m", IndexSchema([FieldDef("body", "text")]))
+    for _ in range(3):
+        h.add_documents([{"body": f"w{i}"} for i in range(40)])
+    s = h.searcher()
+    assert len(s.segments) == 3
+    rng = np.random.default_rng(0)
+    for _trial in range(300):
+        limit = int(rng.integers(0, 12))
+        parts = []
+        for si, seg in enumerate(s.segments):
+            n = int(rng.integers(0, seg.num_docs + 1))
+            docids = rng.permutation(seg.num_docs)[:n].astype(np.uint32)
+            dtype = np.float32 if rng.random() < 0.5 else np.float64
+            parts.append((si, docids, rng.integers(0, 4, n).astype(dtype) / 3))
+        rows = []
+        for si, docids, keys in parts:
+            off = s.offsets[s.segments[si].segment_id]
+            for i in np.lexsort((docids, -keys))[:limit]:
+                rows.append((-float(keys[i]), off + int(docids[i])))
+        want = [(-nk, g) for nk, g in sorted(rows)[:limit]]
+        assert [(hit.score, hit.doc_id) for hit in s._merge(parts, limit)] == want
 
 
 def test_parser_fuzz_never_crashes():
