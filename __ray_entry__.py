@@ -1187,115 +1187,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["shuffle_ranks"] = shuffle_ranks_q
 
-    def multimodal_q(sf):
-        """REAL image decode (stdlib zlib PNG codec when PIL is absent,
-        rayfts/ops/media_codec.py): the fixture pixels are a closed form
-        of media_id, so the SQL oracle recomputes width/height/pixel_sum
-        with generate_series — a wrong decode cannot hash-match."""
-        from rayfts.ops.multimodal import (DecodeImage, decode_pipeline,
-                                           synth_png_table)
-
-        ds = ray.data.from_arrow(synth_png_table(64))
-        out = decode_pipeline(ds, DecodeImage, fake=False)
-        return pa.Table.from_pylist(
-            sorted(out.select_columns(
-                ["media_id", "width", "height", "channels", "pixel_sum"]).take_all(),
-                   key=lambda r: r["media_id"])
-        )
-
-    q["multimodal_decode"] = multimodal_q
-
-    def multimodal_chain_q(sf):
-        """REAL resize chain: PNG decode -> nearest-neighbor 8x8 resize
-        (floor index mapping) -> PNG re-encode -> decode again; the SQL
-        oracle reproduces the resized pixel sums exactly."""
-        from rayfts.ops.multimodal import (DecodeImage, ResizeImage,
-                                           decode_pipeline, synth_png_table)
-
-        ds = ray.data.from_arrow(synth_png_table(32))
-        resized = decode_pipeline(ds, ResizeImage, fake=False, target=8)
-        out = decode_pipeline(resized, DecodeImage, fake=False)
-        return pa.Table.from_pylist(
-            sorted(out.select_columns(
-                ["media_id", "width", "height", "pixel_sum"]).take_all(),
-                   key=lambda r: r["media_id"])
-        )
-
-    q["multimodal_resize_features"] = multimodal_chain_q
-
-    def multimodal_audio_q(sf):
-        """REAL PCM-16 WAV decode via the stdlib wave module; sample
-        sums against a generate_series SQL oracle."""
-        from rayfts.ops.multimodal import (DecodeAudio, decode_pipeline,
-                                           synth_wav_table)
-
-        ds = ray.data.from_arrow(synth_wav_table(48))
-        out = decode_pipeline(ds, DecodeAudio, fake=False)
-        return pa.Table.from_pylist(
-            sorted(out.select_columns(
-                ["media_id", "n_samples", "sample_rate", "n_channels",
-                 "sample_sum"]).take_all(),
-                   key=lambda r: r["media_id"])
-        )
-
-    q["multimodal_audio_decode"] = multimodal_audio_q
-
-    def video_frames_q(sf):
-        """REAL video decode + frame digests: the fixture writes genuine
-        uncompressed RIFF/AVI bytes with closed-form pixels; the stage
-        decodes the container (stdlib codec) and emits the frame_digest
-        (sha256-of-hex) of each sampled frame's raw bytes, which the SQL
-        oracle reconstructs symbolically — a decode bug cannot
-        hash-match."""
-        from rayfts.ops.multimodal import (VideoFrameSample, decode_pipeline,
-                                           synth_avi_table)
-
-        ds = ray.data.from_arrow(synth_avi_table(32))
-        out = decode_pipeline(ds, VideoFrameSample, fake=False, n_frames=3)
-        rows = sorted(out.select_columns(["media_id", "frame_digests"]).take_all(),
-                      key=lambda r: r["media_id"])
-        return pa.table({
-            "media_id": pa.array([r["media_id"] for r in rows], type=pa.int64()),
-            "frames": pa.array([",".join(r["frame_digests"]) for r in rows],
-                               type=pa.string()),
-        })
-
-    q["video_frame_sample"] = video_frames_q
-
-    def video_frame_sums_q(sf):
-        """REAL video decode: the fixture writes genuine uncompressed
-        RIFF/AVI bytes (stdlib codec, rayfts/ops/media_codec.py
-        encode_avi/decode_avi — BGR bottom-up padded rows per the
-        public spec) with closed-form pixels; the stage decodes the
-        container and reports exact per-sampled-frame pixel sums, which
-        the oracle recomputes symbolically — a decode bug cannot
-        hash-match."""
-        from rayfts.ops.multimodal import (VideoFrameSums, decode_pipeline,
-                                           synth_avi_table)
-
-        ds = ray.data.from_arrow(synth_avi_table(32))
-        out = decode_pipeline(ds, VideoFrameSums, fake=False, n_frames=3)
-
-        def explode(b: pa.Table) -> pa.Table:
-            fs = b["frame_sums"].combine_chunks()
-            lens = np.diff(fs.offsets.to_numpy(zero_copy_only=False))
-            rep = np.repeat(np.arange(b.num_rows), lens)
-            idx = (np.arange(int(lens.sum()))
-                   - np.repeat(np.cumsum(lens) - lens, lens))
-            return pa.table({
-                "media_id": b["media_id"].take(pa.array(rep)),
-                "frame_idx": pa.array(idx, type=pa.int64()),
-                "n_frames_total": b["n_frames_total"].take(pa.array(rep)),
-                "width": b["width"].take(pa.array(rep)),
-                "height": b["height"].take(pa.array(rep)),
-                "frame_sum": fs.flatten(),
-            })
-
-        return (out.map_batches(explode, batch_format="pyarrow")
-                .sort(["media_id", "frame_idx"]))
-
-    q["video_frame_sums"] = video_frame_sums_q
-
     # Run order: the driver walks this dict in insertion order and its
     # budget can truncate the tail (rounds 3 and 4 checked exactly the
     # first 50 keys). Rotation rule (coded, not a hand sort): order rows
@@ -1307,16 +1198,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # expensive previously-verified rows.
     _COST_ORDER = [
         # cheap event/window/join + round-4 additions
-        "prepare_corpus", "shuffle_ranks", "video_frame_sums",
+        "prepare_corpus", "shuffle_ranks",
         "sessionize", "sessionize_hot_safe", "asof_join_purchase_click",
         "asof_join_hot_safe", "range_join_signup_purchase",
         "topk_per_group_events", "decontaminate_8gram",
         "near_dup_clusters", "near_dup_kept", "repetition_stats",
         "repetition_filter_kept", "duplicate_lines", "line_dedup",
         "chunk_documents", "dsir_log_weights", "dsir_select_top100",
-        "multimodal_decode",
-        "multimodal_resize_features", "multimodal_audio_decode",
-        "video_frame_sample",
         # cheap, green in round 3
         "tumbling_window_agg", "value_moments", "users_per_type",
         "quantiles_value", "quantiles_by_type", "distinct_users",
@@ -2515,11 +2403,6 @@ SELECT event_type, rank, event_id, value FROM (
   FROM events)
 WHERE rank <= 5 ORDER BY event_type, rank
 """
-    # multimodal: the fixtures (synth_png_table / synth_wav_table,
-    # rayfts/ops/multimodal.py) put closed-form pixels/samples into REAL
-    # PNG/WAV bytes; the engine decodes the bytes (stdlib zlib/wave
-    # codec, rayfts/ops/media_codec.py) and these oracles recompute the
-    # same sums symbolically — decode bugs cannot hash-match.
     sql["decontaminate_8gram"] = _decontam_sql(k=8)
     sql["prepare_corpus"] = _prepare_corpus_sql(k=8, min_docs=2)
     sql["shuffle_ranks"] = f"""
@@ -2528,74 +2411,5 @@ SELECT doc_id,
        CAST(row_number() OVER (ORDER BY h, doc_id) - 1 AS BIGINT)
            AS shuffle_rank
 FROM smh ORDER BY doc_id
-"""
-    sql["multimodal_decode"] = """
-WITH imgs AS (
-  SELECT i, 16 + (i % 13) AS w, 16 + ((i * 7) % 11) AS h FROM range(0, 64) t(i)),
-px AS (
-  SELECT i, w, h, (x * 3 + y * 5 + c * 7 + i) % 256 AS v
-  FROM imgs, range(0, 28) tx(x), range(0, 26) ty(y), range(0, 3) tc(c)
-  WHERE x < w AND y < h)
-SELECT i AS media_id, w AS width, h AS height, 3 AS channels,
-       CAST(SUM(v) AS BIGINT) AS pixel_sum
-FROM px GROUP BY 1, 2, 3 ORDER BY 1
-"""
-    sql["multimodal_resize_features"] = """
-WITH imgs AS (
-  SELECT i, 16 + (i % 13) AS w, 16 + ((i * 7) % 11) AS h FROM range(0, 32) t(i)),
-px AS (
-  SELECT i, (((x * w) // 8) * 3 + ((y * h) // 8) * 5 + c * 7 + i) % 256 AS v
-  FROM imgs, range(0, 8) tx(x), range(0, 8) ty(y), range(0, 3) tc(c))
-SELECT i AS media_id, 8 AS width, 8 AS height, CAST(SUM(v) AS BIGINT) AS pixel_sum
-FROM px GROUP BY 1 ORDER BY 1
-"""
-    sql["video_frame_sample"] = """
-WITH clips AS (
-  SELECT i, 4 + (i % 3) AS nf, 16 + (i % 5) AS w, 16 + ((i * 3) % 7) AS h
-  FROM range(0, 32) t(i)),
-sel AS (
-  SELECT i, w, h, j, least(j * greatest(1, nf // 3), nf - 1) AS f
-  FROM clips, range(0, 3) tj(j)),
-px AS (
-  SELECT s.i, s.j, x, y, c,
-         (x * 3 + y * 5 + c * 7 + s.f * 11 + s.i) % 256 AS v
-  FROM sel s, range(0, 21) tx(x), range(0, 23) ty(y), range(0, 3) tc(c)
-  WHERE x < s.w AND y < s.h),
-dig AS (
-  SELECT i, j,
-         substr(sha256(string_agg(printf('%02x', v), '' ORDER BY y, x, c)),
-                1, 16) AS digest
-  FROM px GROUP BY i, j)
-SELECT i AS media_id, string_agg(digest, ',' ORDER BY j) AS frames
-FROM dig GROUP BY i ORDER BY i
-"""
-    sql["video_frame_sums"] = """
-WITH clips AS (
-  SELECT i, 4 + (i % 3) AS nf, 16 + (i % 5) AS w, 16 + ((i * 3) % 7) AS h
-  FROM range(0, 32) t(i)),
-sel AS (
-  SELECT i, nf, w, h, j, least(j * greatest(1, nf // 3), nf - 1) AS f
-  FROM clips, range(0, 3) tj(j)),
-px AS (
-  SELECT s.i, s.j, s.nf, s.w, s.h,
-         (x * 3 + y * 5 + c * 7 + s.f * 11 + s.i) % 256 AS v
-  FROM sel s, range(0, 21) tx(x), range(0, 23) ty(y), range(0, 3) tc(c)
-  WHERE x < s.w AND y < s.h)
-SELECT i AS media_id, CAST(j AS BIGINT) AS frame_idx,
-       CAST(nf AS BIGINT) AS n_frames_total,
-       CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height,
-       CAST(SUM(v) AS BIGINT) AS frame_sum
-FROM px GROUP BY 1, 2, 3, 4, 5 ORDER BY 1, 2
-"""
-    sql["multimodal_audio_decode"] = """
-WITH clips AS (
-  SELECT i, 8000 + 100 * (i % 8) AS sr, 500 + ((i * 13) % 300) AS n
-  FROM range(0, 48) t(i)),
-s AS (
-  SELECT i, sr, n, ((t * 31 + i * 17) % 65536) - 32768 AS v
-  FROM clips, range(0, 800) tt(t) WHERE t < n)
-SELECT i AS media_id, n AS n_samples, sr AS sample_rate, 1 AS n_channels,
-       CAST(SUM(v) AS BIGINT) AS sample_sum
-FROM s GROUP BY 1, 2, 3 ORDER BY 1
 """
     return sql

@@ -288,71 +288,6 @@ def test_near_dup_oracles_match_duckdb(ray_session):
         assert ra.equals(oa), name
 
 
-def test_multimodal_real_pil_branch(ray_session):
-    """REAL decode branch (runs wherever PIL exists; importorskip here):
-    a genuine PNG goes through DecodeImage/ImageFeatures/ResizeImage with
-    fake=False and real dimensions come back."""
-    PIL = pytest.importorskip("PIL")
-    import io
-
-    from PIL import Image
-
-    from rayfts.ops.multimodal import (DecodeImage, ImageFeatures,
-                                       ResizeImage, decode_pipeline)
-
-    def png_bytes(w, h):
-        buf = io.BytesIO()
-        Image.new("RGB", (w, h), (10, 20, 30)).save(buf, format="PNG")
-        return buf.getvalue()
-
-    tbl = pa.table({
-        "media_id": pa.array([0, 1], type=pa.int64()),
-        "media_type": pa.array(["image", "image"]),
-        "payload": pa.array([png_bytes(20, 10), png_bytes(7, 9)], type=pa.binary()),
-        "meta_json": pa.array(["{}", "{}"]),
-    })
-    ds = ray.data.from_arrow(tbl)
-    out = sorted(decode_pipeline(ds, DecodeImage, fake=False).take_all(),
-                 key=lambda r: r["media_id"])
-    assert [(r["width"], r["height"], r["channels"]) for r in out] == [
-        (20, 10, 3), (7, 9, 3)]
-    feats = decode_pipeline(ray.data.from_arrow(tbl), ImageFeatures, fake=False).take_all()
-    assert all(len(r["features"]) == 16 for r in feats)
-    rs = sorted(decode_pipeline(ray.data.from_arrow(tbl), ResizeImage,
-                                fake=False, target=8).take_all(),
-                key=lambda r: r["media_id"])
-    with Image.open(io.BytesIO(rs[0]["payload"])) as im:
-        assert im.size == (8, 8)
-
-
-def test_video_frame_sample_real_digests(ray_session):
-    """VideoFrameSample(fake=False) decodes genuine AVI bytes via the
-    stdlib codec and digests REAL frame bytes: each digest equals
-    frame_digest() of the closed-form fixture frame recomputed here —
-    no fake path remains on the default route."""
-    import ray.data
-
-    from rayfts.ops.multimodal import (VideoFrameSample, decode_pipeline,
-                                       frame_digest, synth_avi_table)
-
-    t = synth_avi_table(6)
-    out = decode_pipeline(ray.data.from_arrow(t), VideoFrameSample,
-                          fake=False, n_frames=3).take_all()
-    assert len(out) == 6
-    for r in out:
-        i = r["media_id"]
-        nf, w, h = 4 + i % 3, 16 + i % 5, 16 + (i * 3) % 7
-        step = max(1, nf // 3)
-        assert len(r["frame_digests"]) == 3
-        for j, got in enumerate(r["frame_digests"]):
-            f = min(j * step, nf - 1)
-            xs = np.arange(w)[None, :, None]
-            ys = np.arange(h)[:, None, None]
-            cs = np.arange(3)[None, None, :]
-            frame = ((xs * 3 + ys * 5 + cs * 7 + f * 11 + i) % 256).astype(np.uint8)
-            assert got == frame_digest(frame.tobytes()), (i, j)
-
-
 def test_ngram_jaccard_exact_pairs(ray_session):
     """Exact n-gram Jaccard (inverted shingle index): finds every pair
     above the threshold — including ones minhash-LSH could miss — and
