@@ -1007,132 +1007,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["fingerprints"] = fingerprint_q
 
-    # ---- windowed / sessionized event aggregates (oracle-checked) ----
-
-    def tumbling_window_q(sf):
-        """Tumbling-window count+sum over the events stream (pre-aggregated
-        partials -> uniform-key reduce, ops/events.py)."""
-        from rayfts.ops.events import tumbling_window_agg
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        out = tumbling_window_agg(ds, window_sec=3600)
-
-        # exact-integer cents: float round implementations differ by 1 ulp
-        # between Arrow and DuckDB, which fails the string-hash compare
-        def shape(b: pa.Table) -> pa.Table:
-            cents = np.round(
-                b["sum_value"].to_numpy(zero_copy_only=False) * 100.0
-            ).astype(np.int64)
-            return b.set_column(
-                b.column_names.index("sum_value"), "sum_value_cents",
-                pa.array(cents, type=pa.int64()))
-
-        return (out.map_batches(shape, batch_format="pyarrow")
-                .sort(["window_start_us", "event_type"]))
-
-    q["tumbling_window_agg"] = tumbling_window_q
-
-    def sessionize_q(sf):
-        """Gap-based sessionization (user-partitioned vectorized pass)."""
-        from rayfts.ops.events import sessionize
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        out = sessionize(ds, gap_sec=1800)
-
-        def shape(b: pa.Table) -> pa.Table:
-            cents = np.round(
-                b["sum_value"].to_numpy(zero_copy_only=False) * 100.0
-            ).astype(np.int64)
-            return b.set_column(
-                b.column_names.index("sum_value"), "sum_value_cents",
-                pa.array(cents, type=pa.int64()))
-
-        return (out.map_batches(shape, batch_format="pyarrow")
-                .sort(["user_id", "session_start_us"]))
-
-    q["sessionize"] = sessionize_q
-
-    def sessionize_hot_q(sf):
-        """Same sessionization, two-phase hot-user-safe plan (chunk-
-        confined summaries + boundary stitch) — bit-identical output,
-        same SQL oracle."""
-        from rayfts.ops.events import sessionize
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        out = sessionize(ds, gap_sec=1800, hot_user_chunk_sec=6 * 3600)
-
-        def shape(b: pa.Table) -> pa.Table:
-            cents = np.round(
-                b["sum_value"].to_numpy(zero_copy_only=False) * 100.0
-            ).astype(np.int64)
-            return b.set_column(
-                b.column_names.index("sum_value"), "sum_value_cents",
-                pa.array(cents, type=pa.int64()))
-
-        return (out.map_batches(shape, batch_format="pyarrow")
-                .sort(["user_id", "session_start_us"]))
-
-    q["sessionize_hot_safe"] = sessionize_hot_q
-
-    # ---- temporal joins + grouped top-k (oracle-checked; ops/joins.py) ----
-
-    def _events_typed(sf, t):
-        import pyarrow.compute as pc
-
-        return (ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-                .map_batches(
-                    lambda b, _t=t: b.filter(pc.equal(b["event_type"], _t)),
-                    batch_format="pyarrow"))
-
-    def asof_join_q(sf):
-        """Backward-inclusive as-of join: each purchase matched to the
-        user's latest click at-or-before it (hash-partitioned by user,
-        one forward-fill pass per partition)."""
-        from rayfts.ops.joins import asof_join
-
-        out = asof_join(_events_typed(sf, "purchase"),
-                        _events_typed(sf, "click"))
-        return out.sort("id")
-
-    q["asof_join_purchase_click"] = asof_join_q
-
-    def asof_join_hot_q(sf):
-        """Same join, two-phase hot-key-safe plan (hash(key, time-chunk)
-        partitioning + boundary-state carries) — must be bit-identical
-        to the plain plan, so it shares the same SQL oracle."""
-        from rayfts.ops.joins import asof_join
-
-        out = asof_join(_events_typed(sf, "purchase"),
-                        _events_typed(sf, "click"),
-                        hot_key_chunk_sec=6 * 3600)
-        return out.sort("id")
-
-    q["asof_join_hot_safe"] = asof_join_hot_q
-
-    def range_join_q(sf):
-        """Key + time-range attribution join: purchases within one day
-        of a signup by the same user (composed-key searchsorted, tiled
-        pair expansion)."""
-        from rayfts.ops.joins import key_range_join
-
-        out = key_range_join(_events_typed(sf, "signup"),
-                             _events_typed(sf, "purchase"),
-                             window_sec=86400)
-        return out.sort(["left_id", "right_id"])
-
-    q["range_join_signup_purchase"] = range_join_q
-
-    def topk_group_q(sf):
-        """Grouped top-k (per-batch combiner -> per-partition head-k):
-        top-5 events by value per event type."""
-        from rayfts.ops.joins import top_k_per_group
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        out = top_k_per_group(ds, "event_type", "value", "event_id", k=5)
-        return out.sort(["event_type", "rank"])
-
-    q["topk_per_group_events"] = topk_group_q
-
     def decontam_q(sf):
         """Benchmark decontamination (8-gram overlap vs a held-out set,
         the GPT-3/Llama/Dolma convention): the 'benchmark' is every
@@ -1197,16 +1071,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # last) so a truncation inside one recency class drops only the most
     # expensive previously-verified rows.
     _COST_ORDER = [
-        # cheap event/window/join + round-4 additions
-        "prepare_corpus", "shuffle_ranks",
-        "sessionize", "sessionize_hot_safe", "asof_join_purchase_click",
-        "asof_join_hot_safe", "range_join_signup_purchase",
-        "topk_per_group_events", "decontaminate_8gram",
+        # cheap round-4 additions
+        "prepare_corpus", "shuffle_ranks", "decontaminate_8gram",
         "near_dup_clusters", "near_dup_kept", "repetition_stats",
         "repetition_filter_kept", "duplicate_lines", "line_dedup",
         "chunk_documents", "dsir_log_weights", "dsir_select_top100",
         # cheap, green in round 3
-        "tumbling_window_agg", "value_moments", "users_per_type",
+        "value_moments", "users_per_type",
         "quantiles_value", "quantiles_by_type", "distinct_users",
         "hll_distinct_users", "sample_uniform", "sample_stratified",
         "weighted_sample", "token_stats", "token_counts", "quality_stats",
@@ -2301,31 +2172,6 @@ surv AS (
 SELECT s.doc_id, s.lang_pred, s.n_tokens FROM surv s
 WHERE s.doc_id NOT IN (SELECT id_b FROM mh_pairs) ORDER BY s.doc_id
 """
-    sql["tumbling_window_agg"] = (
-        "SELECT (epoch_us(ts) // 3600000000) * 3600000000 AS window_start_us, "
-        "event_type, count(*) AS n_events, "
-        "CAST(round_even(sum(value) * 100, 0) AS BIGINT) AS sum_value_cents "
-        "FROM events GROUP BY 1, 2 ORDER BY 1, 2"
-    )
-    sql["sessionize"] = """
-WITH e AS (SELECT user_id, epoch_us(ts) AS t, value FROM events),
-o AS (
-  SELECT user_id, t, value,
-    CASE WHEN lag(t) OVER (PARTITION BY user_id ORDER BY t) IS NULL
-           OR t - lag(t) OVER (PARTITION BY user_id ORDER BY t) > 1800000000
-         THEN 1 ELSE 0 END AS brk
-  FROM e
-),
-s AS (
-  SELECT user_id, t, value,
-    sum(brk) OVER (PARTITION BY user_id ORDER BY t
-                   ROWS UNBOUNDED PRECEDING) AS sid
-  FROM o
-)
-SELECT user_id, min(t) AS session_start_us, count(*) AS n_events,
-       CAST(round_even(sum(value) * 100, 0) AS BIGINT) AS sum_value_cents
-FROM s GROUP BY user_id, sid ORDER BY user_id, session_start_us
-"""
     sql["ngram_jaccard_pairs"] = _ngram_jaccard_sql(threshold=0.5)
     sql["near_dup_clusters"] = _near_dup_cc_sql(kept=False, threshold=0.5)
     sql["near_dup_kept"] = _near_dup_cc_sql(kept=True, threshold=0.5)
@@ -2362,47 +2208,6 @@ ORDER BY doc_id
     # same workload through the sharded service + hot-term tier: the
     # distributed path must reproduce the identical per-query top-5
     sql["sharded_search_tier"] = _batch_search_sql(limit=5)
-    # the hot-safe two-phase plans must be bit-identical to the plain
-    # plans, so they share the same oracles
-    sql["sessionize_hot_safe"] = sql["sessionize"]
-    sql["asof_join_purchase_click"] = """
-WITH u AS (
-  SELECT epoch_us(ts) AS ts_us, user_id, event_id,
-         (event_type = 'purchase') AS is_left
-  FROM events WHERE event_type IN ('purchase', 'click')
-),
-o AS (
-  SELECT *,
-    max(CASE WHEN NOT is_left
-             THEN struct_pack(mts := ts_us, mid := event_id) END)
-      OVER (PARTITION BY user_id ORDER BY ts_us, is_left, event_id
-            ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS lr
-  FROM u
-)
-SELECT event_id AS id, user_id AS key, ts_us,
-       lr.mid AS matched_id, lr.mts AS matched_ts_us,
-       ts_us - lr.mts AS lag_us
-FROM o WHERE is_left AND lr IS NOT NULL ORDER BY id
-"""
-    sql["range_join_signup_purchase"] = """
-SELECT s.event_id AS left_id, p.event_id AS right_id, s.user_id AS key,
-       epoch_us(p.ts) - epoch_us(s.ts) AS delta_us
-FROM events s JOIN events p
-  ON p.user_id = s.user_id
- AND s.event_type = 'signup' AND p.event_type = 'purchase'
- AND epoch_us(p.ts) >= epoch_us(s.ts)
- AND epoch_us(p.ts) - epoch_us(s.ts) < 86400000000
-ORDER BY left_id, right_id
-"""
-    sql["asof_join_hot_safe"] = sql["asof_join_purchase_click"]
-    sql["topk_per_group_events"] = """
-SELECT event_type, rank, event_id, value FROM (
-  SELECT event_type, event_id, value,
-    CAST(row_number() OVER (PARTITION BY event_type
-                            ORDER BY value DESC, event_id) AS BIGINT) AS rank
-  FROM events)
-WHERE rank <= 5 ORDER BY event_type, rank
-"""
     sql["decontaminate_8gram"] = _decontam_sql(k=8)
     sql["prepare_corpus"] = _prepare_corpus_sql(k=8, min_docs=2)
     sql["shuffle_ranks"] = f"""

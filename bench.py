@@ -327,36 +327,6 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
 
     ev = os.path.join(sf_dir, "events.parquet")
     if os.path.exists(ev):
-        from rayfts.ops.events import sessionize, tumbling_window_agg
-
-        t0 = time.time()
-        tumbling_window_agg(ray.data.read_parquet(ev), window_sec=3600).count()
-        out["tumbling_window"] = time.time() - t0
-        t0 = time.time()
-        sessionize(ray.data.read_parquet(ev), gap_sec=1800).count()
-        out["sessionize"] = time.time() - t0
-
-        import pyarrow.compute as pc
-
-        from rayfts.ops.joins import asof_join, key_range_join, top_k_per_group
-
-        def typed(t):
-            return ray.data.read_parquet(ev).map_batches(
-                lambda b, _t=t: b.filter(pc.equal(b["event_type"], _t)),
-                batch_format="pyarrow")
-
-        t0 = time.time()
-        asof_join(typed("purchase"), typed("click")).count()
-        out["asof_join"] = time.time() - t0
-        t0 = time.time()
-        key_range_join(typed("signup"), typed("purchase"),
-                       window_sec=86400).count()
-        out["range_join"] = time.time() - t0
-        t0 = time.time()
-        top_k_per_group(ray.data.read_parquet(ev), "event_type", "value",
-                        "event_id", k=5).count()
-        out["topk_per_group"] = time.time() - t0
-
         from rayfts.ops.clean import clean_corpus
 
         t0 = time.time()

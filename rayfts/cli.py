@@ -409,39 +409,6 @@ def cmd_ann_search(args) -> int:
     return 0
 
 
-def cmd_events_window(args) -> int:
-    """Tumbling-window aggregate over an event-stream parquet corpus."""
-    _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
-    from rayfts.ops.events import tumbling_window_agg
-
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    out = tumbling_window_agg(ray.data.read_parquet(paths),
-                              window_sec=args.window_sec)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
-def cmd_sessionize(args) -> int:
-    """Gap-based sessionization over an event-stream parquet corpus."""
-    _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
-    from rayfts.ops.events import sessionize
-
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    out = sessionize(ray.data.read_parquet(paths), gap_sec=args.gap_sec)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
 def cmd_term_stats(args) -> int:
     """Corpus (term, df, cf) table via the salted term shuffle."""
     _ensure_ray()
@@ -816,20 +783,6 @@ def main(argv: list[str] | None = None) -> int:
     asr.add_argument("--nprobe", type=int, default=None)
     asr.add_argument("--out", required=True)
     asr.set_defaults(fn=cmd_ann_search)
-
-    ew = sub.add_parser("events-window",
-                        help="tumbling-window aggregate over events parquet")
-    ew.add_argument("--input", nargs="+", required=True)
-    ew.add_argument("--window-sec", type=int, default=3600)
-    ew.add_argument("--out", required=True)
-    ew.set_defaults(fn=cmd_events_window)
-
-    sz = sub.add_parser("sessionize",
-                        help="gap-based sessionization over events parquet")
-    sz.add_argument("--input", nargs="+", required=True)
-    sz.add_argument("--gap-sec", type=int, default=1800)
-    sz.add_argument("--out", required=True)
-    sz.set_defaults(fn=cmd_sessionize)
 
     ts = sub.add_parser("term-stats", help="(term, df, cf) over a corpus")
     ts.add_argument("--input", nargs="+", required=True)

@@ -14,10 +14,9 @@ Operators:
   vectorized ``map_batches`` filter, zero wide edges;
 - :func:`stratified_sample_k` — exactly ``min(k, |group|)`` rows per
   group, chosen as the k SMALLEST id-hashes (a uniform draw without
-  replacement); two-phase like ``top_k_per_group``: a per-batch
-  combiner truncates every group to k rows before the single
-  uniform-hash exchange, so even a giant group crosses the shuffle as
-  ``k × #batches`` rows.
+  replacement); two-phase: a per-batch combiner truncates every group
+  to k rows before the single uniform-hash exchange, so even a giant
+  group crosses the shuffle as ``k × #batches`` rows.
 
 splitmix64 is a public-domain mixer (Steele, Lea & Flood, "Fast
 splittable pseudorandom number generators", OOPSLA 2014); its
@@ -30,8 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-from rayfts.ops.joins import _seg_start_per_row
 
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -46,6 +43,15 @@ def splitmix64(x: np.ndarray, seed: int = 42) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * _SM_M1
         z = (z ^ (z >> np.uint64(27))) * _SM_M2
         return z ^ (z >> np.uint64(31))
+
+
+def _seg_start_per_row(keys: np.ndarray) -> np.ndarray:
+    """For key-sorted ``keys``, the index where each row's key segment
+    starts (vectorized run detection)."""
+    n = keys.size
+    is_start = np.concatenate([[True], keys[1:] != keys[:-1]])
+    starts = np.flatnonzero(is_start)
+    return np.repeat(starts, np.diff(np.append(starts, n)))
 
 
 def deterministic_sample(ds, num: int, den: int,
@@ -77,9 +83,9 @@ def stratified_sample_k(ds, group_col: str, id_col: str = "doc_id",
     the smallest ``splitmix64(id ^ seed)`` per group (uniform without
     replacement; ties on the 64-bit hash broken by id).
 
-    Same two-phase shape as ``top_k_per_group``: per-batch combiner
-    truncates to k rows per (group, batch) BEFORE the exchange; the
-    per-partition finalizer re-runs the identical pass.
+    Two-phase: a per-batch combiner truncates to k rows per
+    (group, batch) BEFORE the exchange; the per-partition finalizer
+    re-runs the identical pass.
     """
     import pandas as pd
 
@@ -113,8 +119,7 @@ def stratified_sample_k(ds, group_col: str, id_col: str = "doc_id",
         }
         if with_part:
             # value-based hash for any comparable key type (non-string
-            # keys cast through Arrow string first) — same fix as
-            # top_k_per_group in ops/joins.py
+            # keys cast through Arrow string first)
             if pa.types.is_string(gtype) or pa.types.is_large_string(gtype):
                 hp = pd.util.hash_array(groups[codes[kept]])
             else:

@@ -639,189 +639,3 @@ def test_term_postings_resume_skips_completed_buckets(ray_session, tmp_path):
     with pytest.raises(ValueError):
         build_term_postings(ds, out, col="text", id_col="doc_id",
                             analyzer="default", num_buckets=8, resume=True)
-
-
-def test_tumbling_window_agg_known_answers(ray_session):
-    from rayfts.ops.events import tumbling_window_agg
-
-    H = 3_600_000_000  # one hour in us
-    tbl = pa.table({
-        "ts": pa.array([10, H - 1, H, H + 5, 2 * H, 2 * H + 1], type=pa.int64()),
-        "event_type": pa.array(["a", "b", "a", "a", "b", "b"]),
-        "value": pa.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
-    })
-    rows = sorted(
-        ((r["window_start_us"], r["event_type"], r["n_events"], r["sum_value"])
-         for r in tumbling_window_agg(
-             ray.data.from_arrow(tbl), window_sec=3600).take_all()))
-    assert rows == [
-        (0, "a", 1, 1.0), (0, "b", 1, 2.0),
-        (H, "a", 2, 12.0),
-        (2 * H, "b", 2, 48.0),
-    ]
-
-
-def test_sessionize_gap_boundary(ray_session):
-    """Gap EXACTLY equal to the threshold continues the session; one
-    microsecond more breaks it. Interleaved users stay independent."""
-    from rayfts.ops.events import sessionize
-
-    G = 1_800_000_000  # 30 min in us
-    tbl = pa.table({
-        "ts": pa.array([0, G, 2 * G + 1, 5, 10], type=pa.int64()),
-        "user_id": pa.array([1, 1, 1, 2, 2], type=pa.int64()),
-        "value": pa.array([1.0, 2.0, 4.0, 8.0, 16.0]),
-    })
-    rows = sorted(
-        ((r["user_id"], r["session_start_us"], r["n_events"], r["sum_value"])
-         for r in sessionize(ray.data.from_arrow(tbl),
-                             gap_sec=1800).take_all()))
-    assert rows == [
-        (1, 0, 2, 3.0),          # gap == G keeps the session
-        (1, 2 * G + 1, 1, 4.0),  # gap > G breaks
-        (2, 5, 2, 24.0),
-    ]
-
-
-def test_event_ops_match_duckdb(ray_session):
-    """Both event operators vs DuckDB over the real events table (ts as
-    timestamp[us]; partial-aggregation and partitioning must not change
-    any count or sum)."""
-    import duckdb
-
-    from rayfts.ops.events import sessionize, tumbling_window_agg
-
-    ds = ray.data.read_parquet(f"{SF}/events.parquet")
-    got = sorted(((r["window_start_us"], r["event_type"], r["n_events"],
-                   round(r["sum_value"], 6))
-                  for r in tumbling_window_agg(ds, window_sec=3600).take_all()))
-    exp = duckdb.sql(
-        f"SELECT (epoch_us(ts) // 3600000000) * 3600000000, event_type, "
-        f"count(*), round_even(sum(value), 6) "
-        f"FROM read_parquet('{SF}/events.parquet') GROUP BY 1, 2 ORDER BY 1, 2"
-    ).fetchall()
-    assert got == [tuple(r) for r in exp]
-
-    got_s = sorted(((r["user_id"], r["session_start_us"], r["n_events"],
-                     round(r["sum_value"], 6))
-                    for r in sessionize(ds, gap_sec=1800).take_all()))
-    exp_s = duckdb.sql(f"""
-WITH e AS (SELECT user_id, epoch_us(ts) AS t, value
-           FROM read_parquet('{SF}/events.parquet')),
-o AS (SELECT user_id, t, value,
-        CASE WHEN lag(t) OVER (PARTITION BY user_id ORDER BY t) IS NULL
-               OR t - lag(t) OVER (PARTITION BY user_id ORDER BY t) > 1800000000
-             THEN 1 ELSE 0 END AS brk FROM e),
-s AS (SELECT user_id, t, value, sum(brk) OVER (PARTITION BY user_id ORDER BY t
-        ROWS UNBOUNDED PRECEDING) AS sid FROM o)
-SELECT user_id, min(t), count(*), round_even(sum(value), 6)
-FROM s GROUP BY user_id, sid ORDER BY 1, 2""").fetchall()
-    assert got_s == [tuple(r) for r in exp_s]
-
-
-def test_event_ops_property_random_streams(ray_session):
-    """Property: both event operators equal a pandas reference on random
-    streams (duplicate timestamps, negative values, single-event users,
-    empty-window gaps)."""
-    rng = np.random.default_rng(7)
-    for trial in range(3):
-        n = int(rng.integers(50, 400))
-        ts = np.sort(rng.integers(0, 10**10, n)).astype(np.int64)
-        users = rng.integers(0, 12, n).astype(np.int64)
-        types = rng.choice(["a", "b", "c"], n)
-        vals = np.round(rng.normal(0, 10, n), 2)
-        tbl = pa.table({
-            "ts": pa.array(ts, type=pa.int64()),
-            "user_id": pa.array(users, type=pa.int64()),
-            "event_type": pa.array(types.tolist(), type=pa.string()),
-            "value": pa.array(vals, type=pa.float64()),
-        })
-        import pandas as pd
-
-        from rayfts.ops.events import sessionize, tumbling_window_agg
-
-        W = 3600 * 1_000_000
-        df = tbl.to_pandas()
-        df["win"] = (df.ts // W) * W
-        ref_w = (df.groupby(["win", "event_type"])
-                 .agg(n=("value", "size"), s=("value", "sum")).reset_index())
-        got_w = sorted(
-            ((r["window_start_us"], r["event_type"], r["n_events"],
-              round(r["sum_value"], 6))
-             for r in tumbling_window_agg(
-                 ray.data.from_arrow(tbl), window_sec=3600).take_all()))
-        want_w = sorted((int(w), t, int(c), round(s, 6)) for w, t, c, s in
-                        zip(ref_w.win, ref_w.event_type, ref_w.n, ref_w.s))
-        assert got_w == want_w, f"trial {trial}"
-
-        G = 1800 * 1_000_000
-        want_s = []
-        for u, g in df.sort_values(["user_id", "ts"]).groupby("user_id"):
-            t_arr = g.ts.to_numpy()
-            v_arr = g.value.to_numpy()
-            brk = np.concatenate([[True], np.diff(t_arr) > G])
-            starts = np.flatnonzero(brk)
-            ends = np.append(starts[1:], t_arr.size)
-            for s0, e0 in zip(starts, ends):
-                want_s.append((int(u), int(t_arr[s0]), int(e0 - s0),
-                               round(float(v_arr[s0:e0].sum()), 6)))
-        got_s = sorted(
-            ((r["user_id"], r["session_start_us"], r["n_events"],
-              round(r["sum_value"], 6))
-             for r in sessionize(ray.data.from_arrow(tbl),
-                                 gap_sec=1800).take_all()))
-        assert got_s == sorted(want_s), f"trial {trial}"
-
-
-def test_sessionize_chunked_equals_plain(ray_session):
-    """Hot-user-safe two-phase sessionization (per-(user, time-chunk)
-    local summaries + boundary stitch) equals the plain plan on random
-    streams with a hot user and many boundary-spanning sessions."""
-    import pandas as pd
-
-    from rayfts.ops.events import sessionize
-
-    rng = np.random.default_rng(23)
-    n = 4000
-    pk = np.array([0.5] + [0.5 / 9] * 9)
-    df = pd.DataFrame({
-        "user_id": rng.choice(10, size=n, p=pk).astype(np.int64),
-        # dense in time so many sessions straddle the 5 s chunk width
-        "ts": pd.to_datetime(np.sort(rng.integers(
-            0, 120 * 1_000_000, size=n)), unit="us"),
-        "value": rng.normal(size=n),
-    })
-    import ray
-
-    ds = ray.data.from_pandas(df).repartition(9)
-    plain = (sessionize(ds, gap_sec=2).to_pandas()
-             .sort_values(["user_id", "session_start_us"])
-             .reset_index(drop=True))
-    chunked = (sessionize(ds, gap_sec=2, hot_user_chunk_sec=5).to_pandas()
-               .sort_values(["user_id", "session_start_us"])
-               .reset_index(drop=True))
-    assert len(plain) > 50  # the stream really has many sessions
-    pd.testing.assert_frame_equal(plain, chunked[plain.columns])
-
-
-def test_sessionize_chunked_session_spans_many_chunks(ray_session):
-    """One unbroken session crossing many chunk boundaries stitches back
-    into a single output row (chain merge, not just pairwise)."""
-    import pandas as pd
-
-    import ray
-
-    from rayfts.ops.events import sessionize
-
-    ts = np.arange(0, 50_000_000, 1_000_000, dtype=np.int64)  # 1 s apart
-    df = pd.DataFrame({
-        "user_id": np.zeros(ts.size, dtype=np.int64),
-        "ts": pd.to_datetime(ts, unit="us"),
-        "value": np.ones(ts.size),
-    })
-    out = (sessionize(ray.data.from_pandas(df), gap_sec=2,
-                      hot_user_chunk_sec=3).to_pandas())
-    assert len(out) == 1
-    assert out.n_events.iloc[0] == ts.size
-    assert out.sum_value.iloc[0] == float(ts.size)
-    assert out.session_start_us.iloc[0] == 0

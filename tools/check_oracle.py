@@ -1,7 +1,11 @@
 """Local mimic of the driver's correctness gate: run every queries()
 entry at a given sf_dir, run the matching oracle_sql() in DuckDB over the
 same parquet tables, compare row-count + schema + order-insensitive
-value hash. Usage: python tools/check_oracle.py [sf_dir]."""
+value hash, and print the engine output's value hash per row (so two
+checkouts can be compared row by row). A --only/--skip name that is not
+a queries() row is an error, and an oracle_sql() entry with no
+queries() row counts as a failure (it would never run).
+Usage: python tools/check_oracle.py [sf_dir] [--only a,b] [--skip c]."""
 
 from __future__ import annotations
 
@@ -36,8 +40,28 @@ def value_hash(df: pd.DataFrame) -> str:
     return hashlib.sha256(str(rows).encode()).hexdigest()[:16]
 
 
+def name_problems(qs, oracles, names: set[str]) -> tuple[list[str], list[str]]:
+    """(requested names that are not queries() rows, oracle_sql() keys
+    with no queries() row)."""
+    return sorted(names - set(qs)), sorted(set(oracles) - set(qs))
+
+
 def main(sf_dir: str, only: set[str] | None = None,
          skip: set[str] | None = None) -> int:
+    import __ray_entry__ as entrymod
+
+    qs = entrymod.queries()
+    oracles = entrymod.oracle_sql()
+    unknown, stale = name_problems(qs, oracles, (only or set()) | (skip or set()))
+    if unknown:
+        print("unknown query names: " + ", ".join(unknown))
+        print("known: " + ", ".join(sorted(qs)))
+        return 2
+    n_fail = 0
+    for name in stale:
+        print(f"FAIL {name}: oracle_sql() entry has no queries() row")
+        n_fail += 1
+
     import ray
 
     if not ray.is_initialized():
@@ -47,17 +71,12 @@ def main(sf_dir: str, only: set[str] | None = None,
 
     DataContext.get_current().enable_progress_bars = False
 
-    import __ray_entry__ as entrymod
-
     con = duckdb.connect()
     for t in TABLES:
         p = os.path.join(sf_dir, f"{t}.parquet")
         if os.path.exists(p):
             con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
 
-    qs = entrymod.queries()
-    oracles = entrymod.oracle_sql()
-    n_fail = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -72,8 +91,9 @@ def main(sf_dir: str, only: set[str] | None = None,
             n_fail += 1
             continue
         dt = time.time() - t0
+        h = value_hash(mine)
         if name not in oracles:
-            print(f"ok   {name}: rows-only ({len(mine)} rows, {dt:.1f}s)")
+            print(f"ok   {name}: rows-only ({len(mine)} rows, {dt:.1f}s, {h})")
             continue
         try:
             orc = con.sql(oracles[name]).df()
@@ -86,7 +106,7 @@ def main(sf_dir: str, only: set[str] | None = None,
             problems.append(f"rows {len(mine)} != {len(orc)}")
         if sorted(map(str.lower, mine.columns)) != sorted(map(str.lower, orc.columns)):
             problems.append(f"cols {sorted(mine.columns)} != {sorted(orc.columns)}")
-        if not problems and value_hash(mine) != value_hash(orc):
+        if not problems and h != value_hash(orc):
             problems.append("value hash mismatch")
             merged = mine.sort_values(sorted(mine.columns)).reset_index(drop=True).compare(
                 orc[mine.columns].sort_values(sorted(mine.columns)).reset_index(drop=True)
@@ -98,7 +118,7 @@ def main(sf_dir: str, only: set[str] | None = None,
             print(f"FAIL {name}: " + "; ".join(str(p) for p in problems))
             n_fail += 1
         else:
-            print(f"PASS {name} ({len(mine)} rows, {dt:.1f}s)")
+            print(f"PASS {name} ({len(mine)} rows, {dt:.1f}s, {h})")
     print("failures:", n_fail)
     return n_fail
 
