@@ -491,18 +491,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["langid"] = langid_q
 
-    def embedding_topk_q(sf):
-        from rayfts.ops.ann import brute_force_topk
-        import pyarrow.parquet as pq
-
-        emb = pq.read_table(os.path.join(sf, "embeddings.parquet"))
-        qvec = np.asarray(emb.filter(pa.compute.equal(emb["vec_id"], 0))["embedding"][0].as_py())
-        ds = ray.data.read_parquet(os.path.join(sf, "embeddings.parquet"))
-        t = brute_force_topk(ds, qvec, k=10)
-        return t.select(["rank", "vec_id"])
-
-    q["embedding_topk"] = embedding_topk_q
-
     def stemmed_topk(sf):
         """BM25 over the STEMMED token stream (en_stem index): the query
         string goes through the parser, which stems 'merge' -> 'merg';
@@ -960,42 +948,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["dsir_select_top100"] = dsir_select_q
 
-    def cosine_dup_q(sf, n_clusters: int):
-        from rayfts.ops.ann import cosine_near_dup_pairs
-
-        ds = ray.data.read_parquet(os.path.join(sf, "embeddings.parquet"))
-        # synthetic embeddings are near-orthogonal (max pairwise cosine
-        # ~0.5), so a production-style 0.9 threshold finds nothing; 0.4
-        # exercises the full assignment/tile/threshold path with real rows
-        return cosine_near_dup_pairs(
-            ds, threshold=0.4, n_clusters=n_clusters
-        ).sort(["id_a", "id_b"])
-
-    # single cluster = exhaustive all-pairs (tiled) -> exact SQL oracle;
-    # the bucketed variant keeps the IVF-sharded scale path exercised
-    q["embedding_near_dup"] = lambda sf: cosine_dup_q(sf, 1)
-    q["embedding_near_dup_bucketed"] = lambda sf: cosine_dup_q(sf, 16)
-
-    def _ann_ivf(sf, nprobe: int):
-        from rayfts.ops.ann import IVFIndex
-        import pyarrow.parquet as pq
-
-        emb = pq.read_table(os.path.join(sf, "embeddings.parquet"))
-        qvec = np.asarray(emb.filter(pa.compute.equal(emb["vec_id"], 0))["embedding"][0].as_py())
-        ds = ray.data.read_parquet(os.path.join(sf, "embeddings.parquet"))
-        ivf = IVFIndex(n_clusters=8, nprobe=nprobe).build(ds)
-        res = ivf.search(qvec, k=10)
-        return pa.table({
-            "rank": pa.array(range(1, len(res) + 1), type=pa.int64()),
-            "vec_id": pa.array([r[0] for r in res], type=pa.int64()),
-        })
-
-    # full probe (nprobe == n_clusters) is exhaustive over the spilled
-    # cluster store, so the brute-force SQL oracle applies exactly; the
-    # partial-probe variant keeps the recall/reads tradeoff exercised
-    q["ann_ivf_topk"] = lambda sf: _ann_ivf(sf, nprobe=8)
-    q["ann_ivf_partial_probe"] = lambda sf: _ann_ivf(sf, nprobe=2)
-
     def fingerprint_q(sf):
         from rayfts.ops.textstats import fingerprint_batch
 
@@ -1082,9 +1034,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hll_distinct_users", "sample_uniform", "sample_stratified",
         "weighted_sample", "token_stats", "token_counts", "quality_stats",
         "langid", "fingerprints", "scrub_text", "heavy_hitters",
-        "pack_documents", "embedding_topk", "embedding_near_dup",
-        "embedding_near_dup_bucketed", "ann_ivf_topk",
-        "ann_ivf_partial_probe",
+        "pack_documents",
         # index-backed (one shared build, then cheap reads)
         "term_topk", "stopword_topk", "or_topk", "and_docs",
         "must_not_docs", "phrase_docs", "range_term_docs",
@@ -1879,35 +1829,6 @@ SELECT doc_id, CASE WHEN greatest(de, en, es, fr) = 0 THEN 'und'
   WHEN es = greatest(de, en, es, fr) THEN 'es'
   ELSE 'fr' END AS lang_pred
 FROM s ORDER BY doc_id
-"""
-    sql["embedding_topk"] = """
-WITH q AS (SELECT embedding AS qv FROM embeddings WHERE vec_id = 0),
-s AS (
-  SELECT e.vec_id, list_cosine_similarity(e.embedding, q.qv) AS cos
-  FROM embeddings e CROSS JOIN q
-)
-SELECT CAST(row_number() OVER (ORDER BY cos DESC, vec_id) AS BIGINT) AS rank, vec_id
-FROM s ORDER BY cos DESC, vec_id LIMIT 10
-"""
-    # full-probe IVF == exhaustive cosine top-k (same oracle shape)
-    sql["ann_ivf_topk"] = sql["embedding_topk"]
-    # exhaustive (single-cluster) embedding near-dup; f64 arithmetic spelled
-    # out because DuckDB's list_cosine_similarity computes in float32
-    sql["embedding_near_dup"] = """
-WITH n AS (
-  SELECT vec_id, embedding,
-         sqrt(list_sum([CAST(embedding[i] AS DOUBLE) * embedding[i]
-                        for i in generate_series(1, 64)])) AS nrm
-  FROM embeddings
-),
-p AS (
-  SELECT a.vec_id AS id_a, b.vec_id AS id_b,
-         list_sum([CAST(a.embedding[i] AS DOUBLE) * b.embedding[i]
-                   for i in generate_series(1, 64)]) / (a.nrm * b.nrm) AS cos
-  FROM n a JOIN n b ON a.vec_id < b.vec_id
-)
-SELECT id_a, id_b, round_even(cos, 6) AS cosine
-FROM p WHERE cos >= 0.4 ORDER BY id_a, id_b
 """
     # fingerprints + simhash: exact arithmetic oracles (md5 token hashes,
     # mod-2^64 rolling hash / bit votes) — hamming <= 3 implies a shared

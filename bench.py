@@ -296,13 +296,11 @@ def bench_postings_export(num_buckets: int = 32) -> float:
 def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     import ray.data
 
-    from rayfts.ops.ann import brute_force_topk
     from rayfts.ops.dedup import exact_dedup, minhash_dedup_pairs
     from rayfts.ops.termstats import top_terms
 
     out = {}
     docs = os.path.join(sf_dir, "documents.parquet")
-    emb = os.path.join(sf_dir, "embeddings.parquet")
 
     t0 = time.time()
     top_terms(ray.data.read_parquet(docs), n=50, col="text", analyzer="default")
@@ -315,15 +313,6 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     t0 = time.time()
     minhash_dedup_pairs(ray.data.read_parquet(docs), threshold=0.5).count()
     out["minhash_dedup"] = time.time() - t0
-
-    if os.path.exists(emb):
-        import numpy as np
-        import pyarrow.parquet as pq
-
-        qvec = np.asarray(pq.read_table(emb)["embedding"][0].as_py())
-        t0 = time.time()
-        brute_force_topk(ray.data.read_parquet(emb), qvec, k=10)
-        out["ann_brute_topk"] = time.time() - t0
 
     ev = os.path.join(sf_dir, "events.parquet")
     if os.path.exists(ev):

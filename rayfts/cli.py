@@ -370,45 +370,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_ann_build(args) -> int:
-    """Build a persisted IVF store (cluster-partitioned parquet + meta)."""
-    _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
-    from rayfts.ops.ann import IVFIndex
-
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    ivf = IVFIndex(n_clusters=args.clusters, nprobe=args.nprobe).build(
-        ray.data.read_parquet(paths), col=args.col, id_col=args.id_col,
-        spill_dir=args.store,
-    )
-    print(json.dumps({"store": ivf.spill_dir, "clusters": args.clusters}))
-    return 0
-
-
-def cmd_ann_search(args) -> int:
-    """Bulk ANN: a parquet of (query_id, query vector) rows against a
-    persisted IVF store -> top-k parquet (query_id, rank, id, cosine)."""
-    _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
-    from rayfts.ops.ann import IVFIndex, ivf_batch_search
-
-    ivf = IVFIndex.load(args.store, nprobe=args.nprobe)
-    paths = sorted(p for pat in args.queries for p in _glob.glob(pat)) or args.queries
-    out = ivf_batch_search(
-        ray.data.read_parquet(paths), ivf, k=args.k,
-        query_col=args.query_col, query_id_col=args.query_id_col,
-    )
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
 def cmd_term_stats(args) -> int:
     """Corpus (term, df, cf) table via the salted term shuffle."""
     _ensure_ray()
@@ -762,27 +723,6 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("--k", type=int, default=10)
     sp.add_argument("--seed", type=int, default=42)
     sp.set_defaults(fn=cmd_sample)
-
-    ab = sub.add_parser("ann-build",
-                        help="build a persisted IVF vector store")
-    ab.add_argument("--input", nargs="+", required=True)
-    ab.add_argument("--col", default="embedding")
-    ab.add_argument("--id-col", default="vec_id")
-    ab.add_argument("--store", required=True)
-    ab.add_argument("--clusters", type=int, default=16)
-    ab.add_argument("--nprobe", type=int, default=4)
-    ab.set_defaults(fn=cmd_ann_build)
-
-    asr = sub.add_parser("ann-search",
-                         help="bulk top-k against a persisted IVF store")
-    asr.add_argument("--store", required=True)
-    asr.add_argument("--queries", nargs="+", required=True)
-    asr.add_argument("--query-col", default="query")
-    asr.add_argument("--query-id-col", default="query_id")
-    asr.add_argument("--k", type=int, default=10)
-    asr.add_argument("--nprobe", type=int, default=None)
-    asr.add_argument("--out", required=True)
-    asr.set_defaults(fn=cmd_ann_search)
 
     ts = sub.add_parser("term-stats", help="(term, df, cf) over a corpus")
     ts.add_argument("--input", nargs="+", required=True)

@@ -6,7 +6,6 @@
 - simhash:        64-bit simhash + banded hamming-neighbor candidates
 - ngram_jaccard:  EXACT Jaccard via an inverted shingle index (full
                   recall; the corpus-shuffle-priced complement to minhash)
-- embedding near-dup lives in rayfts.ops.ann (cosine threshold)
 
 Shapes are designed for the 100 TB case: every per-doc computation is a
 stateless ``map_batches``; the wide steps are groupbys on uniformly-

@@ -1,5 +1,5 @@
 """Training-data operators (SURVEY.md §2.5 'ours' additions): exact /
-minhash / simhash dedup, term statistics, ANN, text analysis — verified
+minhash / simhash dedup, term statistics, text analysis — verified
 against independent in-test oracles (DuckDB / brute-force numpy)."""
 
 import numpy as np
@@ -116,37 +116,6 @@ def test_term_stats_match_duckdb(ray_session):
         assert got == [(r[0], r[1], r[2]) for r in exp], f"salt={salt}"
 
 
-def test_ann_brute_force_matches_numpy(ray_session):
-    import pyarrow.parquet as pq
-
-    from rayfts.ops.ann import brute_force_topk
-
-    emb = pq.read_table(f"{SF}/embeddings.parquet")
-    mat = np.array(emb["embedding"].to_pylist(), dtype=np.float32)
-    ids = np.array(emb["vec_id"].to_pylist())
-    q = mat[7]
-    cos = (mat @ q) / (np.linalg.norm(mat, axis=1) * np.linalg.norm(q) + 1e-12)
-    order = np.lexsort((ids, -cos))[:10]
-    ds = ray.data.read_parquet(f"{SF}/embeddings.parquet")
-    t = brute_force_topk(ds, q, k=10)
-    assert t["vec_id"].to_pylist() == ids[order].tolist()
-
-
-def test_ivf_recall_against_brute_force(ray_session):
-    import pyarrow.parquet as pq
-
-    from rayfts.ops.ann import IVFIndex, brute_force_topk
-
-    emb = pq.read_table(f"{SF}/embeddings.parquet")
-    q = np.asarray(emb["embedding"][3].as_py())
-    ds = ray.data.read_parquet(f"{SF}/embeddings.parquet")
-    truth = set(brute_force_topk(ds, q, k=10)["vec_id"].to_pylist())
-    ivf = IVFIndex(n_clusters=8, nprobe=4).build(
-        ray.data.read_parquet(f"{SF}/embeddings.parquet"))
-    got = {vid for vid, _ in ivf.search(q, k=10)}
-    assert len(truth & got) >= 6  # recall@10 >= 0.6 with nprobe=4/8
-
-
 def test_token_stats_and_quality_match_python(ray_session):
     import re
 
@@ -173,66 +142,6 @@ def test_fingerprints_shift_invariant():
     f2 = rolling_fingerprints(["pre"] + toks, k=5)
     # shared windows hash identically regardless of position
     assert set(f1).issubset(set(f2) | set(f1[:1])) or np.intersect1d(f1, f2).size >= 14
-
-
-def test_ivf_spill_layout_and_determinism(ray_session, tmp_path):
-    """IVF always stores cluster-partitioned Parquet (the 100 TB layout);
-    two builds of the same data give identical results regardless of Ray
-    block scheduling (id-sorted sample -> deterministic centroids)."""
-    from rayfts.ops.ann import IVFIndex
-
-    import pyarrow.parquet as pq
-
-    emb = pq.read_table(f"{SF}/embeddings.parquet")
-    q = np.asarray(emb["embedding"][11].as_py())
-    a = IVFIndex(n_clusters=8, nprobe=3).build(
-        ray.data.read_parquet(f"{SF}/embeddings.parquet"))
-    b = IVFIndex(n_clusters=8, nprobe=3).build(
-        ray.data.read_parquet(f"{SF}/embeddings.parquet"),
-        spill_dir=str(tmp_path / "ivf"))
-    assert a.search(q, k=10) == b.search(q, k=10)
-    import glob
-    assert glob.glob(str(tmp_path / "ivf" / "cluster=*"))  # partitioned layout
-    assert glob.glob(f"{a.spill_dir}/cluster=*")  # default build spills too
-
-
-def test_ivf_full_probe_recall_matches_brute_force(ray_session):
-    """recall@10 with nprobe == n_clusters must be 1.0 (every cluster
-    probed -> exhaustive), pinning IVF's correctness against the brute
-    oracle; partial probes trade recall for reads."""
-    import pyarrow.parquet as pq
-
-    from rayfts.ops.ann import IVFIndex, brute_force_topk
-
-    emb = pq.read_table(f"{SF}/embeddings.parquet")
-    for qi in (3, 17):
-        q = np.asarray(emb["embedding"][qi].as_py())
-        truth = brute_force_topk(
-            ray.data.read_parquet(f"{SF}/embeddings.parquet"), q, k=10)
-        ivf = IVFIndex(n_clusters=8, nprobe=8).build(
-            ray.data.read_parquet(f"{SF}/embeddings.parquet"))
-        got = ivf.search(q, k=10)
-        assert [vid for vid, _ in got] == truth["vec_id"].to_pylist()
-
-
-def test_cosine_near_dup_finds_planted_pairs(ray_session):
-    """Distributed embedding near-dup (Dataset out): planted near-identical
-    vectors are found; unrelated vectors are not paired."""
-    from rayfts.ops.ann import cosine_near_dup_pairs
-
-    rng = np.random.default_rng(7)
-    base = rng.normal(size=(40, 16))
-    base[21] = base[20] + rng.normal(scale=0.01, size=16)  # planted dup
-    base[31] = base[30] * 1.7                              # colinear dup
-    tbl = pa.table({
-        "vec_id": pa.array(range(40), type=pa.int64()),
-        "embedding": pa.array([list(map(float, r)) for r in base]),
-    })
-    pairs = cosine_near_dup_pairs(
-        ray.data.from_arrow(tbl), threshold=0.98, n_clusters=4)
-    got = {(r["id_a"], r["id_b"]): r["cosine"] for r in pairs.take_all()}
-    assert (20, 21) in got and got[(20, 21)] > 0.98
-    assert (30, 31) in got and got[(30, 31)] > 0.999
 
 
 def test_term_postings_export_matches_duckdb(ray_session, tmp_path):
@@ -320,33 +229,6 @@ def test_ngram_jaccard_exact_pairs(ray_session):
     orc = con.sql(e.oracle_sql()["ngram_jaccard_pairs"]).arrow()
     assert res.num_rows == orc.num_rows
     assert res.select(sorted(res.column_names)).equals(orc.select(sorted(orc.column_names)))
-
-
-def test_ivf_batch_search_matches_single(ray_session):
-    """Bulk ANN: a Dataset of query vectors through the IVFBatchSearch
-    actor pool returns exactly what per-query IVFIndex.search returns."""
-    import pyarrow.parquet as pq2
-
-    from rayfts.ops.ann import IVFIndex, ivf_batch_search
-
-    emb = pq2.read_table(f"{SF}/embeddings.parquet")
-    ivf = IVFIndex(n_clusters=8, nprobe=3).build(
-        ray.data.read_parquet(f"{SF}/embeddings.parquet"))
-    qids = [3, 17, 42]
-    qvecs = [emb["embedding"][i].as_py() for i in qids]
-    qds = ray.data.from_arrow(pa.table({
-        "query_id": pa.array(range(len(qids)), type=pa.int64()),
-        "query": pa.array(qvecs),
-    }))
-    rows = sorted(ivf_batch_search(qds, ivf, k=10, concurrency=(2, 2)).take_all(),
-                  key=lambda r: (r["query_id"], r["rank"]))
-    for qi, qv in enumerate(qvecs):
-        want = IVFIndex(n_clusters=8, nprobe=3).build(
-            ray.data.read_parquet(f"{SF}/embeddings.parquet")).search(
-                np.asarray(qv), k=10)
-        got = [(r["vec_id"], r["cosine"]) for r in rows if r["query_id"] == qi]
-        assert [v for v, _ in got] == [v for v, _ in want]
-        assert all(abs(a - b) < 1e-5 for (_, a), (_, b) in zip(got, want))
 
 
 def test_dedup_pairs_partitioned_property(ray_session):
@@ -545,54 +427,10 @@ def test_shingle_explode_matches_shingle_hashes():
         assert sorted(got[i]) == sorted(want), (i, t)
 
 
-def test_ivf_store_persist_and_load(ray_session, tmp_path):
-    """The spilled store IS the index: a second process (simulated by a
-    fresh IVFIndex.load) opens the cluster partitions + persisted
-    centroids and searches identically."""
-    from rayfts.ops.ann import IVFIndex
-
-    emb = pq.read_table(f"{SF}/embeddings.parquet")
-    q = np.asarray(emb["embedding"][5].as_py())
-    store = str(tmp_path / "ivfstore")
-    built = IVFIndex(n_clusters=8, nprobe=3).build(
-        ray.data.read_parquet(f"{SF}/embeddings.parquet"), spill_dir=store)
-    opened = IVFIndex.load(store)
-    assert opened.nprobe == 3 and opened.n_clusters == 8
-    assert built.search(q, k=10) == opened.search(q, k=10)
-    wider = IVFIndex.load(store, nprobe=8)
-    assert len(wider.search(q, k=10)) == 10
-
-
-def test_cli_ann_and_minhash_roundtrip(ray_session, tmp_path):
-    """CLI smoke for the round-3 subcommands: ann-build -> ann-search and
-    dedup-minhash, in-process against the test Ray session."""
+def test_cli_minhash_roundtrip(ray_session, tmp_path):
+    """CLI smoke for dedup-minhash, in-process against the test Ray
+    session."""
     from rayfts.cli import main as cli_main
-    from rayfts.ops.ann import IVFIndex, ivf_batch_search
-
-    store = str(tmp_path / "store")
-    rc = cli_main(["ann-build", "--input", f"{SF}/embeddings.parquet",
-                   "--store", store, "--clusters", "8", "--nprobe", "3"])
-    assert rc == 0
-    emb = pq.read_table(f"{SF}/embeddings.parquet")
-    qtbl = pa.table({
-        "query_id": pa.array([0, 1], type=pa.int64()),
-        "query": pa.array([emb["embedding"][2].as_py(),
-                           emb["embedding"][9].as_py()]),
-    })
-    qfile = str(tmp_path / "queries.parquet")
-    pq.write_table(qtbl, qfile)
-    out = str(tmp_path / "topk")
-    rc = cli_main(["ann-search", "--store", store, "--queries", qfile,
-                   "--k", "5", "--out", out])
-    assert rc == 0
-    got = pq.read_table(out)
-    want = ivf_batch_search(ray.data.from_arrow(qtbl), IVFIndex.load(store),
-                            k=5, concurrency=(2, 2))
-    want_rows = sorted((r["query_id"], r["rank"], r["vec_id"])
-                       for r in want.take_all())
-    got_rows = sorted(zip(got["query_id"].to_pylist(), got["rank"].to_pylist(),
-                          got["vec_id"].to_pylist()))
-    assert got_rows == want_rows and len(got_rows) == 10
 
     mh_out = str(tmp_path / "pairs")
     rc = cli_main(["dedup-minhash", "--input", f"{SF}/documents.parquet",

@@ -20,7 +20,8 @@ import __ray_entry__ as entrymod
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEARCH_PACKAGES = ("analysis", "codec", "index", "query")
 REMOVED_MODULES = tuple(f"rayfts.ops.{m}" for m in
-                        ("multimodal", "media_codec", "events", "joins"))
+                        ("multimodal", "media_codec", "events", "joins",
+                         "ann"))
 
 
 def _py_files(*rel_paths):
