@@ -773,16 +773,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["scrub_text"] = scrub_q
 
-    def lm_scores_q(sf):
-        """CCNet-style quality signal: per-doc average negative log
-        probability under an add-one-smoothed bigram LM trained on the
-        corpus itself (two streaming passes + summary exchanges)."""
-        from rayfts.ops.lm import bigram_lm_scores
-
-        return bigram_lm_scores(_docs_ds(sf)).sort("doc_id")
-
-    q["lm_scores"] = lm_scores_q
-
     def distinct_users_q(sf):
         """Exact distributed distinct count (local unique -> hash
         groupby; only distinct values cross the exchange)."""
@@ -911,17 +901,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["line_dedup"] = line_dedup_q
 
-    def chunk_documents_q(sf):
-        """Sliding-window codepoint chunking (200-char windows, 50
-        overlap): stateless vectorized flat-map, one slice kernel per
-        chunk ordinal, zero shuffles."""
-        from rayfts.ops.chunk import chunk_documents
-
-        return chunk_documents(_docs_ds(sf), chunk_chars=200,
-                               overlap=50).sort(["doc_id", "chunk_id"])
-
-    q["chunk_documents"] = chunk_documents_q
-
     def dsir_weights_q(sf):
         """DSIR hashed-ngram log importance weights (target = lang='en'
         docs, raw = full corpus): two streamed O(B)-driver fit passes,
@@ -1027,7 +1006,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "prepare_corpus", "shuffle_ranks", "decontaminate_8gram",
         "near_dup_clusters", "near_dup_kept", "repetition_stats",
         "repetition_filter_kept", "duplicate_lines", "line_dedup",
-        "chunk_documents", "dsir_log_weights", "dsir_select_top100",
+        "dsir_log_weights", "dsir_select_top100",
         # cheap, green in round 3
         "value_moments", "users_per_type",
         "quantiles_value", "quantiles_by_type", "distinct_users",
@@ -1043,7 +1022,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "batch_search", "sharded_search_tier", "bm25_stemmed_topk",
         "snippets",
         # heavy corpus passes last
-        "term_stats_top50", "lm_scores", "exact_dedup_kept",
+        "term_stats_top50", "exact_dedup_kept",
         "simhash_near_dup", "ngram_jaccard_pairs", "minhash_dedup_pairs",
         "dup_spans", "dup_span_stats", "corpus_clean", "term_postings",
     ]
@@ -1935,40 +1914,6 @@ FROM events GROUP BY event_type ORDER BY event_type
 SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_distinct
 FROM events GROUP BY event_type ORDER BY event_type
 """
-    # bigram-LM scores: integer corpus counts + one float division per
-    # bigram; avg rounded half-even on both sides (summation-order safe)
-    sql["lm_scores"] = r"""
-WITH t AS (
-  SELECT doc_id,
-    [lower(x) for x in regexp_extract_all(COALESCE(text, ''), '[\p{L}\p{N}]+')] AS toks
-  FROM documents
-),
-tokpos AS (
-  SELECT doc_id, unnest(toks) AS term, generate_subscripts(toks, 1) AS pos
-  FROM t
-),
-uni AS (SELECT term, count(*) AS cu FROM tokpos GROUP BY term),
-vv AS (SELECT count(*) AS v FROM uni),
-big AS (
-  SELECT a.doc_id, a.term AS w1, b.term AS w2
-  FROM tokpos a JOIN tokpos b
-    ON b.doc_id = a.doc_id AND b.pos = a.pos + 1
-),
-bc AS (SELECT w1, w2, count(*) AS cb FROM big GROUP BY w1, w2),
-scored AS (
-  SELECT big.doc_id,
-         -(ln(bc.cb + 1.0) - ln(uni.cu + (SELECT v FROM vv))) AS nll
-  FROM big JOIN bc USING (w1, w2) JOIN uni ON uni.term = big.w1
-),
-agg AS (
-  SELECT doc_id, CAST(count(*) AS BIGINT) AS n_bigrams,
-         round_even(avg(nll), 6) AS nll
-  FROM scored GROUP BY doc_id
-)
-SELECT t.doc_id, COALESCE(agg.n_bigrams, 0) AS n_bigrams, agg.nll
-FROM t LEFT JOIN agg USING (doc_id)
-ORDER BY t.doc_id
-"""
     # PII scrub: both engines run RE2, so the rewritten strings match
     # bit-for-bit; the CTE chain mirrors the sequential rule order
     _em = r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"
@@ -2098,22 +2043,6 @@ WHERE s.doc_id NOT IN (SELECT id_b FROM mh_pairs) ORDER BY s.doc_id
     sql["near_dup_kept"] = _near_dup_cc_sql(kept=True, threshold=0.5)
     sql["dsir_log_weights"] = _dsir_sql(select_top=None)
     sql["dsir_select_top100"] = _dsir_sql(select_top=100)
-    # chunking: codepoint windows [i*stride, i*stride+chunk) with
-    # n_chunks = max(1, ceil((L-overlap)/stride)), 0 for empty docs
-    sql["chunk_documents"] = """
-WITH t AS (SELECT doc_id, COALESCE(text, '') AS text,
-                  length(COALESCE(text, '')) AS L FROM documents),
-n AS (SELECT doc_id, text,
-        CASE WHEN L = 0 THEN 0
-             ELSE greatest(1, CAST(ceil((L - 50) / 150.0) AS BIGINT))
-        END AS nc FROM t),
-c AS (SELECT doc_id, unnest(generate_series(0, nc - 1)) AS chunk_id,
-             text FROM n WHERE nc > 0)
-SELECT doc_id, CAST(chunk_id AS BIGINT) AS chunk_id,
-       CAST(chunk_id * 150 AS BIGINT) AS chunk_start,
-       substr(text, CAST(chunk_id * 150 + 1 AS BIGINT), 200) AS chunk_text
-FROM c ORDER BY doc_id, chunk_id
-"""
     sql["duplicate_lines"] = _duplicate_lines_sql(min_docs=2)
     sql["line_dedup"] = _line_dedup_sql(min_docs=2)
     sql["repetition_stats"] = _repetition_sql()

@@ -342,12 +342,6 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     duplicated_spans(ray.data.read_parquet(docs), min_len=8).count()
     out["dup_spans"] = time.time() - t0
 
-    from rayfts.ops.lm import bigram_lm_scores
-
-    t0 = time.time()
-    bigram_lm_scores(ray.data.read_parquet(docs)).count()
-    out["lm_scores"] = time.time() - t0
-
     from rayfts.ops.repetition import repetition_filter
 
     t0 = time.time()
@@ -359,13 +353,6 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     t0 = time.time()
     line_dedup(ray.data.read_parquet(docs)).count()
     out["line_dedup"] = time.time() - t0
-
-    from rayfts.ops.chunk import chunk_documents
-
-    t0 = time.time()
-    chunk_documents(ray.data.read_parquet(docs), chunk_chars=200,
-                    overlap=50).count()
-    out["chunk_documents"] = time.time() - t0
 
     from rayfts.ops.dsir import dsir_log_weights
 

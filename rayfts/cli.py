@@ -290,23 +290,6 @@ def cmd_heavy_hitters(args) -> int:
     return 0
 
 
-def cmd_lm_score(args) -> int:
-    """Corpus-trained bigram-LM perplexity scores -> parquet."""
-    _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
-    from rayfts.ops.lm import bigram_lm_scores
-
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    out = bigram_lm_scores(ray.data.read_parquet(paths), col=args.col,
-                           id_col=args.id_col, max_vocab=args.max_vocab)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
 def cmd_scrub(args) -> int:
     """PII scrub / text normalization -> rewritten parquet."""
     _ensure_ray()
@@ -494,19 +477,6 @@ def cmd_shuffle_ranks(args) -> int:
     return 0
 
 
-def cmd_chunk(args) -> int:
-    """Sliding-window codepoint chunking -> (id, chunk_id, start, text)."""
-    _ensure_ray()
-    from rayfts.ops.chunk import chunk_documents
-
-    out = chunk_documents(_read_inputs(args.input), col=args.col,
-                          id_col=args.id_col, chunk_chars=args.chunk_chars,
-                          overlap=args.overlap)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
 def cmd_dsir(args) -> int:
     """DSIR hashed-ngram importance weights (or top-N selection)."""
     _ensure_ray()
@@ -683,15 +653,6 @@ def main(argv: list[str] | None = None) -> int:
     hh.add_argument("--phi-den", type=int, default=200)
     hh.set_defaults(fn=cmd_heavy_hitters)
 
-    lm = sub.add_parser("lm-score",
-                        help="bigram-LM perplexity quality scores")
-    lm.add_argument("--input", nargs="+", required=True)
-    lm.add_argument("--col", default="text")
-    lm.add_argument("--id-col", default="doc_id")
-    lm.add_argument("--max-vocab", type=int, default=1 << 20)
-    lm.add_argument("--out", required=True)
-    lm.set_defaults(fn=cmd_lm_score)
-
     sc = sub.add_parser("scrub",
                         help="PII scrub / text normalization (RE2 rules)")
     sc.add_argument("--input", nargs="+", required=True)
@@ -804,16 +765,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="pin chunk granularity (default: auto-size)")
     sr.add_argument("--out", required=True)
     sr.set_defaults(fn=cmd_shuffle_ranks)
-
-    ck = sub.add_parser("chunk",
-                        help="sliding-window codepoint chunking")
-    ck.add_argument("--input", nargs="+", required=True)
-    ck.add_argument("--col", default="text")
-    ck.add_argument("--id-col", default="doc_id")
-    ck.add_argument("--chunk-chars", type=int, default=2048)
-    ck.add_argument("--overlap", type=int, default=256)
-    ck.add_argument("--out", required=True)
-    ck.set_defaults(fn=cmd_chunk)
 
     dw = sub.add_parser("dsir",
                         help="DSIR hashed-ngram importance weights / "
