@@ -157,11 +157,9 @@ def cmd_merge(args) -> int:
     if args.log_policy:
         manifest = log_merge_index(args.index, min_merge=args.min_merge,
                                    max_merge=args.group_size,
-                                   num_actors=args.concurrency,
                                    max_passes=args.max_passes)
     else:
-        manifest = merge_index(args.index, group_size=args.group_size,
-                               num_actors=args.concurrency)
+        manifest = merge_index(args.index, group_size=args.group_size)
     print(json.dumps({
         "index": args.index, "segments": len(manifest.segments),
         "docs": manifest.num_docs, "seconds": round(time.time() - t0, 2),
@@ -580,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
     bs.add_argument("--out", default=None, help="write results as parquet here")
     bs.set_defaults(fn=cmd_batch_search)
 
-    m = sub.add_parser("merge", help="merge small segments (actor pool)")
+    m = sub.add_parser("merge", help="merge small segments (Ray tasks)")
     m.add_argument("--log-policy", action="store_true",
                    help="LogMergePolicy-like tiered compaction (contiguous "
                         "same-level runs) instead of fixed groups")
@@ -588,7 +586,6 @@ def main(argv: list[str] | None = None) -> int:
     m.add_argument("--max-passes", type=int, default=8)
     m.add_argument("--index", required=True)
     m.add_argument("--group-size", type=int, default=8)
-    m.add_argument("--concurrency", type=int, default=4)
     m.set_defaults(fn=cmd_merge)
 
     dd = sub.add_parser("dedup-exact", help="exact dedup of a parquet corpus")

@@ -120,7 +120,8 @@ class Index:
         min_merge = self.catalog.auto_merge_min
         if not min_merge:
             return
-        from rayfts.index.merge import merge_segment_group, plan_log_merge_groups
+        from rayfts.index.merge import (commit_merge, merge_segment_group,
+                                        plan_log_merge_groups)
 
         m = self.manifest
         groups = plan_log_merge_groups(
@@ -131,16 +132,7 @@ class Index:
         infos = [
             merge_segment_group(self.path, m.schema.to_json(), g) for g in groups
         ]
-        merged_ids = {sid for g in groups for sid in g}
-        keep = [s for s in m.segments if s.segment_id not in merged_ids]
-        m2 = mf.Manifest(
-            name=m.name, schema=m.schema, segments=keep + infos,
-            opstamp=m.opstamp, version=m.version + 1,
-            build_params=m.build_params,
-        )
-        mf.write_manifest(self.path, m2)
-        for sid in merged_ids:
-            shutil.rmtree(mf.segment_path(self.path, sid), ignore_errors=True)
+        commit_merge(self.path, m, groups, infos)
 
     def add_segments(self, infos: list[SegmentInfo]) -> None:
         """Register segments built elsewhere (their directories must already

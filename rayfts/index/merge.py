@@ -1,4 +1,4 @@
-"""Segment merging: actor-pool mergers with deterministic output.
+"""Segment merging: Ray-task mergers with deterministic output.
 
 The reference relies on tantivy's background LogMergePolicy and sketches
 a controlled-merge design in its header notes (``main.rs:7-17``: copy
@@ -637,8 +637,7 @@ def _submit_group_merges(
 @ray.remote
 def _merge_group_task(index_dir: str, schema_json: list, source_ids: list[str]) -> dict:
     # cap Arrow's pools for the merge, then RESTORE: this task runs in a
-    # reused worker process that later serves other Ray Data tasks (the
-    # actor variant owns its process; a task does not)
+    # reused worker process that later serves other Ray Data tasks
     old_cpu, old_io = pa.cpu_count(), pa.io_thread_count()
     try:
         if old_cpu > 2:
@@ -650,32 +649,15 @@ def _merge_group_task(index_dir: str, schema_json: list, source_ids: list[str]) 
         pa.set_io_thread_count(old_io)
 
 
-def merge_index(
-    index_dir: str,
-    group_size: int = 4,
-    num_actors: int = 4,
-    delete_sources: bool = True,
+def commit_merge(
+    index_dir: str, manifest: mf.Manifest, groups: list[list[str]],
+    merged_infos: list[SegmentInfo],
 ) -> mf.Manifest:
-    """Compact an index: merge ordered segments in groups of ``group_size``
-    (term-sharded fan-out for big groups), then swap the manifest
-    atomically. ``num_actors`` is retained for API compatibility; group
-    parallelism now comes from Ray task scheduling."""
-    manifest = mf.read_manifest(index_dir)
-    ordered = manifest.ordered_segments()
-    if len(ordered) <= 1:
-        return manifest
-    groups = [
-        [s.segment_id for s in ordered[i : i + group_size]]
-        for i in range(0, len(ordered), group_size)
-    ]
-    schema_json = manifest.schema.to_json()
-    seg_by_id = {s.segment_id: s for s in manifest.segments}
-    futs = _submit_group_merges(
-        index_dir, schema_json, [g for g in groups if len(g) > 1], seg_by_id)
-    merged_infos = [SegmentInfo.from_json(d) for d in ray.get(futs)]
-
-    merged_source_ids = {sid for g in groups if len(g) > 1 for sid in g}
-    keep = [s for s in manifest.segments if s.segment_id not in merged_source_ids]
+    """Swap merged segments into the manifest: keep the segments outside
+    ``groups``, append ``merged_infos``, bump the version, write the
+    manifest atomically, then delete the source segment directories."""
+    merged_ids = {sid for g in groups for sid in g}
+    keep = [s for s in manifest.segments if s.segment_id not in merged_ids]
     new_manifest = mf.Manifest(
         name=manifest.name,
         schema=manifest.schema,
@@ -688,10 +670,29 @@ def merge_index(
         build_params=manifest.build_params,
     )
     mf.write_manifest(index_dir, new_manifest)
-    if delete_sources:
-        for sid in merged_source_ids:
-            shutil.rmtree(mf.segment_path(index_dir, sid), ignore_errors=True)
+    for sid in merged_ids:
+        shutil.rmtree(mf.segment_path(index_dir, sid), ignore_errors=True)
     return new_manifest
+
+
+def merge_index(index_dir: str, group_size: int = 4) -> mf.Manifest:
+    """Compact an index: merge ordered segments in groups of ``group_size``
+    (term-sharded fan-out for big groups), then swap the manifest
+    atomically."""
+    manifest = mf.read_manifest(index_dir)
+    ordered = manifest.ordered_segments()
+    if len(ordered) <= 1:
+        return manifest
+    groups = [
+        [s.segment_id for s in ordered[i : i + group_size]]
+        for i in range(0, len(ordered), group_size)
+    ]
+    groups = [g for g in groups if len(g) > 1]
+    seg_by_id = {s.segment_id: s for s in manifest.segments}
+    futs = _submit_group_merges(
+        index_dir, manifest.schema.to_json(), groups, seg_by_id)
+    merged_infos = [SegmentInfo.from_json(d) for d in ray.get(futs)]
+    return commit_merge(index_dir, manifest, groups, merged_infos)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +745,6 @@ def log_merge_index(
     index_dir: str,
     min_merge: int = 8,
     max_merge: int = 16,
-    num_actors: int = 4,
     max_passes: int = 8,
 ) -> mf.Manifest:
     """Compact an index until no level has ``min_merge`` mergeable
@@ -773,14 +773,5 @@ def log_merge_index(
             import signal
 
             os.kill(os.getpid(), signal.SIGKILL)
-        merged_ids = {sid for g in groups for sid in g}
-        keep = [s for s in manifest.segments if s.segment_id not in merged_ids]
-        manifest = mf.Manifest(
-            name=manifest.name, schema=manifest.schema,
-            segments=keep + merged_infos, opstamp=manifest.opstamp,
-            version=manifest.version + 1, build_params=manifest.build_params,
-        )
-        mf.write_manifest(index_dir, manifest)
-        for sid in merged_ids:
-            shutil.rmtree(mf.segment_path(index_dir, sid), ignore_errors=True)
+        manifest = commit_merge(index_dir, manifest, groups, merged_infos)
     return manifest

@@ -1,8 +1,8 @@
 """Connected components over near-duplicate pair graphs.
 
 Pair emitters (:func:`rayfts.ops.dedup.minhash_dedup_pairs`,
-:func:`~rayfts.ops.dedup.ngram_jaccard_pairs`, simhash, embedding
-cosine) stop at EDGES; production dedup keeps ONE document per
+:func:`~rayfts.ops.dedup.ngram_jaccard_pairs`, simhash) stop at
+EDGES; production dedup keeps ONE document per
 near-dup CLUSTER, which is the connected component of that graph
 (the GPT-3 / RefinedWeb / Dolma convention: cluster, keep the
 canonical member, drop the rest).

@@ -45,7 +45,7 @@ def test_merge_preserves_results_and_docids(built, ray_session, tmp_path):
     path2 = str(tmp_path / "copy")
     shutil.copytree(built, path2)
     before = snapshot(path2)
-    m = merge_index(path2, group_size=3, num_actors=2)
+    m = merge_index(path2, group_size=3)
     assert len(m.segments) == 2
     after = snapshot(path2)
     assert before == after
@@ -75,6 +75,28 @@ def test_merge_deterministic(built, ray_session, tmp_path):
             digest.update(open(os.path.join(seg, fname), "rb").read())
         outs.append(digest.hexdigest())
     assert outs[0] == outs[1]
+
+
+def test_cli_merge_fixed_groups_and_log_policy(built, ray_session, tmp_path):
+    """``rayfts merge`` on a fresh copy of the 6-segment index, once with
+    fixed groups of 4 (one pass: 4 + 2) and once with --log-policy at the
+    same group size (a second pass merges the two results): fewer
+    segments, the same hits."""
+    import shutil
+
+    from rayfts.cli import main as cli_main
+
+    assert len(mf.read_manifest(built).segments) == 6
+    before = snapshot(built)
+    for name, flags, want_segments in [
+        ("fixed", ["--group-size", "4"], 2),
+        ("log", ["--log-policy", "--min-merge", "2", "--group-size", "4"], 1),
+    ]:
+        path = str(tmp_path / name)
+        shutil.copytree(built, path)
+        assert cli_main(["merge", "--index", path] + flags) == 0
+        assert len(mf.read_manifest(path).segments) == want_segments, name
+        assert snapshot(path) == before, name
 
 
 def test_search_service_matches_local(built, ray_session):
@@ -147,7 +169,7 @@ def test_service_refresh_on_commit(built, ray_session, tmp_path):
     svc = SearchService(path2, num_actors=2)
     try:
         before = svc.count("the")
-        merge_index(path2, group_size=6, num_actors=1)
+        merge_index(path2, group_size=6)
         svc.refresh()
         assert svc.count("the") == before
     finally:
@@ -243,7 +265,7 @@ def test_merge_index_preserves_build_params(ray_session, tmp_path):
                 partition_mode="hash")
     before = mf.read_manifest(path).build_params
     assert before.get("num_segments") == 6
-    merge_index(path, group_size=3, num_actors=1)
+    merge_index(path, group_size=3)
     assert mf.read_manifest(path).build_params == before
     from rayfts.index.merge import log_merge_index
     log_merge_index(path, min_merge=2, max_merge=4)
