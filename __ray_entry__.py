@@ -733,18 +733,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["heavy_hitters"] = heavy_hitters_q
 
-    def pack_documents_q(sf):
-        """Concat-then-chunk sequence packing via a two-phase
-        distributed prefix sum (order-aligned id chunks; one uniform
-        exchange). chunk_size=64 forces many chunks so the offset
-        broadcast path is actually exercised at this scale."""
-        from rayfts.ops.pack import pack_documents
-
-        out = pack_documents(_docs_ds(sf), budget=2048, chunk_size=64)
-        return out.sort("doc_id")
-
-    q["pack_documents"] = pack_documents_q
-
     def scrub_q(sf):
         """PII scrub (email/URL/IP -> placeholder tokens + whitespace
         collapse). The synthetic corpus has no scrubbables, so both
@@ -901,32 +889,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["line_dedup"] = line_dedup_q
 
-    def dsir_weights_q(sf):
-        """DSIR hashed-ngram log importance weights (target = lang='en'
-        docs, raw = full corpus): two streamed O(B)-driver fit passes,
-        one broadcast delta table, stateless vectorized scoring."""
-        from rayfts.ops.dsir import dsir_log_weights
-
-        docs = _docs_ds(sf)
-        target = docs.filter(expr="lang == 'en'")
-        return dsir_log_weights(docs, target,
-                                num_buckets=10_000).sort("doc_id")
-
-    q["dsir_log_weights"] = dsir_weights_q
-
-    def dsir_select_q(sf):
-        """Top-100 most-target-like raw docs by DSIR weight
-        (deterministic rank, ties by doc_id)."""
-        from rayfts.ops.dsir import dsir_select
-
-        docs = _docs_ds(sf)
-        target = docs.filter(expr="lang == 'en'")
-        return (dsir_select(docs, target, n_select=100,
-                            num_buckets=10_000)
-                .select_columns(["doc_id", "logw"]))
-
-    q["dsir_select_top100"] = dsir_select_q
-
     def fingerprint_q(sf):
         from rayfts.ops.textstats import fingerprint_batch
 
@@ -978,20 +940,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["prepare_corpus"] = prepare_corpus_q
 
-    def shuffle_ranks_q(sf):
-        """Deterministic global shuffle: every row's position in the
-        seeded permutation order by (splitmix64(doc_id ^ seed), doc_id).
-        No sort and no corpus shuffle — hash-range chunks + the same
-        two-phase distributed prefix sum as sequence packing; the
-        permutation is a pure function of (ids, seed), so retries,
-        resumes and different cluster sizes reproduce it bit-for-bit
-        (verified here: ranks are hash-compared against row_number)."""
-        from rayfts.ops.shuffle import shuffle_ranks
-
-        return shuffle_ranks(_docs_ds(sf), seed=42).sort("doc_id")
-
-    q["shuffle_ranks"] = shuffle_ranks_q
-
     # Run order: the driver walks this dict in insertion order and its
     # budget can truncate the tail (rounds 3 and 4 checked exactly the
     # first 50 keys). Rotation rule (coded, not a hand sort): order rows
@@ -1003,17 +951,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # expensive previously-verified rows.
     _COST_ORDER = [
         # cheap round-4 additions
-        "prepare_corpus", "shuffle_ranks", "decontaminate_8gram",
+        "prepare_corpus", "decontaminate_8gram",
         "near_dup_clusters", "near_dup_kept", "repetition_stats",
         "repetition_filter_kept", "duplicate_lines", "line_dedup",
-        "dsir_log_weights", "dsir_select_top100",
         # cheap, green in round 3
         "value_moments", "users_per_type",
         "quantiles_value", "quantiles_by_type", "distinct_users",
         "hll_distinct_users", "sample_uniform", "sample_stratified",
         "weighted_sample", "token_stats", "token_counts", "quality_stats",
         "langid", "fingerprints", "scrub_text", "heavy_hitters",
-        "pack_documents",
         # index-backed (one shared build, then cheap reads)
         "term_topk", "stopword_topk", "or_topk", "and_docs",
         "must_not_docs", "phrase_docs", "range_term_docs",
@@ -1562,48 +1508,6 @@ ORDER BY t.doc_id
 """
 
 
-def _dsir_sql(select_top: int | None, num_buckets: int = 10_000) -> str:
-    """DSIR oracle: md5 token hashes, k=2 rolling bigram hash mod 2^64
-    (split-multiply), bucket = hash % B, add-one-smoothed log ratio —
-    identical conventions to rayfts.ops.dsir; half-even 6dp rounding."""
-    from rayfts.ops.textstats import _FP_BASE
-
-    roll2 = (f"(({_mulmod64_sql('hs[i]', int(_FP_BASE))} + hs[i + 1]) "
-             f"% 18446744073709551616)")
-    base = rf"""
-WITH t0 AS (
-  SELECT doc_id, lang,
-    [('0x' || substr(md5(lower(x)), 1, 16))::UBIGINT
-     for x in regexp_extract_all(COALESCE(text, ''), '[\p{{L}}\p{{N}}]+')]
-    AS hs
-  FROM documents),
-uni AS (SELECT doc_id, lang, unnest(hs) AS g FROM t0),
-big AS (SELECT doc_id, lang,
-        unnest([{roll2} for i in generate_series(1, len(hs) - 1)]) AS g
-        FROM t0),
-allg AS (SELECT doc_id, lang, CAST(g % {num_buckets} AS BIGINT) AS b
-         FROM (SELECT * FROM uni UNION ALL SELECT * FROM big)),
-tc AS (SELECT b, count(*) AS c FROM allg WHERE lang = 'en' GROUP BY b),
-rc AS (SELECT b, count(*) AS c FROM allg GROUP BY b),
-tot AS (SELECT (SELECT count(*) FROM allg WHERE lang = 'en') AS T,
-               (SELECT count(*) FROM allg) AS R),
-sc AS (SELECT doc_id, count(*) AS n_grams,
-         sum(ln(COALESCE(tc.c, 0) + 1.0) - ln(rc.c + 1.0)) AS s
-       FROM allg LEFT JOIN tc USING (b) JOIN rc USING (b)
-       GROUP BY doc_id),
-w AS (SELECT d.doc_id,
-        CAST(COALESCE(sc.n_grams, 0) AS BIGINT) AS n_grams,
-        round_even(COALESCE(sc.s, 0.0) + COALESCE(sc.n_grams, 0)
-          * (ln(tot.R + {num_buckets}.0) - ln(tot.T + {num_buckets}.0)),
-          6) AS logw
-      FROM documents d LEFT JOIN sc ON d.doc_id = sc.doc_id
-      CROSS JOIN tot)"""
-    if select_top is None:
-        return base + "\nSELECT doc_id, n_grams, logw FROM w ORDER BY doc_id\n"
-    return base + (f"\nSELECT doc_id, logw FROM w "
-                   f"ORDER BY logw DESC, doc_id LIMIT {select_top}\n")
-
-
 def _line_ls_sql() -> str:
     """Shared CTE body: per-doc lines with ordinal, raw and stripped,
     over the same deterministically line-salted corpus the Ray side
@@ -1941,25 +1845,6 @@ SELECT doc_id, trim(regexp_replace(t, '\s+', ' ', 'g')) AS text,
        CAST(n_ip AS BIGINT) AS n_ip
 FROM i ORDER BY doc_id
 """
-    # sequence packing: the distributed prefix sum equals one window
-    # cumulative sum ordered by doc_id
-    sql["pack_documents"] = r"""
-WITH t AS (
-  SELECT doc_id,
-    len(regexp_extract_all(COALESCE(text, ''), '[\p{L}\p{N}]+')) AS n_tokens
-  FROM documents
-),
-c AS (
-  SELECT doc_id, n_tokens,
-    COALESCE(sum(n_tokens) OVER (ORDER BY doc_id
-      ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS cb
-  FROM t
-)
-SELECT doc_id, CAST(n_tokens AS BIGINT) AS n_tokens,
-       CAST(cb // 2048 AS BIGINT) AS pack_id,
-       CAST(cb % 2048 AS BIGINT) AS pack_offset
-FROM c ORDER BY doc_id
-"""
     # heavy hitters: exact integer threshold (cnt*den >= n*num), the
     # same tokenizer as the substring/shingle family
     sql["heavy_hitters"] = r"""
@@ -2041,8 +1926,6 @@ WHERE s.doc_id NOT IN (SELECT id_b FROM mh_pairs) ORDER BY s.doc_id
     sql["ngram_jaccard_pairs"] = _ngram_jaccard_sql(threshold=0.5)
     sql["near_dup_clusters"] = _near_dup_cc_sql(kept=False, threshold=0.5)
     sql["near_dup_kept"] = _near_dup_cc_sql(kept=True, threshold=0.5)
-    sql["dsir_log_weights"] = _dsir_sql(select_top=None)
-    sql["dsir_select_top100"] = _dsir_sql(select_top=100)
     sql["duplicate_lines"] = _duplicate_lines_sql(min_docs=2)
     sql["line_dedup"] = _line_dedup_sql(min_docs=2)
     sql["repetition_stats"] = _repetition_sql()
@@ -2060,11 +1943,4 @@ ORDER BY doc_id
     sql["sharded_search_tier"] = _batch_search_sql(limit=5)
     sql["decontaminate_8gram"] = _decontam_sql(k=8)
     sql["prepare_corpus"] = _prepare_corpus_sql(k=8, min_docs=2)
-    sql["shuffle_ranks"] = f"""
-WITH {_splitmix_ctes("documents", "doc_id")}
-SELECT doc_id,
-       CAST(row_number() OVER (ORDER BY h, doc_id) - 1 AS BIGINT)
-           AS shuffle_rank
-FROM smh ORDER BY doc_id
-"""
     return sql

@@ -88,34 +88,6 @@ def _corpus_dir(num_docs: int) -> str:
     )
 
 
-def _ids_corpus_dir(num_docs: int) -> str:
-    """Cached copy of the code corpus with a deterministic int64 doc_id
-    (file_index * rows_per_part + row_offset) — the wide training-data
-    ops (line_dedup / dsir / pack / write_shuffled) key on a unique
-    integer id column. Built once with plain pyarrow, untimed."""
-    import glob
-
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    src = _corpus_dir(num_docs)
-    dst = os.path.join(BENCH_ROOT, f"corpus-{num_docs}-ids")
-    os.makedirs(dst, exist_ok=True)
-    parts = sorted(glob.glob(os.path.join(src, "part-*.parquet")))
-    # stride = the largest part, so file_index * stride never collides
-    stride = max((pq.read_metadata(p).num_rows for p in parts), default=0)
-    for i, p in enumerate(parts):
-        out = os.path.join(dst, os.path.basename(p))
-        if os.path.exists(out):
-            continue
-        t = pq.read_table(p)
-        ids = pa.array(i * stride + np.arange(t.num_rows), type=pa.int64())
-        pq.write_table(t.append_column("doc_id", ids), out + ".tmp")
-        os.rename(out + ".tmp", out)
-    return dst
-
-
 def bench_code_build(
     num_docs: int, target_docs_per_segment: int | None = None
 ) -> tuple[float, int, str]:
@@ -354,14 +326,6 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     line_dedup(ray.data.read_parquet(docs)).count()
     out["line_dedup"] = time.time() - t0
 
-    from rayfts.ops.dsir import dsir_log_weights
-
-    t0 = time.time()
-    raw = ray.data.read_parquet(docs)
-    dsir_log_weights(raw, raw.filter(expr="lang == 'en'"),
-                     num_buckets=10_000).count()
-    out["dsir_log_weights"] = time.time() - t0
-
     from rayfts.ops.decontam import decontaminate_stats
 
     t0 = time.time()
@@ -376,12 +340,6 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     prepare_corpus(ray.data.read_parquet(docs),
                    ray.data.read_parquet(docs).limit(200)).count()
     out["prepare_corpus"] = time.time() - t0
-
-    from rayfts.ops.shuffle import shuffle_ranks
-
-    t0 = time.time()
-    shuffle_ranks(ray.data.read_parquet(docs, columns=["doc_id"])).count()
-    out["shuffle_ranks"] = time.time() - t0
     return out
 
 
@@ -881,120 +839,9 @@ def run_skew(num_docs: int) -> dict:
     }
 
 
-def run_capstone(num_docs: int) -> dict:
-    """The full training-data assembly at 10x (VERDICT r4 #6): prepare
-    (repetition gate -> line dedup -> decontaminate -> exact dedup) ->
-    DSIR top-half selection -> broadcast semi-join -> sequence packing ->
-    resumable shuffled write, over the ``num_docs`` code corpus — the
-    ``tests/test_training_run.py`` chain at scale. One Ray session;
-    reports per-stage walls, end-to-end docs/s and PEAK DRIVER RSS (the
-    chain must never materialize the corpus driver-side)."""
-    import glob
-    import resource
-
-    import numpy as np
-    import pyarrow as pa
-
-    import ray
-    import ray.data
-
-    from rayfts.ops.dsir import dsir_select
-    from rayfts.ops.pack import pack_documents
-    from rayfts.ops.prep import prepare_corpus
-    from rayfts.ops.shuffle import write_shuffled
-
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=num_cpus,
-                 include_dashboard=False, logging_level="ERROR")
-    corpus_dir = _ids_corpus_dir(num_docs)
-    from rayfts.corpus import generate_corpus
-
-    # held-out "benchmark" corpus for decontamination (different seed)
-    bench_dir = generate_corpus(
-        os.path.join(BENCH_ROOT, "corpus-capstone-bench-2000"), 2000, seed=7)
-
-    def corpus():
-        return ray.data.read_parquet(
-            sorted(glob.glob(os.path.join(corpus_dir, "part-*.parquet"))))
-
-    bench_ds = ray.data.read_parquet(
-        sorted(glob.glob(os.path.join(bench_dir, "part-*.parquet"))))
-
-    stages: dict[str, float] = {}
-    t_all = time.time()
-
-    # checkpoint both stage boundaries: line_dedup consumes its input 3x
-    # and the capstone consumes `prepared` 4x (count, DSIR fit, pack,
-    # shuffled write) -- without parquet checkpoints the repetition gate
-    # would re-run 12x. This is also the resumable shape a real run has.
-    t0 = time.time()
-    prep_out = _fresh_dir("capstone-prepared")
-    prepared = prepare_corpus(corpus(), bench_ds, col="content",
-                              id_col="doc_id",
-                              checkpoint_dir=_fresh_dir("capstone-gated"))
-    prepared.write_parquet(prep_out)
-    prepared = ray.data.read_parquet(
-        sorted(glob.glob(os.path.join(prep_out, "*.parquet"))))
-    n_prepared = prepared.count()
-    stages["prepare_corpus"] = round(time.time() - t0, 2)
-
-    t0 = time.time()
-    target = corpus().filter(expr="lang == 'py'")
-    n_sel = max(10, n_prepared // 2)
-    sel = dsir_select(prepared, target, n_sel, col="content")
-    ids_sorted = np.sort(np.asarray(
-        [r["doc_id"] for r in sel.select_columns(["doc_id"]).take_all()],
-        dtype=np.int64))
-    stages["dsir_select"] = round(time.time() - t0, 2)
-
-    ref = ray.put(ids_sorted)
-
-    def pick(b: pa.Table) -> pa.Table:
-        wanted = ray.get(ref)
-        vals = b["doc_id"].to_numpy(zero_copy_only=False)
-        pos = np.clip(np.searchsorted(wanted, vals), 0, wanted.size - 1)
-        return b.filter(pa.array(wanted[pos] == vals))
-
-    t0 = time.time()
-    kept = prepared.map_batches(pick, batch_format="pyarrow")
-    n_packed = pack_documents(kept, col="content", budget=2048).count()
-    stages["pack_documents"] = round(time.time() - t0, 2)
-
-    t0 = time.time()
-    out_dir = _fresh_dir("capstone-shuffled")
-    # the returned summary Dataset is lazy; count() drives the writes
-    write_shuffled(prepared.map_batches(pick, batch_format="pyarrow"),
-                   out_dir, seed=1).count()
-    n_parts = len(glob.glob(os.path.join(out_dir, "part-*.parquet")))
-    stages["write_shuffled"] = round(time.time() - t0, 2)
-    shutil.rmtree(out_dir, ignore_errors=True)
-
-    total = round(time.time() - t_all, 2)
-    peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                        / 1024.0, 1)
-    return {
-        "metric": "capstone training-data assembly wall time",
-        "value": total,
-        "unit": "sec",
-        "queries": {f"capstone:{k}": v for k, v in stages.items()},
-        "sf": f"synthetic code corpus, {num_docs} docs",
-        "num_cpus": num_cpus,
-        "num_docs": num_docs,
-        "n_prepared": int(n_prepared),
-        "n_selected": int(ids_sorted.size),
-        "n_packed": int(n_packed),
-        "shuffled_parts": n_parts,
-        "docs_per_sec_end_to_end": round(num_docs / total, 1),
-        "peak_driver_rss_mb": peak_rss_mb,
-        "vm_burn_1proc_sec": vm_calibration(),
-    }
-
-
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--scaling", action="store_true")
-    ap.add_argument("--capstone", action="store_true")
     ap.add_argument("--skew", action="store_true")
     ap.add_argument("--_worker", type=int, default=0, help=argparse.SUPPRESS)
     ap.add_argument("--docs", type=int, default=SCALING_DOCS)
@@ -1006,9 +853,6 @@ def main() -> None:
         return
     if args.scaling:
         print(json.dumps(run_scaling(args.docs)))
-        return
-    if args.capstone:
-        print(json.dumps(run_capstone(args.docs)))
         return
     if args.skew:
         print(json.dumps(run_skew(int(os.environ.get("RAYFTS_SKEW_DOCS", "120000")))))

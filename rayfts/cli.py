@@ -305,24 +305,6 @@ def cmd_scrub(args) -> int:
     return 0
 
 
-def cmd_pack(args) -> int:
-    """Concat-then-chunk sequence packing (distributed prefix sum) ->
-    (id, n_tokens, pack_id, pack_offset) parquet."""
-    _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
-    from rayfts.ops.pack import pack_documents
-
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    out = pack_documents(ray.data.read_parquet(paths), col=args.col,
-                         id_col=args.id_col, budget=args.budget)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
 def cmd_sample(args) -> int:
     """Deterministic hash sample (uniform rate or stratified k-per-group)
     -> parquet."""
@@ -459,37 +441,6 @@ def cmd_prepare(args) -> int:
     import ray.data as _rd
     print(json.dumps({"out": args.out,
                       "rows": _rd.read_parquet(args.out).count()}))
-    return 0
-
-
-def cmd_shuffle_ranks(args) -> int:
-    """Seeded deterministic global-shuffle ranks (permutation by
-    splitmix64(id ^ seed); reproducible across runs and cluster sizes)."""
-    _ensure_ray()
-    from rayfts.ops.shuffle import shuffle_ranks
-
-    out = shuffle_ranks(_read_inputs(args.input), id_col=args.id_col,
-                        seed=args.seed, chunk_bits=args.chunk_bits)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
-def cmd_dsir(args) -> int:
-    """DSIR hashed-ngram importance weights (or top-N selection)."""
-    _ensure_ray()
-    from rayfts.ops.dsir import dsir_log_weights, dsir_select
-
-    raw = _read_inputs(args.input)
-    target = _read_inputs(args.target)
-    if args.select:
-        out = dsir_select(raw, target, args.select, col=args.col,
-                          id_col=args.id_col, num_buckets=args.num_buckets)
-    else:
-        out = dsir_log_weights(raw, target, col=args.col, id_col=args.id_col,
-                               num_buckets=args.num_buckets)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
     return 0
 
 
@@ -658,15 +609,6 @@ def main(argv: list[str] | None = None) -> int:
     sc.add_argument("--out", required=True)
     sc.set_defaults(fn=cmd_scrub)
 
-    pk = sub.add_parser("pack",
-                        help="sequence packing via distributed prefix sum")
-    pk.add_argument("--input", nargs="+", required=True)
-    pk.add_argument("--col", default="text")
-    pk.add_argument("--id-col", default="doc_id")
-    pk.add_argument("--budget", type=int, default=2048)
-    pk.add_argument("--out", required=True)
-    pk.set_defaults(fn=cmd_pack)
-
     sp = sub.add_parser("sample",
                         help="deterministic hash sample (uniform rate, or "
                              "k-per-group with --group-col)")
@@ -752,31 +694,6 @@ def main(argv: list[str] | None = None) -> int:
                          "three passes skip the repetition gate")
     pr.add_argument("--out", required=True)
     pr.set_defaults(fn=cmd_prepare)
-
-    sr = sub.add_parser("shuffle-ranks",
-                        help="seeded deterministic global-shuffle ranks")
-    sr.add_argument("--input", nargs="+", required=True)
-    sr.add_argument("--id-col", default="doc_id")
-    sr.add_argument("--seed", type=int, default=42)
-    sr.add_argument("--chunk-bits", type=int, default=None,
-                    help="pin chunk granularity (default: auto-size)")
-    sr.add_argument("--out", required=True)
-    sr.set_defaults(fn=cmd_shuffle_ranks)
-
-    dw = sub.add_parser("dsir",
-                        help="DSIR hashed-ngram importance weights / "
-                             "top-N selection")
-    dw.add_argument("--input", nargs="+", required=True,
-                    help="raw corpus parquet")
-    dw.add_argument("--target", nargs="+", required=True,
-                    help="target-domain parquet")
-    dw.add_argument("--col", default="text")
-    dw.add_argument("--id-col", default="doc_id")
-    dw.add_argument("--num-buckets", type=int, default=10_000)
-    dw.add_argument("--select", type=int, default=None,
-                    help="emit only the top-N ids by weight")
-    dw.add_argument("--out", required=True)
-    dw.set_defaults(fn=cmd_dsir)
 
     nc = sub.add_parser("near-dup-clusters",
                         help="connected-component near-dup clusters "
