@@ -667,28 +667,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["weighted_sample"] = weighted_sample_q
 
-    def value_moments_q(sf):
-        """Per-event-type integer-cent moment partials (count / sum /
-        sum-of-squares) — mergeable, one uniform-key exchange; mean and
-        variance are one division away."""
-        from rayfts.ops.profile import grouped_moments
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        return grouped_moments(ds, "event_type", "value", scale=100).sort(
-            "event_type")
-
-    q["value_moments"] = value_moments_q
-
-    def users_per_type_q(sf):
-        """Exact distinct users per event type: local pair dedup ->
-        distinct-pair exchange -> tiny per-group count."""
-        from rayfts.ops.profile import grouped_distinct
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        return grouped_distinct(ds, "event_type", "user_id").sort("event_type")
-
-    q["users_per_type"] = users_per_type_q
-
     def dup_span_stats_q(sf):
         """Per-doc duplicated-token totals over the same spans (corpus-
         cleaning gate input); integer columns, LEFT-join keeps span-free
@@ -760,29 +738,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return scrub_text(ds.map_batches(salt, batch_format="pyarrow")).sort("doc_id")
 
     q["scrub_text"] = scrub_q
-
-    def distinct_users_q(sf):
-        """Exact distributed distinct count (local unique -> hash
-        groupby; only distinct values cross the exchange)."""
-        from rayfts.ops.sketch import count_distinct
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        return _single_count(count_distinct(ds, "user_id"))
-
-    q["distinct_users"] = distinct_users_q
-
-    def hll_distinct_q(sf):
-        """HyperLogLog approximate distinct users (p=14, ~0.8% SE);
-        mergeable fixed-size registers, deterministic — no SQL oracle
-        (approximate by design), error-bound pytest instead."""
-        from rayfts.ops.sketch import approx_distinct
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        est = approx_distinct(ds, "user_id", p=14)
-        return pa.table({"estimate": pa.array([round(est, 3)],
-                                              type=pa.float64())})
-
-    q["hll_distinct_users"] = hll_distinct_q
 
     def simhash_q(sf):
         from rayfts.ops.dedup import simhash_near_dup_pairs
@@ -955,9 +910,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "near_dup_clusters", "near_dup_kept", "repetition_stats",
         "repetition_filter_kept", "duplicate_lines", "line_dedup",
         # cheap, green in round 3
-        "value_moments", "users_per_type",
-        "quantiles_value", "quantiles_by_type", "distinct_users",
-        "hll_distinct_users", "sample_uniform", "sample_stratified",
+        "quantiles_value", "quantiles_by_type", "sample_uniform", "sample_stratified",
         "weighted_sample", "token_stats", "token_counts", "quality_stats",
         "langid", "fingerprints", "scrub_text", "heavy_hitters",
         # index-backed (one shared build, then cheap reads)
@@ -1720,13 +1673,6 @@ FROM s ORDER BY doc_id
     sql["fingerprints"] = _fingerprint_sql()
     sql["simhash_near_dup"] = _SIMHASH_SQL
     sql["minhash_dedup_pairs"] = _minhash_sql(threshold=0.5)
-    # composed corpus-cleaning pipeline: the gate predicate is the
-    # quality_stats/langid arithmetic verbatim, exact dedup is min(doc_id)
-    # per text, and the near-dup stage reuses the full minhash CTE chain
-    # parameterized over the exact-dedup survivors
-    sql["distinct_users"] = (
-        "SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS cnt FROM events"
-    )
     thr_10pct = (10 << 64) // 100  # exact integer threshold, both sides
     sql["sample_uniform"] = f"""
 WITH {_splitmix_ctes("documents", "doc_id")}
@@ -1801,22 +1747,6 @@ SELECT t.doc_id, CAST(len(t.toks) AS BIGINT) AS n_tokens,
        COALESCE(dsum.dt, CAST(0 AS BIGINT)) AS dup_tokens
 FROM t LEFT JOIN dsum USING (doc_id)
 ORDER BY doc_id
-"""
-    # grouped profiling aggregates: integer-cent moments + exact
-    # distinct-per-group
-    sql["value_moments"] = """
-SELECT event_type,
-       CAST(count(value) AS BIGINT) AS cnt,
-       CAST(sum(CAST(round_even(value * 100, 0) AS BIGINT)) AS BIGINT)
-         AS sum_scaled,
-       CAST(sum(CAST(round_even(value * 100, 0) AS BIGINT)
-                * CAST(round_even(value * 100, 0) AS BIGINT)) AS BIGINT)
-         AS sumsq_scaled
-FROM events GROUP BY event_type ORDER BY event_type
-"""
-    sql["users_per_type"] = """
-SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_distinct
-FROM events GROUP BY event_type ORDER BY event_type
 """
     # PII scrub: both engines run RE2, so the rewritten strings match
     # bit-for-bit; the CTE chain mirrors the sequential rule order

@@ -21,7 +21,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEARCH_PACKAGES = ("analysis", "codec", "index", "query")
 REMOVED_MODULES = tuple(f"rayfts.ops.{m}" for m in
                         ("multimodal", "media_codec", "events", "joins",
-                         "ann", "lm", "chunk", "pack", "shuffle", "dsir"))
+                         "ann", "lm", "chunk", "pack", "shuffle", "dsir",
+                         "sketch", "profile"))
 
 
 def _py_files(*rel_paths):
