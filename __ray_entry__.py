@@ -910,7 +910,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "near_dup_clusters", "near_dup_kept", "repetition_stats",
         "repetition_filter_kept", "duplicate_lines", "line_dedup",
         # cheap, green in round 3
-        "quantiles_value", "quantiles_by_type", "sample_uniform", "sample_stratified",
+        "quantiles_value", "quantiles_by_type", "sample_uniform",
+        "sample_stratified",
         "weighted_sample", "token_stats", "token_counts", "quality_stats",
         "langid", "fingerprints", "scrub_text", "heavy_hitters",
         # index-backed (one shared build, then cheap reads)

@@ -19,7 +19,6 @@ block-at-a-time so every step stays a numpy kernel.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +57,6 @@ Matches = tuple[np.ndarray, np.ndarray]  # (docids u32 sorted asc, scores f64)
 _EMPTY: Matches = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float64))
 
 
-def _decoded_dls(seg: SegmentReader, field: str) -> np.ndarray:
-    return seg.decoded_norms(field)
-
-
 def execute(q: Query, seg: SegmentReader, stats: GlobalStats) -> Matches:
     """Exact evaluation -> (sorted local docids, scores)."""
     if isinstance(q, Term):
@@ -86,7 +81,7 @@ def _exec_term(q: Term, seg: SegmentReader, stats: GlobalStats) -> Matches:
     pl = seg.postings(q.field, q.value)
     if pl is None:
         return _EMPTY
-    dls = _decoded_dls(seg, q.field)[pl.docids]
+    dls = seg.decoded_norms(q.field)[pl.docids]
     scores = bm25.score(pl.tfs, dls, stats.avgdl[q.field], stats.idf(q.field, q.value))
     return pl.docids, scores
 
@@ -144,7 +139,7 @@ def _exec_phrase(q: Phrase, seg: SegmentReader, stats: GlobalStats) -> Matches:
     if docids.size == 0:
         return _EMPTY
     total_idf = sum(stats.idf(q.field, t) for t in q.terms)
-    dls = _decoded_dls(seg, q.field)[docids]
+    dls = seg.decoded_norms(q.field)[docids]
     scores = bm25.score(phrase_tfs[keep], dls, stats.avgdl[q.field], total_idf)
     return docids, scores
 
@@ -173,11 +168,9 @@ def _exec_bool(q: Bool, seg: SegmentReader, stats: GlobalStats) -> Matches:
         docids, inv = np.unique(all_d, return_inverse=True)
         scores = np.zeros(docids.size, dtype=np.float64)
         np.add.at(scores, inv, all_s)
-    elif q.must_not:
-        # pure-negation: match everything except (tantivy: must_not alone
-        # matches nothing unless paired; we pair with All like the parser does)
-        return _EMPTY
     else:
+        # no clauses, or pure negation (tantivy: must_not alone matches
+        # nothing unless paired; we pair with All like the parser does)
         return _EMPTY
     for sub in q.must_not:
         d2, _ = execute(sub, seg, stats)
@@ -443,7 +436,7 @@ def top_k_single_term(
     avgdl = stats.avgdl[field]
     if skips.size <= 4:  # short list: decode everything
         pl = seg.postings_by_ordinal(field, o)
-        dls = _decoded_dls(seg, field)[pl.docids]
+        dls = seg.decoded_norms(field)[pl.docids]
         return pl.docids, bm25.score(pl.tfs, dls, avgdl, term_idf)
 
     min_dls = seg.codec.decode(skips["min_norm"]).astype(np.float64)
@@ -451,7 +444,7 @@ def top_k_single_term(
     w = max_tfs / (max_tfs + bm25.K1 * (1.0 - bm25.B + bm25.B * min_dls / avgdl))
     bounds = term_idf * (bm25.K1 + 1.0) * w
     order = np.argsort(-bounds)
-    dls_all = _decoded_dls(seg, field)
+    dls_all = seg.decoded_norms(field)
 
     acc_docs = np.empty(0, dtype=np.uint32)
     acc_scores = np.empty(0, dtype=np.float64)
@@ -527,7 +520,7 @@ def top_k_term_union(
         if acc_scores.size >= k:
             threshold = float(np.partition(acc_scores, acc_scores.size - k)[acc_scores.size - k])
         field = d["field"]
-        dls_all = _decoded_dls(seg, field)
+        dls_all = seg.decoded_norms(field)
         prune = acc_scores.size >= k and d["bound"] + remaining_bound < threshold
         if prune:
             # only blocks overlapping current candidates can change the top-k

@@ -22,11 +22,9 @@ import pyarrow as pa
 
 from rayfts.analysis.analyzer import Analyzer
 from rayfts.index.manifest import Manifest, read_manifest, segment_path
-from rayfts.index.schema import IndexSchema, TEXT
+from rayfts.index.schema import IndexSchema
 from rayfts.index.segment import SegmentReader
-from rayfts.query import bm25
 from rayfts.query.ast import (
-    All,
     Bool,
     Phrase,
     Query,
@@ -69,7 +67,6 @@ class Searcher:
         index_dir: str,
         manifest: Manifest | None = None,
         segment_ids: list[str] | None = None,
-        compat_default_fields: bool = True,
     ):
         self.index_dir = index_dir
         self.manifest = manifest or read_manifest(index_dir)
@@ -98,7 +95,7 @@ class Searcher:
                 for s in self.manifest.segments
             )
             self.avgdl[f.name] = (total / self.n_docs) if self.n_docs else 1.0
-        self.parser = QueryParser(self.schema, compat_break=compat_default_fields)
+        self.parser = QueryParser(self.schema, compat_break=True)
         self._analyzers: dict[str, Analyzer] = {}
         self._df_cache: dict[tuple[str, str], int] = {}
         # instrumentation: number of per-segment query evaluations (the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import html
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from rayfts.analysis.analyzer import Analyzer
@@ -31,35 +32,38 @@ class SnippetGenerator:
         if not text:
             return ""
         spans = []  # (start, end, weight) of matched raw tokens
-        tokens = []  # (start, end) of every token, for fragment boundaries
+        starts, ends = [], []  # every token, for fragment boundaries
+        analyzed_of: dict[str, list[str]] = {}  # each distinct token once
         limit = self.analyzer.spec.remove_long
         for m in _TOKEN_RE.finditer(text):
             tok = m.group(0)
             if limit is not None and len(tok.encode("utf-8")) >= limit:
                 continue
-            tokens.append((m.start(), m.end()))
-            analyzed = self.analyzer.tokens(tok)
+            starts.append(m.start())
+            ends.append(m.end())
+            analyzed = analyzed_of.get(tok)
+            if analyzed is None:
+                analyzed = analyzed_of[tok] = self.analyzer.tokens(tok)
             if analyzed and analyzed[0] in self.terms:
                 spans.append((m.start(), m.end(), self.terms[analyzed[0]]))
         if not spans:
             return ""
-        # choose the token-aligned window of <= max_chars with the best
-        # summed weight of *distinct* matched terms
+        # choose the token-aligned window of <= max_chars (code points)
+        # with the best summed weight of *distinct* matched terms; tokens
+        # and spans are sorted and disjoint, so both ends are a bisect
+        span_starts = [ss for ss, _se, _w in spans]
         best = None
-        for wi, (ws, _we) in enumerate(tokens):
-            frag_end = ws
-            for ts, te in tokens[wi:]:
-                if te - ws > self.max_chars:
-                    break
-                frag_end = te
+        for wi, ws in enumerate(starts):
+            last = bisect_right(ends, ws + self.max_chars) - 1
+            frag_end = ends[last] if last >= wi else ws
             seen: set[str] = set()
             score = 0.0
-            for ss, se, w in spans:
-                if ss >= ws and se <= frag_end:
-                    key = text[ss:se].lower()
-                    if key not in seen:
-                        seen.add(key)
-                        score += w
+            lo = bisect_left(span_starts, ws)
+            for ss, se, w in spans[lo:bisect_left(span_starts, frag_end, lo)]:
+                key = text[ss:se].lower()
+                if key not in seen:
+                    seen.add(key)
+                    score += w
             if best is None or score > best[0]:
                 best = (score, ws, frag_end)
         _, fs, fe = best

@@ -2,6 +2,8 @@
 facets, sort_by, phrase — each against a brute-force oracle over the raw
 docs (SURVEY.md §2.3 operators #15-29)."""
 
+import html
+
 import pytest
 
 from rayfts.analysis.analyzer import Analyzer
@@ -767,3 +769,86 @@ def test_snippet_conformance_vectors():
 
     # 5) no query term present -> empty string (JS layer: missing)
     assert snip("nothing relevant here", {"zzz": 1.0}) == ""
+
+
+def _snippet_window_scan(gen, text):
+    """The quadratic window scan the bisect version replaced: per window
+    start, walk every later token for the end and every span for the
+    score (same tokens, spans, distinct-key order and tie-break)."""
+    from rayfts.query.snippet import _TOKEN_RE
+
+    spans, tokens = [], []
+    limit = gen.analyzer.spec.remove_long
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group(0)
+        if limit is not None and len(tok.encode("utf-8")) >= limit:
+            continue
+        tokens.append((m.start(), m.end()))
+        analyzed = gen.analyzer.tokens(tok)
+        if analyzed and analyzed[0] in gen.terms:
+            spans.append((m.start(), m.end(), gen.terms[analyzed[0]]))
+    if not spans:
+        return None
+    best = None
+    for wi, (ws, _we) in enumerate(tokens):
+        frag_end = ws
+        for _ts, te in tokens[wi:]:
+            if te - ws > gen.max_chars:
+                break
+            frag_end = te
+        seen, score = set(), 0.0
+        for ss, se, w in spans:
+            if ss >= ws and se <= frag_end:
+                key = text[ss:se].lower()
+                if key not in seen:
+                    seen.add(key)
+                    score += w
+        if best is None or score > best[0]:
+            best = (score, ws, frag_end)
+    return best
+
+
+def test_snippet_window_matches_scan_and_is_linear():
+    """Fragment choice equals the quadratic reference scan on seeded
+    random texts (multi-byte tokens, tokens at and over the 40-byte
+    limit, markup characters, fragments at the max_chars edge), and a
+    ~30k-token field snippets in well under the quadratic scan's ~12 s."""
+    import functools
+    import random
+    import time
+
+    from rayfts.query.snippet import SnippetGenerator
+
+    an = Analyzer("default")
+    # non-ASCII tokens go through one Arrow call each; memoize them so
+    # 1000 short texts stay cheap (the 30k-token case below does not)
+    an.tokens = functools.lru_cache(maxsize=None)(an.tokens)
+    vocab = ["alpha", "Beta", "gamma", "delta", "über", "Straße", "日本語",
+             "テキスト", "naïve", "x" * 39, "x" * 40, "é" * 19, "é" * 20,
+             "w" * 70, "ab", "q"]
+    seps = [" ", "  ", " <b> ", " & ", ", ", "\n", "_", "—", " 🙂 "]
+    terms = {an.tokens(w)[0]: wt for w, wt in
+             [("alpha", 1.0), ("Beta", 0.5), ("日本語", 0.1), ("naïve", 0.2),
+              ("x" * 39, 0.3), ("über", 1.0), ("é" * 19, 0.7)]}
+    rng = random.Random(8)
+    matched = 0
+    for _ in range(1000):
+        n = rng.randint(1, 90)
+        text = "".join(rng.choice(vocab) + rng.choice(seps) for _ in range(n))
+        gen = SnippetGenerator(an, terms, max_chars=rng.choice([150, 150, 40, 8]))
+        best = _snippet_window_scan(gen, text)
+        out = gen.snippet(text)
+        if best is None:
+            assert out == ""
+            continue
+        matched += 1
+        raw = html.unescape(out.replace("<b>", "").replace("</b>", ""))
+        assert raw == text[best[1]:best[2]], (text, gen.max_chars)
+    assert matched > 750
+
+    words = [rng.choice(vocab[:8]) for _ in range(30_000)]
+    gen = SnippetGenerator(Analyzer("default"), terms)
+    t0 = time.perf_counter()
+    out = gen.snippet(" ".join(words))
+    assert time.perf_counter() - t0 < 3.0
+    assert "<b>" in out

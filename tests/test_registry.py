@@ -4,12 +4,15 @@
   would never run);
 - the search system (``rayfts/{analysis,codec,index,query}``) imports
   nothing from ``rayfts.ops``;
-- no file imports an operator module that has been removed;
+- no file imports an operator module that has been removed, and every
+  ``rayfts.*`` import (lazy ones inside functions too) names a module
+  that exists and a name that module binds;
 - ``tools/check_oracle.py`` rejects unknown row names and counts stale
   oracles as failures.
 """
 
 import ast
+import functools
 import importlib.util
 import os
 import subprocess
@@ -36,26 +39,62 @@ def _py_files(*rel_paths):
                         if f.endswith(".py"))
 
 
-def _imported_modules(path):
-    """Absolute dotted names a file imports anywhere (function bodies
-    too, relative imports resolved); ``from pkg import name`` yields
-    both ``pkg`` and ``pkg.name`` because ``name`` may be a submodule."""
+@functools.lru_cache(maxsize=None)
+def _imports(path):
+    """``(module, name)`` pairs a file imports anywhere (function bodies
+    too, relative imports resolved); ``name`` is None for ``import
+    module`` and may be a submodule for ``from pkg import name``."""
     package = os.path.relpath(path, ROOT).split(os.sep)[:-1]
     with open(path) as f:
         tree = ast.parse(f.read(), filename=path)
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            out.update(a.name for a in node.names)
+            out.update((a.name, None) for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             if node.level:
                 base = package[:len(package) - node.level + 1]
                 mod = ".".join(base + ([node.module] if node.module else []))
             else:
                 mod = node.module
-            out.add(mod)
-            out.update(f"{mod}.{a.name}" for a in node.names)
+            out.update((mod, a.name) for a in node.names)
     return out
+
+
+def _imported_modules(path):
+    """Absolute dotted names a file imports; ``from pkg import name``
+    yields both ``pkg`` and ``pkg.name``."""
+    pairs = _imports(path)
+    return {m for m, _ in pairs} | {f"{m}.{n}" for m, n in pairs if n}
+
+
+def _module_file(module):
+    base = os.path.join(ROOT, *module.split("."))
+    for path in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _top_level_names(path):
+    """Names a module binds at its top level: defs, classes, assignments
+    and imports."""
+    with open(path) as f:
+        body = ast.parse(f.read(), filename=path).body
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
 
 
 def _within(module, prefix):
@@ -81,10 +120,22 @@ def test_no_import_of_removed_modules():
             os.path.join(ROOT, *mod.split(".")) + ".py"), mod
     files = _py_files("rayfts", "tests", "tools", "bench.py",
                       "__ray_entry__.py")
-    bad = {os.path.relpath(f, ROOT): sorted(
-        m for m in _imported_modules(f)
-        if any(_within(m, r) for r in REMOVED_MODULES)) for f in files}
+    bad, dangling = {}, {}
+    for f in files:
+        rel = os.path.relpath(f, ROOT)
+        bad[rel] = sorted(m for m in _imported_modules(f)
+                          if any(_within(m, r) for r in REMOVED_MODULES))
+        # a lazy import inside a function only fails when it runs, so
+        # every rayfts.* import must resolve: the module exists and each
+        # imported name is bound at its top level or is a submodule
+        dangling[rel] = sorted(
+            f"{m}.{n}" if n else m for m, n in _imports(f)
+            if _within(m, "rayfts") and (
+                _module_file(m) is None
+                or n is not None and n not in _top_level_names(_module_file(m))
+                and _module_file(f"{m}.{n}") is None))
     assert {f: m for f, m in bad.items() if m} == {}
+    assert {f: m for f, m in dangling.items() if m} == {}
 
 
 def test_check_oracle_rejects_unknown_and_stale_names():
