@@ -133,8 +133,8 @@ def bench_fuzzy_latency(index_dir: str) -> dict[str, float]:
 
     s = Searcher(index_dir)
     s.query_string("match", limit=10)  # warm mmaps + term dicts
-    # one fuzzy warm-up materializes the per-segment term arrays /
-    # lengths (steady-state serving keeps them resident)
+    # one fuzzy warm-up builds the searcher's deduplicated term
+    # dictionary of the field (steady-state serving keeps it resident)
     s.top_k(Fuzzy("content", "matcx", distance=1, transposition=True), 10)
 
     def med(fn, n=7):

@@ -32,7 +32,6 @@ _REMOVE_LONG_BYTES = 40
 
 # DuckDB/RE2 equivalent of the tokenizer for oracle SQL generation.
 TOKEN_RE_SQL = r"[\p{L}\p{N}]+"
-_SPLIT_PATTERN = r"[^\p{L}\p{N}]+"
 
 
 def _lower_tokens(toks: list[str]) -> list[str]:
@@ -48,24 +47,47 @@ def _lower_tokens(toks: list[str]) -> list[str]:
     return pc.utf8_lower(pa.array(toks, type=pa.string())).to_pylist()
 
 
-def _raw_tokens(text: str) -> list[str]:
-    """Canonical tokenization: maximal runs of letters/digits, classified
-    by Arrow's RE2/utf8proc tables. The SAME kernel drives the whole-column
-    index path (:meth:`Analyzer.analyze_text_column`) and the DuckDB
-    oracles, so index-time, query-time and oracle tokenization can never
-    diverge on Unicode-version edge cases (Python's ``re`` tables lag a
-    version behind and disagree on recently-added codepoints)."""
+# Per-code-point class cache for non-ASCII text: the characters classified
+# so far, and a str.translate table that maps each of them RE2 does not
+# count as a letter or number to a space. Bounded by the number of
+# distinct code points a process ever meets.
+_SEEN: set[str] = set()
+_SEPARATORS: dict[int, str] = {}
+
+
+def _classify(chars: set[str]) -> None:
+    """Classify the characters the cache has not seen, in one Arrow call
+    against the same RE2 class as the column path's split pattern."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    new = list(chars - _SEEN)
+    if not new:
+        return
+    is_word = pc.match_substring_regex(
+        pa.array(new, type=pa.string()), pattern=r"^[\p{L}\p{N}]$").to_pylist()
+    for c, w in zip(new, is_word):
+        if not w:
+            _SEPARATORS[ord(c)] = " "
+    _SEEN.update(new)  # after the table, so a seen character is complete
+
+
+def _raw_tokens(text: str) -> list[str]:
+    """Canonical tokenization: maximal runs of letters/digits, classified
+    by Arrow's RE2/utf8proc tables. The SAME tables drive the whole-column
+    index path (:meth:`Analyzer.analyze_text_column`) and the DuckDB
+    oracles, so index-time, query-time and oracle tokenization can never
+    diverge on Unicode-version edge cases (Python's ``re`` tables lag a
+    version behind and disagree on recently-added codepoints). Non-ASCII
+    text is split in Python over the cached per-character classes; no
+    separator is a letter or number, and every Python whitespace
+    character is a separator, so ``str.split`` finds the runs."""
     if not text:
         return []
     if text.isascii():  # fast path: tables agree on ASCII
         return _TOKEN_RE.findall(text)
-    out = pc.split_pattern_regex(
-        pa.array([text], type=pa.string()), pattern=_SPLIT_PATTERN
-    )[0].as_py()
-    return [t for t in out if t]
+    _classify(set(text))
+    return text.translate(_SEPARATORS).split()
 
 
 @dataclass(frozen=True)

@@ -36,44 +36,14 @@ _MISSING = object()
 
 class _LazyTermEntry(dict):
     """Term-dictionary entry whose ``"terms"`` numpy-object array (one
-    PyString per vocabulary term) materializes only when a range / fuzzy
-    / merge scan asks for it; point lookups bisect the Arrow array."""
+    PyString per vocabulary term) materializes only when a range or merge
+    scan asks for it; point lookups bisect the Arrow array."""
 
     def __missing__(self, key):
         if key == "terms":
             v = np.asarray(self["terms_pa"].to_pylist(), dtype=object)
             self[key] = v
             return v
-        if key == "term_lens":  # codepoint lengths, Arrow-vectorized
-            v = pa.compute.utf8_length(
-                self["terms_pa"]).to_numpy(zero_copy_only=False).astype(np.int64)
-            self[key] = v
-            return v
-        if key == "term_sigs":  # 64-bit character-SET signatures
-            # One edit changes at most one distinct character on each
-            # side, so |chars(q)\chars(t)| <= d is NECESSARY for
-            # distance <= d; hash collisions only merge bits, which
-            # UNDERCOUNTS the difference — the fuzzy prefilter built on
-            # these never drops a true match. Computed chunked so the
-            # transient (chunk, lmax) codepoint matrix stays small.
-            terms = self["terms"]
-            n = terms.size
-            sigs = np.zeros(n, dtype=np.uint64)
-            lens = self["term_lens"]
-            step = 1 << 16
-            for s in range(0, n, step):
-                part = terms[s:s + step]
-                lmax = int(lens[s:s + step].max(initial=0))
-                if lmax == 0:
-                    continue
-                U = np.asarray(part, dtype=f"<U{lmax}").view(
-                    np.uint32).reshape(len(part), lmax)
-                bits = ((U.astype(np.uint64) *
-                         np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(58))
-                lanes = np.where(U != 0, np.uint64(1) << bits, np.uint64(0))
-                sigs[s:s + step] = np.bitwise_or.reduce(lanes, axis=1)
-            self[key] = sigs
-            return sigs
         raise KeyError(key)
 
 import numpy as np
@@ -530,7 +500,7 @@ class SegmentReader:
         # bisect over the Arrow string array (no bulk string
         # materialization on the point-lookup path — a vocabulary of 10^6
         # terms is 10^6 PyStrings the searcher would never need); fall
-        # back to the numpy array if a range/fuzzy scan already built it
+        # back to the numpy array if a range or merge scan already built it
         arr_np = e.get("terms")
         if arr_np is not None:
             i = int(np.searchsorted(arr_np, term))
@@ -658,8 +628,8 @@ class SegmentReader:
         return [flat[a:b] for a, b in zip(starts, ends)]
 
     def term_dict(self, field: str) -> dict:
-        """Expose the term dictionary arrays of a field (for range / regex /
-        fuzzy scans and merging)."""
+        """Expose the term dictionary arrays of a field (for range scans,
+        the searcher's fuzzy / regex dictionary and merging)."""
         return self._terms(field)
 
     def norms(self, field: str) -> np.ndarray:

@@ -154,11 +154,15 @@ def _from_dsl(obj) -> Query:
                      gt=spec.get("gt"), lt=spec.get("lt"))
     if kind == "fuzzy":
         (field, spec), = body.items()
-        if isinstance(spec, dict):
-            return Fuzzy(field, str(spec["value"]),
-                         int(spec.get("distance", 1)),
-                         bool(spec.get("transposition", True)))
-        return Fuzzy(field, str(spec))
+        if not isinstance(spec, dict):
+            return Fuzzy(field, str(spec))
+        distance = int(spec.get("distance", 1))
+        if not 0 <= distance <= 2:
+            # tantivy 0.18 builds Levenshtein automata for 0..2 only and
+            # rejects any other distance as InvalidArgument
+            raise QueryParseError(f"fuzzy distance must be 0, 1 or 2, got {distance}")
+        return Fuzzy(field, str(spec["value"]), distance,
+                     bool(spec.get("transposition", True)))
     if kind == "regex":
         (field, pattern), = body.items()
         return Regex(field, str(pattern))
@@ -228,6 +232,22 @@ def collect_scored_terms(q: Query) -> list[tuple[str, str]]:
             out.append((node.field, node.value))
         elif isinstance(node, Phrase):
             out.extend((node.field, t) for t in node.terms)
+        elif isinstance(node, Bool):
+            for sub in (*node.must, *node.must_not, *node.should):
+                walk(sub)
+
+    walk(q)
+    return out
+
+
+def expanded_nodes(q: Query) -> list[Fuzzy | Regex]:
+    """The Fuzzy and Regex nodes of ``q``, at any depth: the searcher
+    matches each against its term dictionary once per query."""
+    out: list[Fuzzy | Regex] = []
+
+    def walk(node: Query):
+        if isinstance(node, (Fuzzy, Regex)):
+            out.append(node)
         elif isinstance(node, Bool):
             for sub in (*node.must, *node.must_not, *node.should):
                 walk(sub)

@@ -6,7 +6,9 @@ must_not = anti-join, should = union with score accumulation — the
 Ray-native re-expression of tantivy's boolean scorers (SURVEY.md §2.3
 #16-23). Term and phrase nodes score Okapi BM25 with *searcher-level*
 (cross-segment) statistics passed in as ``GlobalStats``; range / fuzzy /
-regex / all score constant 1.0 like tantivy 0.18.
+regex / all score constant 1.0 like tantivy 0.18. Fuzzy and regex nodes
+are expanded once per query by the searcher, over a ``TermDictionary`` of
+all its segments, and reach each segment through ``GlobalStats.expansions``.
 
 ``top_k_term_union`` adds a max-score / block-max pruned path for the
 hot serving case (bare term(s), OR semantics): terms are processed in
@@ -19,9 +21,11 @@ block-at-a-time so every step stays a numpy kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from rayfts.codec.postings import decode_skips
 from rayfts.index.schema import NUMERIC_TYPES
@@ -47,6 +51,8 @@ class GlobalStats:
     n_docs: int
     avgdl: dict[str, float]  # field -> average doc length
     df: dict[tuple[str, str], int]  # (field, term) -> global doc freq
+    # Fuzzy / Regex node -> the dictionary terms it matched (Searcher fills it)
+    expansions: dict[Query, Expansion] = dc_field(default_factory=dict)
 
     def idf(self, field: str, term: str) -> float:
         return bm25.idf(self.n_docs, self.df.get((field, term), 0))
@@ -67,10 +73,8 @@ def execute(q: Query, seg: SegmentReader, stats: GlobalStats) -> Matches:
         return _exec_bool(q, seg, stats)
     if isinstance(q, Range):
         return _exec_range(q, seg, stats)
-    if isinstance(q, Fuzzy):
-        return _exec_fuzzy(q, seg, stats)
-    if isinstance(q, Regex):
-        return _exec_regex(q, seg, stats)
+    if isinstance(q, (Fuzzy, Regex)):
+        return _union_ordinals(seg, q.field, stats.expansions[q].ordinals(seg))
     if isinstance(q, All):
         n = seg.num_docs
         return np.arange(n, dtype=np.uint32), np.ones(n, dtype=np.float64)
@@ -235,21 +239,6 @@ def _exec_range(q: Range, seg: SegmentReader, stats: GlobalStats) -> Matches:
     return _union_ordinals(seg, q.field, _terms_in_range(seg, q))
 
 
-def _exec_regex(q: Regex, seg: SegmentReader, stats: GlobalStats) -> Matches:
-    e = seg.term_dict(q.field)
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    # full-match semantics over the term dictionary (tantivy RegexQuery)
-    try:
-        mask = pc.match_substring_regex(
-            e["terms_pa"], f"^(?:{q.pattern})$"
-        ).to_numpy(zero_copy_only=False)
-    except pa.lib.ArrowInvalid as exc:
-        raise QueryError(f"invalid regex pattern {q.pattern!r}: {exc}") from None
-    return _union_ordinals(seg, q.field, np.flatnonzero(mask))
-
-
 def _levenshtein_within(a: str, b: str, limit: int, transposition: bool) -> bool:
     """Banded DP edit distance with early exit (Damerau when transposition)."""
     la, lb = len(a), len(b)
@@ -351,52 +340,109 @@ def _fuzzy_batch_within(query: str, terms: np.ndarray, limit: int,
     return out <= limit
 
 
-def _exec_fuzzy(q: Fuzzy, seg: SegmentReader, stats: GlobalStats) -> Matches:
-    """Term-dict scan: vectorized length pre-filter, then the batched
-    numpy DP above, chunked to bound the (|query|+1) x chunk DP matrix
-    (~16 MB per chunk at 64k candidates x 30-char queries). Plays the
-    role of tantivy's Levenshtein-automaton-over-FST intersection
-    [tantivy 0.18, public] with dictionary-at-once vector arithmetic
-    instead of automaton states."""
-    e = seg.term_dict(q.field)
-    arr = e["terms"]
-    lens = e["term_lens"]  # Arrow-vectorized, cached per (segment, field)
-    lv = len(q.value)
-    cand = np.flatnonzero(np.abs(lens - lv) <= q.distance)
-    if cand.size:
-        # character-set signature prefilter (see _LazyTermEntry
-        # "term_sigs"): a term within distance d differs from the query
-        # in at most d DISTINCT characters per side. Transpositions
-        # permute the multiset, so the bound holds for Damerau too.
-        # Collisions only undercount — no true match is ever dropped.
-        sigs = e["term_sigs"][cand]
-        qcp = np.frombuffer(q.value.encode("utf-32-le"), dtype=np.uint32)
-        qbits = ((qcp.astype(np.uint64) *
-                  np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(58))
-        qsig = np.uint64(np.bitwise_or.reduce(np.uint64(1) << qbits)
-                         if qbits.size else 0)
-        miss_q = _POP8[(qsig & ~sigs).view(np.uint8).reshape(-1, 8)].sum(1)
-        miss_t = _POP8[(sigs & ~qsig).view(np.uint8).reshape(-1, 8)].sum(1)
-        cand = cand[(miss_q <= q.distance) & (miss_t <= q.distance)]
-    if cand.size <= 64:
-        # the signature prefilter typically leaves a handful of
-        # survivors per segment; a scalar DP over short strings beats
-        # the fixed cost of the vectorized band machinery there
-        hits = np.asarray(
-            [o for o in cand
-             if _levenshtein_within(q.value, arr[o], q.distance,
-                                    q.transposition)], dtype=np.int64)
-        return _union_ordinals(seg, q.field, hits)
-    hit_parts = []
-    chunk = 1 << 16
-    for s in range(0, cand.size, chunk):
-        c = cand[s:s + chunk]
-        mask = _fuzzy_batch_within(q.value, arr[c], q.distance,
-                                   q.transposition, lens=lens[c])
-        hit_parts.append(c[mask])
-    hits = (np.concatenate(hit_parts) if hit_parts
-            else np.zeros(0, dtype=np.int64))
-    return _union_ordinals(seg, q.field, hits.astype(np.int64))
+def _char_signatures(terms: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """64-bit character-SET signature per term. One edit changes at most
+    one distinct character on each side, so |chars(q) minus chars(t)| <= d
+    is NECESSARY for distance <= d; hash collisions only merge bits, which
+    UNDERCOUNTS the difference, so the fuzzy prefilter built on these
+    never drops a true match. Computed chunked so the transient
+    (chunk, lmax) codepoint matrix stays small."""
+    sigs = np.zeros(terms.size, dtype=np.uint64)
+    step = 1 << 16
+    for s in range(0, terms.size, step):
+        part = terms[s:s + step]
+        lmax = int(lens[s:s + step].max(initial=0))
+        if lmax == 0:
+            continue
+        U = np.asarray(part, dtype=f"<U{lmax}").view(
+            np.uint32).reshape(len(part), lmax)
+        bits = ((U.astype(np.uint64) *
+                 np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(58))
+        lanes = np.where(U != 0, np.uint64(1) << bits, np.uint64(0))
+        sigs[s:s + step] = np.bitwise_or.reduce(lanes, axis=1)
+    return sigs
+
+
+class TermDictionary:
+    """One field's terms over all of a searcher's segments, deduplicated
+    (16 segments of a 228k-term index hold 21.8k distinct terms). A Fuzzy
+    or Regex node is matched against it once per query, and each segment
+    maps the matched terms back to its own ordinals through ``ids``. The
+    string array, lengths and signatures the fuzzy scan needs are built
+    on its first use."""
+
+    def __init__(self, readers: list[SegmentReader], field: str):
+        self._fuzzy_arrays = None
+        parts = ([r.term_dict(field)["terms_pa"] for r in readers]
+                 or [pa.array([], type=pa.string())])
+        enc = pc.dictionary_encode(pa.concat_arrays(parts))
+        self.terms_pa = enc.dictionary
+        ends = np.cumsum([len(p) for p in parts])[:-1]
+        # reader -> dictionary index of each of its term ordinals
+        self.ids = dict(zip(readers, np.split(enc.indices.to_numpy(), ends)))
+
+    def expand(self, q: Fuzzy | Regex) -> Expansion:
+        hits = self._fuzzy(q) if isinstance(q, Fuzzy) else self._regex(q)
+        return Expansion(self, hits)
+
+    def _regex(self, q: Regex) -> np.ndarray:
+        # full-match semantics over the term dictionary (tantivy RegexQuery)
+        try:
+            mask = pc.match_substring_regex(self.terms_pa, f"^(?:{q.pattern})$")
+        except pa.lib.ArrowInvalid as exc:
+            raise QueryError(f"invalid regex pattern {q.pattern!r}: {exc}") from None
+        return mask.to_numpy(zero_copy_only=False)
+
+    def _fuzzy(self, q: Fuzzy) -> np.ndarray:
+        """Length prefilter, signature prefilter, then the scalar DP for a
+        handful of survivors or the batched numpy DP, chunked to bound the
+        band matrices (~16 MB per chunk at 64k candidates). Plays the role
+        of tantivy's Levenshtein-automaton-over-FST intersection
+        [tantivy 0.18, public] with dictionary-at-once vector arithmetic
+        instead of automaton states."""
+        if self._fuzzy_arrays is None:
+            terms = np.asarray(self.terms_pa.to_pylist(), dtype=object)
+            lens = pc.utf8_length(self.terms_pa).to_numpy(
+                zero_copy_only=False).astype(np.int64)
+            self._fuzzy_arrays = terms, lens, _char_signatures(terms, lens)
+        terms, lens, sigs = self._fuzzy_arrays
+        hits = np.zeros(terms.size, dtype=bool)
+        cand = np.flatnonzero(np.abs(lens - len(q.value)) <= q.distance)
+        if cand.size:
+            # a term within distance d differs from the query in at most d
+            # DISTINCT characters per side; transpositions permute the
+            # multiset, so the bound holds for Damerau too
+            qsig = _char_signatures(np.array([q.value], dtype=object),
+                                    np.array([len(q.value)]))[0]
+            miss_q = _POP8[(qsig & ~sigs[cand]).view(np.uint8).reshape(-1, 8)].sum(1)
+            miss_t = _POP8[(sigs[cand] & ~qsig).view(np.uint8).reshape(-1, 8)].sum(1)
+            cand = cand[(miss_q <= q.distance) & (miss_t <= q.distance)]
+        if cand.size <= 64:
+            # the prefilters typically leave a handful of survivors; a
+            # scalar DP over short strings beats the fixed cost of the
+            # vectorized band machinery there
+            for o in cand:
+                hits[o] = _levenshtein_within(q.value, terms[o], q.distance,
+                                              q.transposition)
+            return hits
+        chunk = 1 << 16
+        for s in range(0, cand.size, chunk):
+            c = cand[s:s + chunk]
+            hits[c] = _fuzzy_batch_within(q.value, terms[c], q.distance,
+                                          q.transposition, lens=lens[c])
+        return hits
+
+
+@dataclass(eq=False)
+class Expansion:
+    """The terms of a ``TermDictionary`` that one Fuzzy or Regex node
+    matched, as a mask over the dictionary."""
+
+    dictionary: TermDictionary
+    hits: np.ndarray
+
+    def ordinals(self, seg: SegmentReader) -> np.ndarray:
+        return np.flatnonzero(self.hits[self.dictionary.ids[seg]])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ pool where each actor owns a subset of segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Any
 
 import numpy as np
@@ -25,17 +25,22 @@ from rayfts.index.manifest import Manifest, read_manifest, segment_path
 from rayfts.index.schema import IndexSchema
 from rayfts.index.segment import SegmentReader
 from rayfts.query.ast import (
+    All,
     Bool,
+    Fuzzy,
     Phrase,
     Query,
+    Range,
     Raw,
+    Regex,
     Search,
     Term,
     collect_scored_terms,
+    expanded_nodes,
     from_dsl,
     search_from_dsl,
 )
-from rayfts.query.exec import GlobalStats, execute, top_k_term_union
+from rayfts.query.exec import GlobalStats, TermDictionary, execute, top_k_term_union
 from rayfts.query.parser import QueryParser
 from rayfts.query.snippet import SnippetGenerator
 
@@ -98,6 +103,9 @@ class Searcher:
         self.parser = QueryParser(self.schema, compat_break=True)
         self._analyzers: dict[str, Analyzer] = {}
         self._df_cache: dict[tuple[str, str], int] = {}
+        # field -> deduplicated term dictionary, built on the field's first
+        # fuzzy or regex query (never here: ingest opens one per commit)
+        self._dictionaries: dict[str, TermDictionary] = {}
         # instrumentation: number of per-segment query evaluations (the
         # multi-collector contract is ONE execute per segment per search,
         # mirroring the reference's single searcher.search pass with a
@@ -125,11 +133,26 @@ class Searcher:
         return out
 
     def stats_for(self, q: Query) -> GlobalStats:
-        return GlobalStats(
+        return self._expand(q, GlobalStats(
             n_docs=self.n_docs,
             avgdl=self.avgdl,
             df=self.global_df(collect_scored_terms(q)),
-        )
+        ))
+
+    def _expand(self, q: Query, stats: GlobalStats) -> GlobalStats:
+        """``stats`` plus an expansion of every Fuzzy and Regex node of
+        ``q`` that it lacks, each matched once against this searcher's
+        term dictionary of its field."""
+        todo = [n for n in expanded_nodes(q) if n not in stats.expansions]
+        if not todo:
+            return stats
+        expansions = dict(stats.expansions)
+        for node in todo:
+            d = self._dictionaries.get(node.field)
+            if d is None:
+                d = self._dictionaries[node.field] = TermDictionary(self.readers, node.field)
+            expansions[node] = d.expand(node)
+        return replace(stats, expansions=expansions)
 
     # -- query normalization -------------------------------------------
     def _resolve(self, q: Query | str | dict) -> Query:
@@ -176,17 +199,27 @@ class Searcher:
         self, q: Query | str | dict, limit: int = 10, stats: GlobalStats | None = None
     ) -> list[Hit]:
         """``stats`` override: distributed serving computes df across ALL
-        actors first and passes the summed map in (rayfts.query.serve)."""
+        actors first and passes the summed map in (rayfts.query.serve).
+
+        A constant-score query (every hit scores 1.0) ranks by docid
+        alone, so its segments are visited in docid order and the visit
+        stops once ``limit`` matches are held."""
         query = self._resolve(q)
-        stats = stats or self.stats_for(query)
+        stats = self.stats_for(query) if stats is None else self._expand(query, stats)
+        if limit <= 0:
+            return []
         pairs = self._union_terms(query)
-        parts = []
+        constant = isinstance(query, (All, Fuzzy, Range, Regex))
+        parts, held = [], 0
         for si, reader in enumerate(self.readers):
             if pairs is not None:
                 docids, scores = top_k_term_union(reader, stats, pairs, limit)
             else:
                 docids, scores = self._execute(query, reader, stats)
             parts.append((si, docids, scores))
+            held += docids.size
+            if constant and held >= limit:
+                break
         return self._merge(parts, limit)
 
     def _merge(

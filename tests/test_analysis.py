@@ -145,3 +145,31 @@ def test_arrow_column_path_property_random_unicode():
                 assert counts[d] == len(toks)
 
     check()
+
+
+def test_raw_tokens_match_arrow_split_on_random_unicode():
+    """The per-character class cache splits non-ASCII text exactly like
+    one ``split_pattern_regex`` call on the column path's pattern: marks,
+    No/Nl numbers, CJK, emoji with ZWJ and variation selectors, Unicode
+    spaces and controls, and tokens of 40 bytes or more."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from rayfts.analysis.analyzer import _raw_tokens
+
+    pool = (list("abcXYZ019 _-.,'\t\n")
+            + ["́", "̈", "ि", "ั"]      # Mn / Mc marks
+            + ["²", "½", "①", "Ⅶ", "〇", "ᛮ"]  # No / Nl
+            + ["中", "文", "の", "한", "ж", "é", "ß", "İ", "ς", "ـ"]
+            + ["😀", "‍", "👩", "️", "🏽", "⁠"]  # emoji, ZWJ
+            + [" ", " ", "　", " ", "\x1c", "\x85", "\x00"])
+    rng = np.random.default_rng(7)
+    texts = ["é" * 25 + " x", "中" * 14 + "😀" + "ж" * 20]  # >= 40-byte tokens
+    for _ in range(400):
+        n = int(rng.integers(1, 80))
+        texts.append("".join(rng.choice(pool, size=n)))
+    want = pc.split_pattern_regex(pa.array(texts, type=pa.string()),
+                                  pattern=r"[^\p{L}\p{N}]+").to_pylist()
+    for text, w in zip(texts, want):
+        assert _raw_tokens(text) == [t for t in w if t], repr(text)

@@ -703,3 +703,39 @@ def test_hot_tier_parity_and_cache(built, ray_session):
     finally:
         tiered.shutdown()
         plain.shutdown()
+
+
+def test_constant_score_serve_parity(built, ray_session):
+    """Fuzzy, regex and range top-k through the service, sharded and with a
+    hot replica, equal the local searcher's hits and the k smallest
+    matching docids: each shard stops early on its own segments."""
+    from rayfts.query.serve import SearchService
+
+    queries = [
+        {"fuzzy": {"text": {"value": "windo", "distance": 1}}},
+        {"fuzzy": {"text": {"value": "mreg", "distance": 2, "transposition": True}}},
+        {"fuzzy": {"text": "zzzzzzz"}},
+        {"regex": {"text": "wind.*"}},
+        {"regex": {"text": "s.*"}},
+        {"range": {"text": {"gte": "m", "lt": "p"}}},
+        {"range": {"n_chars": {"gte": 150}}},
+    ]
+    local = Searcher(built)
+    plain = SearchService(built, num_actors=3)
+    tiered = SearchService(built, num_actors=3, hot_replicas=1)
+    try:
+        for limit in (10, 300):
+            want = []
+            for q in queries:
+                gids, _ = local.matches(q)
+                smallest = sorted(gids.tolist())[:limit]
+                assert [h.doc_id for h in local.top_k(q, limit)] == smallest, q
+                want.append([(1.0, g) for g in smallest])
+            for svc in (plain, tiered):
+                assert svc.search_many(queries, limit=limit) == want
+                for q, w in zip(queries, want):
+                    assert svc.search(q, limit=limit) == w, q
+        assert want[0] and want[3] and want[5] and want[6] and not want[2]
+    finally:
+        plain.shutdown()
+        tiered.shutdown()

@@ -143,6 +143,12 @@ def test_parse_errors(idx):
         idx.searcher().count("unknownfield:foo")
     with pytest.raises(QueryParseError):
         idx.searcher().count("(unbalanced")
+    # fuzzy distances outside 0..2 are rejected like tantivy's
+    # FuzzyTermQuery (a negative one used to match nothing silently)
+    for distance in (3, -1):
+        with pytest.raises(QueryParseError):
+            idx.searcher().count(
+                {"fuzzy": {"body": {"value": "ma", "distance": distance}}})
     from rayfts.query.searcher import QueryError
 
     with pytest.raises(QueryError):  # a DSL range over an unknown field
