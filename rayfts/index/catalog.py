@@ -43,7 +43,10 @@ class Index:
 
     def searcher(self) -> Searcher:
         """Reload-on-commit: a new manifest version invalidates the cached
-        searcher (reference ``ReloadPolicy::OnCommit``, ``index.rs:219``)."""
+        searcher (reference ``ReloadPolicy::OnCommit``, ``index.rs:219``).
+        The new searcher is built while the old one still holds its
+        readers, so it reuses them for every unchanged segment and opens
+        only the commit's new or merged segments."""
         m = self.manifest
         if self._searcher is None or m.version != self._searcher_version:
             self._searcher = Searcher(self.path, manifest=m)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
@@ -418,7 +419,12 @@ class SegmentReader:
     """Mmap-backed reader of one segment. Term dictionary loads lazily per
     field; postings/positions are addressed through ``np.memmap`` so the
     OS page cache is the only copy (cheap enough to hold one reader per
-    segment inside each query actor)."""
+    segment inside each query actor).
+
+    Searchers get readers only through :func:`open_reader`, so every
+    searcher of a process shares one reader per segment, with its term
+    dictionaries, caches, norms and store. Merges construct their own
+    readers of the sources they rewrite."""
 
     def __init__(self, path: str, schema: IndexSchema):
         self.path = path
@@ -682,3 +688,23 @@ class SegmentReader:
             paths = np.asarray(enc.dictionary.to_pylist(), dtype=object)
         self._facets[field] = (codes, paths)
         return codes, paths
+
+
+# held weakly: a reader leaves once no searcher holds it, so merged-away
+# and deleted segments leave no entry
+_LIVE_READERS: "weakref.WeakValueDictionary[tuple, SegmentReader]" = (
+    weakref.WeakValueDictionary())
+
+
+def open_reader(path: str, schema: IndexSchema) -> SegmentReader:
+    """The process's live reader of the segment at ``path``, opened if no
+    searcher holds one. Segments are immutable once committed; the key
+    carries ``segment.json``'s inode, mtime and size, so a directory
+    rewritten at the same path (an index deleted and rebuilt) opens a
+    new reader."""
+    st = os.stat(os.path.join(path, META_FILE))
+    key = (os.path.abspath(path), st.st_ino, st.st_mtime_ns, st.st_size)
+    reader = _LIVE_READERS.get(key)
+    if reader is None:
+        reader = _LIVE_READERS[key] = SegmentReader(path, schema)
+    return reader

@@ -387,8 +387,12 @@ class TermDictionary:
 
     def _regex(self, q: Regex) -> np.ndarray:
         # full-match semantics over the term dictionary (tantivy RegexQuery)
+        pattern = f"^(?:{q.pattern})$"
         try:
-            mask = pc.match_substring_regex(self.terms_pa, f"^(?:{q.pattern})$")
+            if not len(self.terms_pa):
+                # Arrow compiles the pattern only for a non-empty input
+                pc.match_substring_regex(pa.array([""]), pattern)
+            mask = pc.match_substring_regex(self.terms_pa, pattern)
         except pa.lib.ArrowInvalid as exc:
             raise QueryError(f"invalid regex pattern {q.pattern!r}: {exc}") from None
         return mask.to_numpy(zero_copy_only=False)

@@ -23,7 +23,7 @@ import pyarrow as pa
 from rayfts.analysis.analyzer import Analyzer
 from rayfts.index.manifest import Manifest, read_manifest, segment_path
 from rayfts.index.schema import IndexSchema
-from rayfts.index.segment import SegmentReader
+from rayfts.index.segment import SegmentReader, open_reader
 from rayfts.query.ast import (
     All,
     Bool,
@@ -86,8 +86,10 @@ class Searcher:
         # global start docid of each of THIS searcher's segments, ascending
         # (the doc locator's search array)
         self._starts = np.array([offsets[s.segment_id] for s in ordered], np.int64)
+        # shared with every other live searcher of this process: only
+        # segments none of them holds are opened here
         self.readers = [
-            SegmentReader(segment_path(index_dir, s.segment_id), self.schema)
+            open_reader(segment_path(index_dir, s.segment_id), self.schema)
             for s in ordered
         ]
         # searcher-level stats (sum over ALL manifest segments, even when this

@@ -50,7 +50,10 @@ class QueryActor:
         return True
 
     def refresh(self, segment_ids: list[str]) -> int:
-        """Adopt a new manifest version (and possibly more segments)."""
+        """Adopt a new manifest version (and possibly more segments). The
+        old searcher holds its readers until the new one is built, so only
+        segments new to this actor are opened; the result cache is
+        dropped."""
         self.segment_ids = segment_ids
         self.searcher = Searcher(self.index_dir, segment_ids=segment_ids)
         self._cache = {}

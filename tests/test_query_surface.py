@@ -519,6 +519,11 @@ def test_invalid_regex_pattern_is_typed(idx):
     for bad in ["(", "a{2,1}", "[z-a]", "(?P<", "*"]:
         with pytest.raises(QueryError):
             s.search({"query": {"regex": {"body": bad}}, "limit": 3})
+    # no terms to match: an unknown field, and one no segment indexes
+    for field in ["nofield", "id"]:
+        with pytest.raises(QueryError):
+            s.search({"query": {"regex": {field: "("}}, "limit": 3})
+        assert s.search({"query": {"regex": {field: "a.*"}}, "limit": 3}).hits == 0
     # valid patterns still work after the failures
     assert s.search({"query": {"regex": {"body": "bet."}}, "limit": 3}) is not None
 
