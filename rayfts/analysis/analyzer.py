@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from rayfts.analysis import porter2
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_NONSPACE_RE = re.compile(r"\S+")
 _REMOVE_LONG_BYTES = 40
 
 # DuckDB/RE2 equivalent of the tokenizer for oracle SQL generation.
@@ -193,9 +194,36 @@ class Analyzer:
         if spec.raw:
             return ([text], [0]) if text else ([], [])
         if spec.name == "whitespace":
-            raw = text.split()
+            return self._filter(text.split())
+        return self._filter(_raw_tokens(text))
+
+    def token_spans(self, text: str) -> tuple[list[str], list[int], list[int]]:
+        """``(tokens, starts, ends)``: the analyzed tokens of one string,
+        as :meth:`tokens` returns them, with the character span of each
+        one's surface form in ``text`` (snippet highlighting)."""
+        spec = self.spec
+        if spec.raw:
+            return ([text], [0], [len(text)]) if text else ([], [], [])
+        if spec.name == "whitespace":
+            found = _NONSPACE_RE.finditer(text)
+        elif text.isascii():
+            found = _TOKEN_RE.finditer(text)
         else:
-            raw = _raw_tokens(text)
+            # the translation maps one character to one, so spans carry over
+            _classify(set(text))
+            found = _NONSPACE_RE.finditer(text.translate(_SEPARATORS))
+        raw, starts, ends = [], [], []
+        for m in found:
+            raw.append(text[m.start():m.end()])
+            starts.append(m.start())
+            ends.append(m.end())
+        toks, kept = self._filter(raw)
+        return toks, [starts[i] for i in kept], [ends[i] for i in kept]
+
+    def _filter(self, raw: list[str]) -> tuple[list[str], list[int]]:
+        """RemoveLong, LowerCase and the stemmer over raw tokens: the
+        surviving tokens and their raw-token ordinals."""
+        spec = self.spec
         out_toks: list[str] = []
         out_pos: list[int] = []
         cache = self._stem_cache_checked()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import shutil
 import uuid
+import weakref
 
 import pyarrow as pa
 
@@ -166,7 +167,11 @@ class IndexCatalog:
         # explicitly instead
         self.auto_merge_min = auto_merge_min
         os.makedirs(root, exist_ok=True)
-        self._handles: dict[str, Index] = {}
+        # held weakly: a handle refers to its catalog, so strong entries
+        # would make a cycle that keeps dropped handles' searchers and
+        # readers alive until the cyclic garbage collector runs
+        self._handles: weakref.WeakValueDictionary[str, Index] = (
+            weakref.WeakValueDictionary())
 
     def create_index(self, name: str, schema: IndexSchema | list | str) -> Index:
         if not isinstance(schema, IndexSchema):
@@ -196,6 +201,7 @@ class IndexCatalog:
         return out
 
     def open(self, name: str) -> Index:
+        """The index's handle: the same one while any caller holds it."""
         if not self.index_exists(name):
             raise KeyError(f"no index {name!r}")
         h = self._handles.get(name)

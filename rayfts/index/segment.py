@@ -415,6 +415,15 @@ def _read_terms_table(path: str) -> pa.Table:
     return t
 
 
+def _map(path: str) -> np.ndarray:
+    """The file's bytes, memory-mapped, as a plain ``ndarray``: slices and
+    arithmetic on an ``np.memmap`` pay subclass bookkeeping on every
+    result, and posting decodes make dozens of them per list."""
+    if not os.path.getsize(path):
+        return np.empty(0, dtype=np.uint8)
+    return np.memmap(path, dtype=np.uint8, mode="r").view(np.ndarray)
+
+
 class SegmentReader:
     """Mmap-backed reader of one segment. Term dictionary loads lazily per
     field; postings/positions are addressed through ``np.memmap`` so the
@@ -433,8 +442,8 @@ class SegmentReader:
             self.info = SegmentInfo.from_json(json.load(f))
         self.codec = FieldNormCodec(self.info.fieldnorm_codec)
         self._terms_by_field: dict[str, dict] = {}
-        self._postings_mm: np.memmap | None = None
-        self._positions_mm: np.memmap | None = None
+        self._postings_mm: np.ndarray | None = None
+        self._positions_mm: np.ndarray | None = None
         self._norms: dict[str, np.ndarray] | None = None
         self._store: pa.Table | None = None
         self._terms_table: pa.Table | None = None
@@ -474,22 +483,12 @@ class SegmentReader:
 
     def _postings_buf(self) -> np.ndarray:
         if self._postings_mm is None:
-            p = os.path.join(self.path, POSTINGS_FILE)
-            self._postings_mm = (
-                np.memmap(p, dtype=np.uint8, mode="r")
-                if os.path.getsize(p)
-                else np.empty(0, dtype=np.uint8)
-            )
+            self._postings_mm = _map(os.path.join(self.path, POSTINGS_FILE))
         return self._postings_mm
 
     def _positions_buf(self) -> np.ndarray:
         if self._positions_mm is None:
-            p = os.path.join(self.path, POSITIONS_FILE)
-            self._positions_mm = (
-                np.memmap(p, dtype=np.uint8, mode="r")
-                if os.path.getsize(p)
-                else np.empty(0, dtype=np.uint8)
-            )
+            self._positions_mm = _map(os.path.join(self.path, POSITIONS_FILE))
         return self._positions_mm
 
     # -- public API ----------------------------------------------------

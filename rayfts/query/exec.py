@@ -1,7 +1,8 @@
-"""Per-segment query execution.
+"""Query execution.
 
 Exact, fully-vectorized evaluation of the query AST against one
-``SegmentReader``: posting intersection (must) = sorted merge on docid,
+``SegmentReader``, or once against a searcher's ``SegmentsView`` of all
+its segments: posting intersection (must) = sorted merge on docid,
 must_not = anti-join, should = union with score accumulation — the
 Ray-native re-expression of tantivy's boolean scorers (SURVEY.md §2.3
 #16-23). Term and phrase nodes score Okapi BM25 with *searcher-level*
@@ -9,6 +10,11 @@ Ray-native re-expression of tantivy's boolean scorers (SURVEY.md §2.3
 regex / all score constant 1.0 like tantivy 0.18. Fuzzy and regex nodes
 are expanded once per query by the searcher, over a ``TermDictionary`` of
 all its segments, and reach each segment through ``GlobalStats.expansions``.
+
+Over a view, term leaves gather every segment's postings and score them
+together and ``Bool`` combinators run once on the concatenated arrays;
+phrase, range, fuzzy, regex and all leaves run per segment and their
+matches are concatenated in view docids.
 
 ``top_k_term_union`` adds a max-score / block-max pruned path for the
 hot serving case (bare term(s), OR semantics): terms are processed in
@@ -42,6 +48,7 @@ from rayfts.query.ast import (
     Regex,
     Term,
 )
+from rayfts.query.view import SegmentsView
 
 
 @dataclass
@@ -63,14 +70,16 @@ Matches = tuple[np.ndarray, np.ndarray]  # (docids u32 sorted asc, scores f64)
 _EMPTY: Matches = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float64))
 
 
-def execute(q: Query, seg: SegmentReader, stats: GlobalStats) -> Matches:
-    """Exact evaluation -> (sorted local docids, scores)."""
+def execute(q: Query, seg: SegmentReader | SegmentsView, stats: GlobalStats) -> Matches:
+    """Exact evaluation -> (sorted docids of ``seg``, scores)."""
     if isinstance(q, Term):
         return _exec_term(q, seg, stats)
-    if isinstance(q, Phrase):
-        return _exec_phrase(q, seg, stats)
     if isinstance(q, Bool):
         return _exec_bool(q, seg, stats)
+    if isinstance(seg, SegmentsView):
+        return seg.gather(lambda r: execute(q, r, stats))
+    if isinstance(q, Phrase):
+        return _exec_phrase(q, seg, stats)
     if isinstance(q, Range):
         return _exec_range(q, seg, stats)
     if isinstance(q, (Fuzzy, Regex)):
@@ -81,13 +90,18 @@ def execute(q: Query, seg: SegmentReader, stats: GlobalStats) -> Matches:
     raise TypeError(f"unexecutable query node {type(q).__name__} (Raw must be parsed first)")
 
 
-def _exec_term(q: Term, seg: SegmentReader, stats: GlobalStats) -> Matches:
-    pl = seg.postings(q.field, q.value)
-    if pl is None:
+def _exec_term(q: Term, seg: SegmentReader | SegmentsView, stats: GlobalStats) -> Matches:
+    if isinstance(seg, SegmentsView):
+        got = seg.term_postings(q.field, q.value)
+    else:
+        pl = seg.postings(q.field, q.value)
+        got = None if pl is None else (
+            pl.docids, pl.tfs, seg.decoded_norms(q.field)[pl.docids])
+    if got is None:
         return _EMPTY
-    dls = seg.decoded_norms(q.field)[pl.docids]
-    scores = bm25.score(pl.tfs, dls, stats.avgdl[q.field], stats.idf(q.field, q.value))
-    return pl.docids, scores
+    docids, tfs, dls = got
+    scores = bm25.score(tfs, dls, stats.avgdl[q.field], stats.idf(q.field, q.value))
+    return docids, scores
 
 
 def _exec_phrase(q: Phrase, seg: SegmentReader, stats: GlobalStats) -> Matches:
@@ -148,7 +162,7 @@ def _exec_phrase(q: Phrase, seg: SegmentReader, stats: GlobalStats) -> Matches:
     return docids, scores
 
 
-def _exec_bool(q: Bool, seg: SegmentReader, stats: GlobalStats) -> Matches:
+def _exec_bool(q: Bool, seg: SegmentReader | SegmentsView, stats: GlobalStats) -> Matches:
     if q.must:
         docids, scores = execute(q.must[0], seg, stats)
         for sub in q.must[1:]:
@@ -164,14 +178,16 @@ def _exec_bool(q: Bool, seg: SegmentReader, stats: GlobalStats) -> Matches:
             ok = (pos < docids.size) & (docids[np.minimum(pos, docids.size - 1)] == d2) if docids.size else np.zeros(d2.size, bool)
             scores[pos[ok]] += s2[ok]
     elif q.should:
-        parts = [execute(sub, seg, stats) for sub in q.should]
-        all_d = np.concatenate([p[0] for p in parts])
-        all_s = np.concatenate([p[1] for p in parts])
-        if all_d.size == 0:
+        parts = [p for p in (execute(sub, seg, stats) for sub in q.should) if p[0].size]
+        if not parts:
             return _EMPTY
-        docids, inv = np.unique(all_d, return_inverse=True)
-        scores = np.zeros(docids.size, dtype=np.float64)
-        np.add.at(scores, inv, all_s)
+        if len(parts) == 1:  # nothing to union (a word absent from a field)
+            docids, scores = parts[0]
+        else:
+            docids, inv = np.unique(np.concatenate([p[0] for p in parts]),
+                                    return_inverse=True)
+            scores = np.zeros(docids.size, dtype=np.float64)
+            np.add.at(scores, inv, np.concatenate([p[1] for p in parts]))
     else:
         # no clauses, or pure negation (tantivy: must_not alone matches
         # nothing unless paired; we pair with All like the parser does)

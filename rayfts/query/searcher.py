@@ -1,6 +1,12 @@
-"""Multi-segment searcher: searcher-level statistics, per-segment top-k,
-global (score desc, docid asc) merge, stored-doc retrieval, snippets,
+"""Multi-segment searcher: searcher-level statistics, one query
+evaluation per request over a ``SegmentsView`` of all its segments, one
+(score desc, docid asc) top-k cut, stored-doc retrieval, snippets,
 facets, and sort-by-fast-field — the read path of SURVEY.md §2.3.
+
+Two top-k shapes still run per segment: a pure OR of terms takes the
+block-max pruned ``top_k_term_union`` in each segment, and a
+constant-score query (all, fuzzy, range, regex) visits segments in docid
+order and stops once ``limit`` matches are held.
 
 The reference's equivalents: ``IndexHandle::query``
 (``/root/reference/src-rust/index.rs:246-284``, string grammar, default
@@ -43,6 +49,7 @@ from rayfts.query.ast import (
 from rayfts.query.exec import GlobalStats, TermDictionary, execute, top_k_term_union
 from rayfts.query.parser import QueryParser
 from rayfts.query.snippet import SnippetGenerator
+from rayfts.query.view import SegmentsView
 
 
 from rayfts.query.ast import QueryError  # noqa: F401 (canonical home)
@@ -92,6 +99,9 @@ class Searcher:
             open_reader(segment_path(index_dir, s.segment_id), self.schema)
             for s in ordered
         ]
+        # one docid space over this searcher's segments, gapless even when
+        # they are a subset of the index; ``_starts`` maps it to global ids
+        self.view = SegmentsView(self.readers)
         # searcher-level stats (sum over ALL manifest segments, even when this
         # searcher serves a subset — stats must be identical across actors)
         self.n_docs = self.manifest.num_docs
@@ -108,15 +118,16 @@ class Searcher:
         # field -> deduplicated term dictionary, built on the field's first
         # fuzzy or regex query (never here: ingest opens one per commit)
         self._dictionaries: dict[str, TermDictionary] = {}
-        # instrumentation: number of per-segment query evaluations (the
-        # multi-collector contract is ONE execute per segment per search,
-        # mirroring the reference's single searcher.search pass with a
-        # MultiCollector — /root/reference/src-rust/search.rs:17-64)
+        # instrumentation: number of query evaluations (the multi-collector
+        # contract is ONE execute over the view per search, mirroring the
+        # reference's single searcher.search pass with a MultiCollector,
+        # search.rs:17-64)
         self.execute_calls = 0
 
-    def _execute(self, query: Query, reader: SegmentReader, stats: GlobalStats):
+    def _execute(self, query: Query, seg: SegmentReader | SegmentsView,
+                 stats: GlobalStats):
         self.execute_calls += 1
-        return execute(query, reader, stats)
+        return execute(query, seg, stats)
 
     # -- stats ---------------------------------------------------------
     def global_df(self, pairs: list[tuple[str, str]]) -> dict[tuple[str, str], int]:
@@ -203,67 +214,76 @@ class Searcher:
         """``stats`` override: distributed serving computes df across ALL
         actors first and passes the summed map in (rayfts.query.serve).
 
-        A constant-score query (every hit scores 1.0) ranks by docid
-        alone, so its segments are visited in docid order and the visit
-        stops once ``limit`` matches are held."""
+        Every other query is evaluated once over the view. Two shapes run
+        per segment: a pure OR of terms takes the pruned union, and a
+        constant-score query (every hit scores 1.0) ranks by docid alone,
+        so its segments are visited in docid order and the visit stops
+        once ``limit`` matches are held."""
         query = self._resolve(q)
         stats = self.stats_for(query) if stats is None else self._expand(query, stats)
         if limit <= 0:
             return []
         pairs = self._union_terms(query)
-        constant = isinstance(query, (All, Fuzzy, Range, Regex))
-        parts, held = [], 0
-        for si, reader in enumerate(self.readers):
-            if pairs is not None:
-                docids, scores = top_k_term_union(reader, stats, pairs, limit)
-            else:
+        if pairs is not None:
+            return self._merge(
+                [(si, *top_k_term_union(reader, stats, pairs, limit))
+                 for si, reader in enumerate(self.readers)], limit)
+        if isinstance(query, (All, Fuzzy, Range, Regex)):
+            parts, held = [], 0
+            for si, reader in enumerate(self.readers):
                 docids, scores = self._execute(query, reader, stats)
-            parts.append((si, docids, scores))
-            held += docids.size
-            if constant and held >= limit:
-                break
-        return self._merge(parts, limit)
+                parts.append((si, docids, scores))
+                held += docids.size
+                if held >= limit:
+                    break
+            return self._merge(parts, limit)
+        return self._hits(*self._execute(query, self.view, stats), limit)
 
     def _merge(
         self, parts: list[tuple[int, np.ndarray, np.ndarray]], limit: int
     ) -> list[Hit]:
-        """Global top-``limit`` of per-segment ``(segment index, local
-        docids, keys)`` by (key desc, global docid asc). Keys are BM25
-        scores or fast-field values; each becomes its hit's score. The
-        per-segment trim is tie-safe: lexsort respects the same order, so
-        equal keys at the k-th boundary keep the smallest docids."""
-        keys, gids = [], []
-        for si, docids, k in parts:
-            if docids.size == 0:
-                continue
-            keep = np.lexsort((docids, -k))[:limit]
-            keys.append(k[keep])
-            gids.append(docids[keep].astype(np.int64) + self._starts[si])
-        if not keys:
+        """:meth:`_hits` of per-segment ``(segment index, local docids,
+        keys)``."""
+        parts = [(si, d, k) for si, d, k in parts if d.size]
+        if not parts:
             return []
-        keys, gids = np.concatenate(keys), np.concatenate(gids)
-        top = np.lexsort((gids, -keys))[:limit]
-        return [Hit(score=s, doc_id=g)
-                for s, g in zip(keys[top].tolist(), gids[top].tolist())]
+        starts = self.view.starts
+        docids = np.concatenate([d.astype(np.int64) + starts[si] for si, d, _ in parts])
+        return self._hits(docids, np.concatenate([k for _, _, k in parts]), limit)
+
+    def _hits(self, docids: np.ndarray, keys: np.ndarray, limit: int) -> list[Hit]:
+        """Top-``limit`` of view ``docids`` by (key desc, docid asc), with
+        global docids. Keys are BM25 scores or fast-field values; each
+        becomes its hit's score. The cut is tie-safe: every doc whose key
+        is at or above the k-th key is kept, and the lexsort then puts
+        the smallest docids first among equal keys."""
+        if limit <= 0 or docids.size == 0:
+            return []
+        if keys.size > limit:
+            neg = -keys
+            kth = np.partition(neg, limit - 1)[limit - 1]
+            if not np.isnan(kth):  # NaN keys (null fast values) sort last
+                keep = neg <= kth
+                docids, keys = docids[keep], keys[keep]
+        top = np.lexsort((docids, -keys))[:limit]
+        return [Hit(score=s, doc_id=g) for s, g in
+                zip(keys[top].tolist(), self._global(docids[top]).tolist())]
+
+    def _global(self, docids: np.ndarray) -> np.ndarray:
+        """Global docids of view ``docids``."""
+        si = np.searchsorted(self.view.starts, docids, side="right") - 1
+        return docids.astype(np.int64) - self.view.starts[si] + self._starts[si]
 
     def count(self, q: Query | str | dict) -> int:
         query = self._resolve(q)
         stats = self.stats_for(query)
-        return sum(int(self._execute(query, r, stats)[0].size) for r in self.readers)
+        return int(self._execute(query, self.view, stats)[0].size)
 
     def matches(self, q: Query | str | dict) -> tuple[np.ndarray, np.ndarray]:
         """All matching (global docids, scores) across segments."""
         query = self._resolve(q)
-        stats = self.stats_for(query)
-        ids, scs = [], []
-        for si, r in enumerate(self.readers):
-            d, s = self._execute(query, r, stats)
-            off = self.offsets[self.segments[si].segment_id]
-            ids.append(d.astype(np.int64) + off)
-            scs.append(s)
-        if not ids:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        return np.concatenate(ids), np.concatenate(scs)
+        docids, scores = self._execute(query, self.view, self.stats_for(query))
+        return self._global(docids), scores
 
     # -- doc retrieval & snippets --------------------------------------
     def _fetch_doc(self, gid: int) -> dict[str, list] | None:
@@ -328,8 +348,8 @@ class Searcher:
 
     # -- structured search (toshi Search) ------------------------------
     def search(self, search: Search | dict) -> SearchResults:
-        """Single-pass multi-collector: the query is evaluated ONCE per
-        segment and the match set feeds all requested accumulators — BM25
+        """Single-pass multi-collector: the query is evaluated ONCE over
+        the view and the match set feeds all requested accumulators — BM25
         top-k, sort-by-fast-field top-k, and facet counts — mirroring the
         reference's one ``searcher.search`` over a ``MultiCollector``
         (``/root/reference/src-rust/search.rs:17-64``)."""
@@ -351,21 +371,19 @@ class Searcher:
         if sort_field is None and not search.facets:
             hits = self.top_k(query, limit)  # pruned (block-max) path
         else:
-            stats = self.stats_for(query)
-            parts = []
+            docids, keys = self._execute(query, self.view, self.stats_for(query))
+            if sort_field is not None:
+                keys = np.empty(docids.size, np.float64)
             facet_acc: dict[str, dict[str, int]] = {}
-            for si, reader in enumerate(self.readers):
-                docids, scores = self._execute(query, reader, stats)
-                if docids.size == 0:
-                    continue
+            for si, local, run in self.view.split(docids):
+                reader = self.readers[si]
                 if sort_field is not None:
                     # order by fast value desc; reported score = the value
                     # cast to float (search.rs:67-77)
-                    scores = reader.fast_column(sort_field)[docids].astype(np.float64)
-                parts.append((si, docids, scores))
+                    keys[run] = reader.fast_column(sort_field)[local]
                 if search.facets:
-                    self._accumulate_facets(reader, docids, search.facets, facet_acc)
-            hits = self._merge(parts, limit)
+                    self._accumulate_facets(reader, local, search.facets, facet_acc)
+            hits = self._hits(docids, keys, limit)
         for h in hits:
             h.doc = self._fetch_doc(h.doc_id)
         facets: list[dict] = []
@@ -378,24 +396,22 @@ class Searcher:
     def facet_counts(
         self, q: Query | str | dict, facets: dict[str, list[str]]
     ) -> list[dict]:
-        """Standalone facet counting (one execute per segment)."""
+        """Standalone facet counting (one query evaluation)."""
         by_field = self.facet_counts_by_field(q, facets)
         return [row for field in facets for row in by_field[field]]
 
     def facet_counts_by_field(
         self, q: Query | str | dict, facets: dict[str, list[str]]
     ) -> dict[str, list[dict]]:
-        """All requested facet fields in ONE query evaluation per segment
-        (the multi-collector contract — a request with F fields must not
+        """All requested facet fields in ONE query evaluation (the
+        multi-collector contract — a request with F fields must not
         cost F executions), keyed per field so cross-field equal paths
         cannot collapse when summed by a caller."""
         query = self._resolve(q)
-        stats = self.stats_for(query)
+        docids, _ = self._execute(query, self.view, self.stats_for(query))
         acc: dict[str, dict[str, int]] = {}
-        for reader in self.readers:
-            docids, _ = self._execute(query, reader, stats)
-            if docids.size:
-                self._accumulate_facets(reader, docids, facets, acc)
+        for si, local, _run in self.view.split(docids):
+            self._accumulate_facets(self.readers[si], local, facets, acc)
         return {
             field: [{"term": term, "count": cnt}
                     for term, cnt in sorted(acc.get(field, {}).items())]

@@ -10,13 +10,11 @@ Behavioral spec from the reference's golden assertion
 from __future__ import annotations
 
 import html
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from rayfts.analysis.analyzer import Analyzer
+from rayfts.analysis.analyzer import _TOKEN_RE, Analyzer  # noqa: F401 (tests import it here)
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 MAX_CHARS = 150
 
 
@@ -31,39 +29,36 @@ class SnippetGenerator:
         surfaces that as a missing snippet)."""
         if not text:
             return ""
-        spans = []  # (start, end, weight) of matched raw tokens
-        starts, ends = [], []  # every token, for fragment boundaries
-        analyzed_of: dict[str, list[str]] = {}  # each distinct token once
-        limit = self.analyzer.spec.remove_long
-        for m in _TOKEN_RE.finditer(text):
-            tok = m.group(0)
-            if limit is not None and len(tok.encode("utf-8")) >= limit:
-                continue
-            starts.append(m.start())
-            ends.append(m.end())
-            analyzed = analyzed_of.get(tok)
-            if analyzed is None:
-                analyzed = analyzed_of[tok] = self.analyzer.tokens(tok)
-            if analyzed and analyzed[0] in self.terms:
-                spans.append((m.start(), m.end(), self.terms[analyzed[0]]))
+        # every kept token, analyzed in one pass, with its character span
+        toks, starts, ends = self.analyzer.token_spans(text)
+        terms = self.terms
+        spans = [(ss, se, terms[t]) for t, ss, se in zip(toks, starts, ends)
+                 if t in terms]  # (start, end, weight) of matched tokens
         if not spans:
             return ""
         # choose the token-aligned window of <= max_chars (code points)
-        # with the best summed weight of *distinct* matched terms; tokens
-        # and spans are sorted and disjoint, so both ends are a bisect
+        # with the best summed weight of *distinct* matched terms; the
+        # first best window wins. Tokens and spans are sorted and
+        # disjoint, so a window's spans are the range [lo, hi) found by
+        # bisect, and only a window whose range differs from the previous
+        # window's can score differently
         span_starts = [ss for ss, _se, _w in spans]
-        best = None
+        keys = [text[ss:se].lower() for ss, se, _w in spans]
+        best, scored = None, None
         for wi, ws in enumerate(starts):
             last = bisect_right(ends, ws + self.max_chars) - 1
             frag_end = ends[last] if last >= wi else ws
+            lo = bisect_left(span_starts, ws)
+            hi = bisect_left(span_starts, frag_end, lo)
+            if (lo, hi) == scored:
+                continue
+            scored = (lo, hi)
             seen: set[str] = set()
             score = 0.0
-            lo = bisect_left(span_starts, ws)
-            for ss, se, w in spans[lo:bisect_left(span_starts, frag_end, lo)]:
-                key = text[ss:se].lower()
-                if key not in seen:
-                    seen.add(key)
-                    score += w
+            for i in range(lo, hi):
+                if keys[i] not in seen:
+                    seen.add(keys[i])
+                    score += spans[i][2]
             if best is None or score > best[0]:
                 best = (score, ws, frag_end)
         _, fs, fe = best

@@ -137,6 +137,30 @@ def test_merged_away_readers_leave_the_cache(tmp_path):
     assert all(os.path.isdir(p) for p in live)
 
 
+def test_dropped_catalog_frees_its_readers(tmp_path):
+    """A catalog, its handles and their cached searchers form no
+    reference cycle: once they are dropped, their readers leave the cache
+    without the cyclic garbage collector."""
+    def live() -> int:
+        return sum(r.path.startswith(str(tmp_path) + os.sep)
+                   for r in list(segment._LIVE_READERS.values()))
+
+    gc.collect()
+    gc.disable()
+    try:
+        cat = IndexCatalog(str(tmp_path), auto_merge_min=0)
+        h = cat.create_index("d", SCHEMA)
+        rng = np.random.default_rng(5)
+        for c in range(2):
+            h.add_documents(_docs(rng, c, 3))
+        assert h.query("alpha beta gamma")
+        assert cat.open("d") is h and live() == 2
+        del cat, h
+        assert live() == 0
+    finally:
+        gc.enable()
+
+
 def _write_docs(path: str, docs: list[dict]) -> str:
     pq.write_table(pa.Table.from_pylist(docs), path)
     return path
