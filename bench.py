@@ -734,8 +734,8 @@ def _merge_shard_balance(index_dir: str, num_shards: int = 8) -> dict:
     import numpy as np
 
     from rayfts.index import manifest as mf
-    from rayfts.index.merge import _pa_lower_bound, plan_merge_shards
-    from rayfts.index.segment import SegmentReader
+    from rayfts.index.merge import plan_merge_shards
+    from rayfts.index.segment import SegmentReader, lower_bound
 
     man = mf.read_manifest(index_dir)
     readers = [SegmentReader(mf.segment_path(index_dir, s.segment_id),
@@ -747,8 +747,8 @@ def _merge_shard_balance(index_dir: str, num_shards: int = 8) -> dict:
         for r in readers:
             d = r.term_dict(s["field"])
             arr = d["terms_pa"]
-            lo = 0 if s["lo"] is None else _pa_lower_bound(arr, s["lo"])
-            hi = len(arr) if s["hi"] is None else _pa_lower_bound(arr, s["hi"])
+            lo = 0 if s["lo"] is None else lower_bound(arr, s["lo"])
+            hi = len(arr) if s["hi"] is None else lower_bound(arr, s["hi"])
             tot += int(d["post_len"][lo:hi].astype(np.int64).sum()
                        + d["pos_len"][lo:hi].astype(np.int64).clip(0).sum())
         sizes.append(tot)

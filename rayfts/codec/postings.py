@@ -57,10 +57,19 @@ class PostingList:
     docids: np.ndarray  # uint32, sorted ascending, segment-local
     tfs: np.ndarray  # uint32, >= 1
     skips: np.ndarray  # structured _SKIP_DTYPE array (decode only)
+    # uint32 absolute positions of every posting, concatenated in docid
+    # order (posting i's run is tfs[i] long); a reader's cache fills it on
+    # the list's first phrase use and drops it when it evicts the list
+    positions: np.ndarray | None = None
 
     @property
     def doc_freq(self) -> int:
         return int(self.docids.size)
+
+    @property
+    def nbytes(self) -> int:
+        pos = 0 if self.positions is None else self.positions.nbytes
+        return self.docids.nbytes + self.tfs.nbytes + pos
 
 
 def encode_postings_batch(
@@ -185,6 +194,18 @@ def decode_postings(buf: bytes | memoryview | np.ndarray) -> PostingList:
     docids = np.cumsum(deltas, dtype=np.uint64).astype(np.uint32)
     tfm1 = decode_varints(raw[docid_end : docid_end + int(tf_bytes)], count=n)
     return PostingList(docids=docids, tfs=(tfm1 + 1).astype(np.uint32), skips=skips)
+
+
+def decode_positions(buf: np.ndarray, tfs: np.ndarray) -> np.ndarray:
+    """Decode one term's position stream (runs of ``tfs[i]`` varint
+    deltas per posting, each run's first value absolute) into uint32
+    absolute positions, concatenated in docid order."""
+    ends = np.cumsum(tfs, dtype=np.int64)
+    deltas = decode_varints(buf, count=int(ends[-1]) if ends.size else 0)
+    c = np.cumsum(deltas)
+    starts = ends - tfs
+    base = c[starts] - deltas[starts]
+    return (c - np.repeat(base, tfs)).astype(np.uint32)
 
 
 def decode_skips(buf: bytes | memoryview | np.ndarray) -> tuple[int, np.ndarray]:

@@ -48,6 +48,7 @@ from rayfts.index.segment import (
     TERMS_FILE,
     SegmentInfo,
     SegmentReader,
+    lower_bound,
     write_facet_sidecar,
 )
 from rayfts.codec.postings import encode_postings_batch
@@ -104,19 +105,6 @@ def _terms_slice(d: dict, lo: int, hi: int) -> np.ndarray:
     if lo == 0 and hi == len(arr):
         return d["terms"]  # full range: materialize once, cache for reuse
     return np.asarray(arr[lo:hi].to_pylist(), dtype=object)
-
-
-def _pa_lower_bound(arr: pa.Array | pa.ChunkedArray, term: str) -> int:
-    """Leftmost index with ``arr[i] >= term`` (binary search over the
-    Arrow array — no bulk string materialization)."""
-    lo, hi = 0, len(arr)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arr[mid].as_py() < term:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _scatter_spans(dst_offs, src_starts, lens):
@@ -479,8 +467,8 @@ def _merge_shard_task(
         ranges = []
         for r in readers:
             arr = r.term_dict(field)["terms_pa"]
-            o_lo = 0 if lo is None else _pa_lower_bound(arr, lo)
-            o_hi = len(arr) if hi is None else _pa_lower_bound(arr, hi)
+            o_lo = 0 if lo is None else lower_bound(arr, lo)
+            o_hi = len(arr) if hi is None else lower_bound(arr, hi)
             ranges.append((o_lo, o_hi))
         norms_concat = np.concatenate([r.norms(field) for r in readers])
         res = _merge_field_range(readers, fdef, offsets, norms_concat, ranges)

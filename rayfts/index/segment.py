@@ -54,7 +54,8 @@ import pyarrow.parquet as pq
 
 from rayfts.analysis.analyzer import Analyzer
 from rayfts.codec.fieldnorm import FieldNormCodec
-from rayfts.codec.postings import PostingList, decode_postings, encode_postings_batch
+from rayfts.codec.postings import (
+    PostingList, decode_positions, decode_postings, encode_postings_batch)
 from rayfts.codec.varint import decode_varints, encode_varints, varint_lengths
 from rayfts.index.schema import FACET, IndexSchema, TEXT
 
@@ -66,6 +67,29 @@ STORE_FILE = "store.parquet"
 META_FILE = "segment.json"
 FACETS_FILE = "facets.parquet"       # per-field facet path dictionary
 FACET_CODES_FILE = "facet_codes.npz"  # per-field int32 code per local docid
+
+
+def lower_bound(arr: pa.Array, term: str) -> int:
+    """Leftmost index with ``arr[i] >= term`` in a sorted string array.
+    Bisects over UTF-8 bytes sliced straight from the array's offsets and
+    data buffers (byte order is code point order), so it neither
+    materializes the vocabulary nor boxes an Arrow scalar per step."""
+    n = len(arr)
+    _, offs_buf, data_buf = arr.buffers()
+    width = 8 if pa.types.is_large_string(arr.type) else 4
+    offs = memoryview(offs_buf)[arr.offset * width : (arr.offset + n + 1) * width]
+    offs = offs.cast("q" if width == 8 else "i")
+    data = memoryview(data_buf) if data_buf is not None else memoryview(b"")
+    key = term.encode("utf-8")
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if data[offs[mid] : offs[mid + 1]].tobytes() < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
 
 
 @dataclass
@@ -449,13 +473,13 @@ class SegmentReader:
         self._terms_table: pa.Table | None = None
         self._facets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._decoded_norms: dict[str, np.ndarray] = {}
-        # serving caches: decoded hot posting lists (LRU by posting count —
-        # repeated terms across a query stream decode once per segment) and
-        # term->ordinal lookups (binary search over an object array is a
-        # measurable per-query cost; None misses are cached too)
+        # serving caches: decoded hot posting lists with the positions of
+        # those a phrase used (LRU by bytes — repeated terms across a query
+        # stream decode once per segment) and term->ordinal lookups (None
+        # misses are cached too)
         self._postings_cache: "OrderedDict[tuple[str, int], PostingList]" = OrderedDict()
-        self._postings_cached_docs = 0
-        self.postings_cache_max_docs = 8_000_000  # ~64 MiB of uint32 pairs
+        self._postings_cached_bytes = 0
+        self.postings_cache_max_bytes = 64 << 20
         self._ordinal_cache: dict[tuple[str, str], int | None] = {}
 
     # -- lazy loads ----------------------------------------------------
@@ -501,25 +525,9 @@ class SegmentReader:
         cached = self._ordinal_cache.get(key, _MISSING)
         if cached is not _MISSING:
             return cached
-        e = self._terms(field)
-        # bisect over the Arrow string array (no bulk string
-        # materialization on the point-lookup path — a vocabulary of 10^6
-        # terms is 10^6 PyStrings the searcher would never need); fall
-        # back to the numpy array if a range or merge scan already built it
-        arr_np = e.get("terms")
-        if arr_np is not None:
-            i = int(np.searchsorted(arr_np, term))
-            out = i if i < arr_np.size and arr_np[i] == term else None
-        else:
-            arr = e["terms_pa"]
-            lo, hi = 0, len(arr)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if arr[mid].as_py() < term:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            out = lo if lo < len(arr) and arr[lo].as_py() == term else None
+        arr = self._terms(field)["terms_pa"]
+        i = lower_bound(arr, term)
+        out = i if i < len(arr) and arr[i].as_py() == term else None
         if len(self._ordinal_cache) < 1_000_000:
             self._ordinal_cache[key] = out
         return out
@@ -545,11 +553,18 @@ class SegmentReader:
         off, ln = int(e["post_off"][ordinal]), int(e["post_len"][ordinal])
         pl = decode_postings(self._postings_buf()[off : off + ln])
         cache[key] = pl
-        self._postings_cached_docs += pl.doc_freq
-        while self._postings_cached_docs > self.postings_cache_max_docs and cache:
-            _, old = cache.popitem(last=False)
-            self._postings_cached_docs -= old.doc_freq
+        self._postings_cached_bytes += pl.nbytes
+        self._evict()
         return pl
+
+    def _evict(self) -> None:
+        """Drop least recently used lists, with their positions, until the
+        posting cache fits its byte budget."""
+        cache = self._postings_cache
+        while self._postings_cached_bytes > self.postings_cache_max_bytes and cache:
+            _, old = cache.popitem(last=False)
+            self._postings_cached_bytes -= old.nbytes
+            old.positions = None
 
     def all_postings(
         self, field: str, ord_range: tuple[int, int] | None = None
@@ -606,31 +621,24 @@ class SegmentReader:
         docids = (c - np.repeat(base, dfs)).astype(np.uint32)
         return docids, (tfm1 + 1).astype(np.uint32), starts, ends
 
-    def positions_flat(
-        self, field: str, ordinal: int, tfs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode ALL position lists of a term in one vectorized pass.
-        Returns ``(flat, starts, ends)``: absolute positions concatenated in
-        docid order; posting i's positions are ``flat[starts[i]:ends[i]]``.
-        ``tfs`` = the posting list's tf array (run boundaries)."""
+    def term_positions(self, field: str, ordinal: int) -> tuple[PostingList, np.ndarray]:
+        """A term's posting list and its uint32 absolute positions
+        (``PostingList.positions``). Positions decode once per cached
+        list: they stay on it, count against the posting cache's byte
+        budget and leave with it."""
+        pl = self.postings_by_ordinal(field, ordinal)
+        if pl.positions is not None:
+            return pl, pl.positions
         e = self._terms(field)
         off, ln = int(e["pos_off"][ordinal]), int(e["pos_len"][ordinal])
         if off < 0:
             raise ValueError(f"field {field!r} has no positions (record != 'position')")
-        ends = np.cumsum(tfs.astype(np.int64))
-        deltas = decode_varints(
-            self._positions_buf()[off : off + ln], count=int(ends[-1]) if ends.size else 0
-        ).astype(np.int64)
-        starts = ends - tfs
-        c = np.cumsum(deltas)
-        base = c[starts] - deltas[starts]
-        flat = c - np.repeat(base, tfs.astype(np.int64))
-        return flat, starts, ends
-
-    def positions(self, field: str, ordinal: int, tfs: np.ndarray) -> list[np.ndarray]:
-        """Per-posting position arrays (convenience over positions_flat)."""
-        flat, starts, ends = self.positions_flat(field, ordinal, tfs)
-        return [flat[a:b] for a, b in zip(starts, ends)]
+        positions = decode_positions(self._positions_buf()[off : off + ln], pl.tfs)
+        if self._postings_cache.get((field, ordinal)) is pl:
+            pl.positions = positions
+            self._postings_cached_bytes += positions.nbytes
+            self._evict()
+        return pl, positions
 
     def term_dict(self, field: str) -> dict:
         """Expose the term dictionary arrays of a field (for range scans,

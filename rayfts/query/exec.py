@@ -107,7 +107,13 @@ def _exec_term(q: Term, seg: SegmentReader | SegmentsView, stats: GlobalStats) -
 def _exec_phrase(q: Phrase, seg: SegmentReader, stats: GlobalStats) -> Matches:
     """Position-list intersection: doc matches if the terms occur at
     consecutive positions. tf = number of phrase occurrences; idf = sum of
-    the member terms' idfs (SURVEY §8.2 phrase weight)."""
+    the member terms' idfs (SURVEY §8.2 phrase weight).
+
+    Each term's occurrences are ``docid << 32 | position`` keys built from
+    the reader's cached positions. Candidates start as the rarest term's
+    keys, anchored at the phrase start, and each other term, in order of
+    frequency, keeps those its occurrences continue (Koios: filter with the
+    most selective list, then verify)."""
     if not q.terms:
         return _EMPTY
     ordinals = []
@@ -116,50 +122,45 @@ def _exec_phrase(q: Phrase, seg: SegmentReader, stats: GlobalStats) -> Matches:
         if o is None:
             return _EMPTY
         ordinals.append(o)
-    pls = [seg.postings_by_ordinal(q.field, o) for o in ordinals]
-    common = pls[0].docids
-    for pl in pls[1:]:
-        common = np.intersect1d(common, pl.docids, assume_unique=True)
-    if common.size == 0:
-        return _EMPTY
-    # fully vectorized phrase matching on fused (doc_rank << 32 | position)
-    # keys: one intersect1d per phrase term instead of a Python loop over
-    # candidate docs (decisive for stop-word phrases with 10^5+ candidates)
-    _keys_cache: dict[int, np.ndarray] = {}
-
-    def fused_keys(pl, o) -> np.ndarray:
-        cached = _keys_cache.get(o)  # repeated terms ("the the") decode once
-        if cached is not None:
-            return cached
-        flat, starts, ends = seg.positions_flat(q.field, o, pl.tfs)
-        sel = np.searchsorted(pl.docids, common)
-        lens = (ends[sel] - starts[sel]).astype(np.int64)
-        total = int(lens.sum())
-        offs = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        take = np.repeat(starts[sel], lens) + (np.arange(total) - np.repeat(offs, lens))
-        doc_rank = np.repeat(np.arange(sel.size, dtype=np.int64), lens)
-        out = (doc_rank << np.int64(32)) | flat[take]
-        _keys_cache[o] = out
-        return out
-
-    # expected position of term j = p0 + (ordinal_j - ordinal_0); offsets
+    # expected position of term j = phrase start + offsets[j]; offsets
     # default to consecutive but carry analyzer gaps (dropped tokens)
-    offs = q.offsets if q.offsets is not None else tuple(range(len(q.terms)))
-    cand = fused_keys(pls[0], ordinals[0])
-    for j in range(1, len(pls)):
-        gap = np.int64(offs[j] - offs[j - 1])
-        cand = np.intersect1d(cand + gap, fused_keys(pls[j], ordinals[j]), assume_unique=True)
+    offs = q.offsets if q.offsets is not None else range(len(q.terms))
+    shifts = [np.int64(o - offs[0]) for o in offs]
+    total_tf = seg.term_dict(q.field)["total_tf"]
+    order = sorted(range(len(ordinals)), key=lambda j: total_tf[ordinals[j]])
+    keys: dict[int, np.ndarray] = {}  # repeated terms ("the the") build once
+
+    def term_keys(o: int) -> np.ndarray:
+        k = keys.get(o)
+        if k is None:
+            pl, positions = seg.term_positions(q.field, o)
+            docs = np.repeat(pl.docids.astype(np.int64) << np.int64(32), pl.tfs)
+            k = keys[o] = docs | positions
+        return k
+
+    cand = term_keys(ordinals[order[0]]) - shifts[order[0]]
+    for j in order[1:]:
+        cand = _sorted_common(cand + shifts[j], term_keys(ordinals[j])) - shifts[j]
         if cand.size == 0:
             return _EMPTY
-    phrase_tfs = np.bincount(cand >> np.int64(32), minlength=common.size).astype(np.uint32)
-    keep = phrase_tfs > 0
-    docids = common[keep].astype(np.uint32)
-    if docids.size == 0:
-        return _EMPTY
+    # survivors are sorted: phrase tf = run length of each docid
+    docs = cand >> np.int64(32)
+    starts = np.flatnonzero(np.diff(docs, prepend=np.int64(-1)))
+    phrase_tfs = np.diff(np.append(starts, docs.size))
+    docids = docs[starts].astype(np.uint32)
     total_idf = sum(stats.idf(q.field, t) for t in q.terms)
     dls = seg.decoded_norms(q.field)[docids]
-    scores = bm25.score(phrase_tfs[keep], dls, stats.avgdl[q.field], total_idf)
+    scores = bm25.score(phrase_tfs, dls, stats.avgdl[q.field], total_idf)
     return docids, scores
+
+
+def _sorted_common(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The values of ``a`` also in ``b``; both sorted and duplicate-free.
+    A stable sort of the two runs is one merge, and it puts each match
+    next to its twin."""
+    s = np.concatenate([a, b])
+    s.sort(kind="stable")
+    return s[:-1][s[1:] == s[:-1]]
 
 
 def _exec_bool(q: Bool, seg: SegmentReader | SegmentsView, stats: GlobalStats) -> Matches:
