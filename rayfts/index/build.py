@@ -275,6 +275,26 @@ def _default_read_columns(
     return out
 
 
+def _parquet_paths(source: str | list[str]) -> list[str]:
+    """Parquet files named by a path or a list of paths (a directory
+    contributes its ``*.parquet`` files), sorted."""
+    paths = []
+    for p in ([source] if isinstance(source, str) else source):
+        if os.path.isdir(p):
+            paths.extend(os.path.join(p, f) for f in os.listdir(p)
+                         if f.endswith(".parquet"))
+        else:
+            paths.append(p)
+    return sorted(paths)
+
+
+def _cluster_cpus() -> int:
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
+
+
 def build_index(
     source,
     index_dir: str,
@@ -309,23 +329,10 @@ def build_index(
         raise ValueError("partition_mode='input' requires parquet path(s)")
 
     if is_paths:
-        paths = []
-        for p in ([source] if isinstance(source, str) else source):
-            if os.path.isdir(p):
-                paths.extend(
-                    os.path.join(p, f)
-                    for f in sorted(os.listdir(p)) if f.endswith(".parquet")
-                )
-            else:
-                paths.append(p)
-        paths.sort()
+        paths = _parquet_paths(source)
     else:
         ds = source
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
+    cpus = _cluster_cpus()
 
     if partition_mode == "input":
         import pyarrow.parquet as pq
@@ -361,51 +368,30 @@ def build_index(
     if is_paths:
         ds = ray.data.read_parquet(paths, columns=columns)
 
-    # open-or-create; num_segments is PINNED in build_params at index
-    # creation: hash-mode routing is `hash(key) % num_segments`, so a
-    # resume that re-derived it from the (different) cluster size would
-    # re-route every row, empty the done-set, and silently drop/duplicate
-    # documents when rebuilt segment ids collide with committed ones
-    if mf.manifest_exists(index_dir):
-        manifest = mf.read_manifest(index_dir)
-        adopted = mf.recover_orphan_segments(index_dir, manifest)
-        if adopted:
-            logger.info("recovered %d orphan segment checkpoints", len(adopted))
-        if manifest.segments and not resume:
-            raise ValueError(f"index at {index_dir} already has segments and resume=False")
-        pinned = manifest.build_params.get("num_segments")
-        if pinned is not None:
-            if num_segments is not None and int(num_segments) != int(pinned):
-                raise ValueError(
-                    f"num_segments={num_segments} conflicts with the value "
-                    f"pinned at index creation ({pinned}); hash-mode segment "
-                    "routing cannot change across resumes"
-                )
-            num_segments = int(pinned)
-        elif num_segments is None:
-            num_segments = max(2 * cpus, 8)
-        if not manifest.build_params:
-            manifest.build_params = {
-                "partition_mode": "hash", "num_segments": int(num_segments)
-            }
-            mf.write_manifest(index_dir, manifest)
-        done = {
-            s.lineage.get("seg_mod")
-            for s in manifest.segments
-            if s.lineage.get("num_segments") == num_segments
-        }
-        if set(range(num_segments)) <= done:
-            logger.info("build_index: all %d segments committed; nothing to do", num_segments)
-            return manifest
-    else:
-        if num_segments is None:
-            num_segments = max(2 * cpus, 8)
-        manifest = mf.Manifest(
-            name=index_name, schema=schema,
-            build_params={"partition_mode": "hash", "num_segments": int(num_segments)},
+    # num_segments is PINNED in build_params at index creation: hash-mode
+    # routing is `hash(key) % num_segments`, so a resume that re-derived it
+    # from the (different) cluster size would re-route every row, empty the
+    # done-set, and silently drop/duplicate documents when rebuilt segment
+    # ids collide with committed ones
+    params = {"partition_mode": "hash",
+              "num_segments": int(num_segments or max(2 * cpus, 8))}
+    manifest = _open_for_build(index_dir, index_name, schema, resume, params)
+    pinned = int(manifest.build_params.get("num_segments", params["num_segments"]))
+    if num_segments is not None and int(num_segments) != pinned:
+        raise ValueError(
+            f"num_segments={num_segments} conflicts with the value "
+            f"pinned at index creation ({pinned}); hash-mode segment "
+            "routing cannot change across resumes"
         )
-        mf.write_manifest(index_dir, manifest)
-        done = set()
+    num_segments = pinned
+    done = {
+        s.lineage.get("seg_mod")
+        for s in manifest.segments
+        if s.lineage.get("num_segments") == num_segments
+    }
+    if set(range(num_segments)) <= done:
+        logger.info("build_index: all %d segments committed; nothing to do", num_segments)
+        return manifest
 
     ds = ds.map_batches(
         make_prep_fn(content_col, key_cols, num_segments),
@@ -437,30 +423,52 @@ def build_index(
     return _commit_stream(infos_ds, index_dir, t0)
 
 
+def _open_for_build(
+    index_dir: str, index_name: str, schema: IndexSchema, resume: bool,
+    build_params: dict,
+) -> mf.Manifest:
+    """Open-or-create the index for a build, in one commit: adopt orphan
+    segment checkpoints, refuse to build over committed segments unless
+    resuming, and pin ``build_params`` if none are pinned yet."""
+
+    def open_or_create(manifest: mf.Manifest | None) -> mf.Manifest:
+        if manifest is None:
+            return mf.Manifest(name=index_name, schema=schema,
+                               build_params=build_params)
+        adopted = mf.recover_orphan_segments(index_dir, manifest)
+        if adopted:
+            logger.info("recovered %d orphan segment checkpoints", len(adopted))
+        if manifest.segments and not resume:
+            raise ValueError(f"index at {index_dir} already has segments and resume=False")
+        manifest.build_params = manifest.build_params or build_params
+        return manifest
+
+    return mf.commit(index_dir, open_or_create)
+
+
 def _commit_stream(infos_ds, index_dir: str, t0: float) -> mf.Manifest:
     """Stream segment infos and commit INCREMENTALLY: every completed
     partition becomes durable as soon as its info arrives, so a crashed
     driver/build loses only in-flight partitions (checkpoint semantics)."""
     import json as _json
 
-    new_count = 0
     for batch in infos_ds.iter_batches(batch_size=64, batch_format="pyarrow"):
         infos = [
             SegmentInfo.from_json(_json.loads(s)) for s in batch["info"].to_pylist()
         ]
-        manifest = mf.read_manifest(index_dir)
-        fresh = sorted(
-            (i for i in infos if i.segment_id not in manifest.segment_ids()),
-            key=lambda i: i.segment_id,
-        )
-        if fresh:
-            manifest.add_segments(fresh)
-            mf.write_manifest(index_dir, manifest)
-            new_count += len(fresh)
+
+        def register(manifest: mf.Manifest) -> mf.Manifest | None:
+            fresh = sorted(
+                (i for i in infos if i.segment_id not in manifest.segment_ids()),
+                key=lambda i: i.segment_id,
+            )
+            return manifest.add_segments(fresh) if fresh else None
+
+        mf.commit(index_dir, register)
     manifest = mf.read_manifest(index_dir)
     logger.info(
-        "build_index: %d segments (%d new) %d docs in %.1fs",
-        len(manifest.segments), new_count, manifest.num_docs, time.time() - t0,
+        "build_index: %d segments %d docs in %.1fs",
+        len(manifest.segments), manifest.num_docs, time.time() - t0,
     )
     return manifest
 
@@ -478,26 +486,11 @@ def _build_from_units(
     read_columns: list[str] | None,
     t0: float,
     fail_ordinals: frozenset[int] = frozenset(),
-    build_params: dict | None = None,
+    build_params: dict,
 ) -> mf.Manifest:
     """Zero-shuffle build: one planned unit -> one segment -> one task."""
-    if mf.manifest_exists(index_dir):
-        manifest = mf.read_manifest(index_dir)
-        adopted = mf.recover_orphan_segments(index_dir, manifest)
-        if adopted:
-            logger.info("recovered %d orphan segment checkpoints", len(adopted))
-        if manifest.segments and not resume:
-            raise ValueError(f"index at {index_dir} already has segments and resume=False")
-        if build_params and not manifest.build_params:
-            manifest.build_params = build_params
-            mf.write_manifest(index_dir, manifest)
-        done = manifest.segment_ids()
-    else:
-        manifest = mf.Manifest(name=index_name, schema=schema,
-                               build_params=build_params or {})
-        mf.write_manifest(index_dir, manifest)
-        done = set()
-
+    manifest = _open_for_build(index_dir, index_name, schema, resume, build_params)
+    done = manifest.segment_ids()
     fail_ids = frozenset(
         u["segment_id"] for i, u in enumerate(units) if i in fail_ordinals
     )
@@ -505,7 +498,7 @@ def _build_from_units(
     if done:
         logger.info("resume: %d/%d units already committed", len(units) - len(todo), len(units))
     if not todo:
-        return mf.read_manifest(index_dir)
+        return manifest
 
     units_ds = ray.data.from_items(todo, override_num_blocks=len(todo))
     infos_ds = units_ds.map_batches(
@@ -545,36 +538,15 @@ def append_to_index(
 
     manifest = mf.read_manifest(index_dir)
     schema = manifest.schema
-    fieldnorm_codec = FieldNormCodec.TANTIVY_LIKE
     ordered = manifest.ordered_segments()
-    if ordered:
-        seg_json = os.path.join(
-            mf.segment_path(index_dir, ordered[0].segment_id), "segment.json")
-        try:
-            with open(seg_json) as f:
-                fieldnorm_codec = _json.load(f).get(
-                    "fieldnorm_codec", fieldnorm_codec)
-        except OSError:
-            pass
+    fieldnorm_codec = (ordered[0].fieldnorm_codec if ordered
+                       else FieldNormCodec.TANTIVY_LIKE)
 
-    is_paths = isinstance(source, (str, list))
-    if is_paths:
-        paths = []
-        for p in ([source] if isinstance(source, str) else source):
-            if os.path.isdir(p):
-                paths.extend(os.path.join(p, f) for f in sorted(os.listdir(p))
-                             if f.endswith(".parquet"))
-            else:
-                paths.append(p)
-        ds = ray.data.read_parquet(sorted(paths), columns=columns)
+    if isinstance(source, (str, list)):
+        ds = ray.data.read_parquet(_parquet_paths(source), columns=columns)
     else:
         ds = source
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    n_new = int(num_new_segments or max(1, cpus // 2))
+    n_new = int(num_new_segments or max(1, _cluster_cpus() // 2))
 
     existing = manifest.segment_ids()
     max_id = max(existing) if existing else "seg-000000"
@@ -606,9 +578,6 @@ def append_to_index(
         build_block, batch_format="pyarrow", batch_size=None)
     infos = [SegmentInfo.from_json(_json.loads(r["info"]))
              for r in infos_ds.take_all()]
-    # re-read before the swap: committed segment dirs are durable, the
-    # manifest bump is the atomic commit point
-    manifest = mf.read_manifest(index_dir)
-    manifest.add_segments(infos)
-    mf.write_manifest(index_dir, manifest)
-    return manifest
+    # committed segment dirs are durable; the manifest commit is the
+    # atomic commit point
+    return mf.commit(index_dir, lambda m: m.add_segments(infos))

@@ -36,7 +36,6 @@ class Index:
         self.name = name
         self.path = os.path.join(catalog.root, name)
         self._searcher: Searcher | None = None
-        self._searcher_version: int = -1
 
     @property
     def manifest(self) -> mf.Manifest:
@@ -49,9 +48,8 @@ class Index:
         readers, so it reuses them for every unchanged segment and opens
         only the commit's new or merged segments."""
         m = self.manifest
-        if self._searcher is None or m.version != self._searcher_version:
+        if self._searcher is None or m.version != self._searcher.manifest.version:
             self._searcher = Searcher(self.path, manifest=m)
-            self._searcher_version = m.version
         return self._searcher
 
     # -- write path ----------------------------------------------------
@@ -109,25 +107,23 @@ class Index:
             fieldnorm_codec=self.catalog.fieldnorm_codec,
             lineage={"source": "add_documents", "rows": table.num_rows},
         )
-        m.add_segments([info])
-        mf.write_manifest(self.path, m)
-        self._maybe_auto_merge()
+        self._maybe_auto_merge(mf.commit(self.path, lambda m: m.add_segments([info])))
         return info
 
-    def _maybe_auto_merge(self) -> None:
+    def _maybe_auto_merge(self, m: mf.Manifest) -> None:
         """Post-commit merge check — the reference gets this from tantivy's
         background LogMergePolicy (``main.rs:7-17`` design notes); here the
         same tiered policy runs synchronously in-process when a level
         accumulates ``catalog.auto_merge_min`` contiguous segments. Query
         results are invariant across the swap (merge preserves docid
-        order), mirroring ReloadPolicy::OnCommit visibility."""
+        order), mirroring ReloadPolicy::OnCommit visibility. ``m`` is the
+        manifest the commit just wrote."""
         min_merge = self.catalog.auto_merge_min
         if not min_merge:
             return
         from rayfts.index.merge import (commit_merge, merge_segment_group,
                                         plan_log_merge_groups)
 
-        m = self.manifest
         groups = plan_log_merge_groups(
             m.ordered_segments(), min_merge=min_merge, max_merge=2 * min_merge
         )
@@ -136,15 +132,13 @@ class Index:
         infos = [
             merge_segment_group(self.path, m.schema.to_json(), g) for g in groups
         ]
-        commit_merge(self.path, m, groups, infos)
+        commit_merge(self.path, groups, infos)
 
     def add_segments(self, infos: list[SegmentInfo]) -> None:
         """Register segments built elsewhere (their directories must already
         sit under this index's segments/ dir) — metadata-only commit, the
         reference's scale-out primitive (``test/segments.js:27-40``)."""
-        m = self.manifest
-        m.add_segments(infos)
-        mf.write_manifest(self.path, m)
+        mf.commit(self.path, lambda m: m.add_segments(infos))
 
     def segment_info(self) -> list[dict]:
         return [s.to_json() for s in self.manifest.segments]
@@ -177,10 +171,14 @@ class IndexCatalog:
         if not isinstance(schema, IndexSchema):
             schema = IndexSchema.from_json(schema)
         path = os.path.join(self.root, name)
-        if mf.manifest_exists(path):
-            raise ValueError(f"index {name!r} already exists")
+
+        def create(m: mf.Manifest | None) -> mf.Manifest:
+            if m is not None:
+                raise ValueError(f"index {name!r} already exists")
+            return mf.Manifest(name=name, schema=schema)
+
         os.makedirs(mf.segments_dir(path), exist_ok=True)
-        mf.write_manifest(path, mf.Manifest(name=name, schema=schema))
+        mf.commit(path, create)
         return self.open(name)
 
     def index_exists(self, name: str) -> bool:

@@ -17,15 +17,18 @@ committed segments.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 from rayfts.index.schema import IndexSchema
 from rayfts.index.segment import SegmentInfo
 
 MANIFEST_FILE = "manifest.json"
+LOCK_FILE = ".manifest.lock"
 SEGMENTS_DIR = "segments"
 
 
@@ -59,9 +62,10 @@ class Manifest:
     def num_docs(self) -> int:
         return sum(s.num_docs for s in self.segments)
 
-    def add_segments(self, infos: list[SegmentInfo]) -> None:
+    def add_segments(self, infos: list[SegmentInfo]) -> "Manifest":
         """Register foreign/new segments; duplicate ids are rejected
-        (reference semantics: ``index.rs:300-316``)."""
+        (reference semantics: ``index.rs:300-316``). Returns ``self``, so
+        a ``commit`` mutation can be ``lambda m: m.add_segments(infos)``."""
         existing = self.segment_ids()
         for info in infos:
             if info.segment_id in existing:
@@ -69,7 +73,7 @@ class Manifest:
             existing.add(info.segment_id)
             self.segments.append(info)
             self.opstamp += info.num_docs
-        self.version += 1
+        return self
 
     def to_json(self) -> dict:
         return {
@@ -155,17 +159,38 @@ def manifest_exists(index_dir: str) -> bool:
     return os.path.isfile(manifest_path(index_dir))
 
 
-def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentInfo]:
-    """Adopt committed-but-unregistered segment directories.
+def commit(
+    index_dir: str, mutate: Callable[[Manifest | None], Manifest | None]
+) -> Manifest | None:
+    """The one commit point of an index. Under an exclusive ``flock`` on
+    ``LOCK_FILE`` (tantivy's single-writer lock [tantivy 0.18, public]),
+    hand the freshly read manifest (``None`` if none exists) to
+    ``mutate``, which returns the manifest to write or ``None`` to abort;
+    if it raises, nothing is written. Bumps the version and returns the
+    committed manifest (``None`` on abort)."""
+    os.makedirs(index_dir, exist_ok=True)
+    with open(os.path.join(index_dir, LOCK_FILE), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        fresh = read_manifest(index_dir) if manifest_exists(index_dir) else None
+        out = mutate(fresh)
+        if out is None:
+            return None
+        out.version = fresh.version + 1 if fresh is not None else 0
+        write_manifest(index_dir, out)
+        return out
 
-    A segment write is atomic (tmp + rename), so any ``segments/<id>/``
-    directory containing a ``segment.json`` is a complete checkpoint even
-    if the driver died before registering it. This mirrors the reference's
+
+def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentInfo]:
+    """Adopt committed-but-unregistered segment directories into
+    ``manifest``; the caller commits it. A segment write is atomic (tmp +
+    rename), so any ``segments/<id>/`` directory containing a
+    ``segment.json`` is a complete checkpoint even if the driver died
+    before registering it. This mirrors the reference's
     catalog startup scan (every subdir with a meta.json is an index —
     ``index.rs:49-87``) applied at segment granularity; it is what makes a
-    killed build resumable without redoing finished partitions."""
-    import json as _json
-
+    killed build resumable without redoing finished partitions. A merge
+    output (lineage ``merged_from``) left by a merge that died before its
+    swap is skipped: its sources are still registered."""
     seg_root = segments_dir(index_dir)
     if not os.path.isdir(seg_root):
         return []
@@ -178,8 +203,8 @@ def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentI
         if not os.path.isfile(meta):
             continue
         with open(meta) as f:
-            adopted.append(SegmentInfo.from_json(_json.load(f)))
-    if adopted:
-        manifest.add_segments(adopted)
-        write_manifest(index_dir, manifest)
+            info = SegmentInfo.from_json(json.load(f))
+        if "merged_from" not in info.lineage:
+            adopted.append(info)
+    manifest.add_segments(adopted)
     return adopted

@@ -638,29 +638,34 @@ def _merge_group_task(index_dir: str, schema_json: list, source_ids: list[str]) 
 
 
 def commit_merge(
-    index_dir: str, manifest: mf.Manifest, groups: list[list[str]],
-    merged_infos: list[SegmentInfo],
-) -> mf.Manifest:
-    """Swap merged segments into the manifest: keep the segments outside
-    ``groups``, append ``merged_infos``, bump the version, write the
-    manifest atomically, then delete the source segment directories."""
+    index_dir: str, groups: list[list[str]], merged_infos: list[SegmentInfo],
+) -> mf.Manifest | None:
+    """Swap merged segments for their sources in one ``manifest.commit``,
+    then delete the source directories. Compare-and-swap: abort (return
+    ``None``) unless every source is still registered and each group is
+    still contiguous in docid order, and then delete the outputs the
+    manifest does not register (a concurrent merge of the same group
+    builds the same id)."""
     merged_ids = {sid for g in groups for sid in g}
-    keep = [s for s in manifest.segments if s.segment_id not in merged_ids]
-    new_manifest = mf.Manifest(
-        name=manifest.name,
-        schema=manifest.schema,
-        segments=keep + merged_infos,
-        opstamp=manifest.opstamp,
-        version=manifest.version + 1,
-        # build_params carry the hash-routing / unit-size pins that make
-        # resumes cluster-size independent; dropping them here would let a
-        # later resume silently re-ingest everything
-        build_params=manifest.build_params,
-    )
-    mf.write_manifest(index_dir, new_manifest)
-    for sid in merged_ids:
-        shutil.rmtree(mf.segment_path(index_dir, sid), ignore_errors=True)
-    return new_manifest
+
+    def swap(m: mf.Manifest) -> mf.Manifest | None:
+        pos = {s.segment_id: i for i, s in enumerate(m.ordered_segments())}
+        spans = [sorted(pos.get(sid, -1) for sid in g) for g in groups]
+        if all(at[0] >= 0 and at[-1] - at[0] == len(at) - 1 for at in spans):
+            m.segments = [s for s in m.segments if s.segment_id not in merged_ids]
+            m.segments += merged_infos
+            return m
+        for info in merged_infos:
+            if info.segment_id not in pos:
+                shutil.rmtree(mf.segment_path(index_dir, info.segment_id),
+                              ignore_errors=True)
+        return None
+
+    committed = mf.commit(index_dir, swap)
+    if committed is not None:
+        for sid in merged_ids:
+            shutil.rmtree(mf.segment_path(index_dir, sid), ignore_errors=True)
+    return committed
 
 
 def merge_index(index_dir: str, group_size: int = 4) -> mf.Manifest:
@@ -680,7 +685,7 @@ def merge_index(index_dir: str, group_size: int = 4) -> mf.Manifest:
     futs = _submit_group_merges(
         index_dir, manifest.schema.to_json(), groups, seg_by_id)
     merged_infos = [SegmentInfo.from_json(d) for d in ray.get(futs)]
-    return commit_merge(index_dir, manifest, groups, merged_infos)
+    return commit_merge(index_dir, groups, merged_infos) or mf.read_manifest(index_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +762,10 @@ def log_merge_index(
         if os.environ.get("RAYFTS_CRASH_BEFORE_MANIFEST_SWAP"):
             # test hook (kill-and-resume coverage): die in the widest
             # crash window — merged segment dirs committed via tmp+rename,
-            # manifest NOT yet swapped. A rerun must adopt them.
+            # manifest NOT yet swapped. A rerun reuses them.
             import signal
 
             os.kill(os.getpid(), signal.SIGKILL)
-        manifest = commit_merge(index_dir, manifest, groups, merged_infos)
+        manifest = (commit_merge(index_dir, groups, merged_infos)
+                    or mf.read_manifest(index_dir))
     return manifest

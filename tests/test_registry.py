@@ -8,7 +8,9 @@
   ``rayfts.*`` import (lazy ones inside functions too) names a module
   that exists and a name that module binds;
 - ``tools/check_oracle.py`` rejects unknown row names and counts stale
-  oracles as failures.
+  oracles as failures;
+- ``manifest.commit`` is the only caller of ``write_manifest`` in the
+  package, so every manifest change takes the commit lock.
 """
 
 import ast
@@ -97,6 +99,29 @@ def _top_level_names(path):
     return names
 
 
+def _write_manifest_callers(path):
+    """Names of the functions in a file that call ``write_manifest``
+    (``<module>`` for a call outside any function)."""
+    with open(path) as f:
+        tree = ast.parse(f.read(), filename=path)
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name == "write_manifest":
+                    out.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return out
+
+
 def _within(module, prefix):
     return module == prefix or module.startswith(prefix + ".")
 
@@ -112,6 +137,13 @@ def test_search_system_does_not_import_ops():
                                             if _within(m, "rayfts.ops"))
            for f in files}
     assert {f: m for f, m in bad.items() if m} == {}
+
+
+def test_only_manifest_commit_writes_the_manifest():
+    callers = {os.path.relpath(f, ROOT): _write_manifest_callers(f)
+               for f in _py_files("rayfts")}
+    assert {f: c for f, c in callers.items() if c} == {
+        os.path.join("rayfts", "index", "manifest.py"): ["commit"]}
 
 
 def test_no_import_of_removed_modules():
