@@ -25,9 +25,11 @@ Mirrors the role of tantivy-0.18 block-max metadata (SURVEY.md §7.2.3;
 north star "skip blocks with block-max metadata").
 
 ``encode_postings_batch`` encodes EVERY posting list of a segment in one
-vectorized pass (two whole-stream varint encodes + reduceat aggregates):
-per-term work is reduced to slicing — this is what keeps the segment
-build numpy-bound instead of Python-call-bound.
+vectorized pass: two whole-stream varint encodes, reduceat aggregates for
+the skip entries, and four masked copies that interleave the header, skip,
+docid and tf streams into the lists. There is no per-term Python work at
+all, so a segment write (build, commit or merge) costs a fixed number of
+numpy calls however many terms it holds.
 """
 
 from __future__ import annotations
@@ -93,17 +95,21 @@ def encode_postings_batch(
     p_docs = p_docs.astype(np.uint32, copy=False)
     tfs = tfs.astype(np.uint32, copy=False)
 
+    # blocks of <= BLOCK_SIZE postings per term, located from the term
+    # bounds alone (no per-posting index arrays)
     term_sizes = t_ends - t_starts
-    term_of = np.repeat(np.arange(nterms), term_sizes)
-    idx_in_term = np.arange(n) - np.repeat(t_starts, term_sizes)
-    is_term_start = idx_in_term == 0
-    is_block_start = (idx_in_term % BLOCK_SIZE) == 0
+    blocks_per_term = (term_sizes + BLOCK_SIZE - 1) // BLOCK_SIZE
+    block_term = np.repeat(np.arange(nterms), blocks_per_term)
+    block_in_term = np.arange(block_term.size) - np.repeat(
+        np.cumsum(blocks_per_term) - blocks_per_term, blocks_per_term)
+    tstart_of_block = t_starts[block_term]
+    bstarts = tstart_of_block + BLOCK_SIZE * block_in_term
+    bends = np.minimum(bstarts + BLOCK_SIZE, t_ends[block_term])
 
     # docid deltas: diffs, absolute at term starts
-    diffs = np.empty(n, dtype=np.int64)
-    diffs[0] = p_docs[0]
-    diffs[1:] = p_docs[1:].astype(np.int64) - p_docs[:-1].astype(np.int64)
-    deltas = np.where(is_term_start, p_docs.astype(np.int64), diffs).astype(np.uint64)
+    deltas = p_docs.astype(np.uint64)
+    deltas[1:] -= p_docs[:-1]  # wraps at term starts, which are reset next
+    deltas[t_starts] = p_docs[t_starts]
     tfm1 = (tfs - 1).astype(np.uint64)
 
     docid_len = varint_lengths(deltas)
@@ -112,13 +118,8 @@ def encode_postings_batch(
     tf_cum = np.concatenate([[0], np.cumsum(tf_len)])
 
     # per-block skip metadata (vectorized reduceat)
-    bstarts = np.flatnonzero(is_block_start)
-    bends = np.append(bstarts[1:], n)
-    block_term = term_of[bstarts]
-    blocks_per_term = np.bincount(block_term, minlength=nterms)
     skips = np.empty(bstarts.size, dtype=_SKIP_DTYPE)
     skips["last_docid"] = p_docs[bends - 1]
-    tstart_of_block = t_starts[block_term]
     skips["docid_off"] = (docid_cum[bstarts] - docid_cum[tstart_of_block]).astype(np.uint32)
     skips["tf_off"] = (tf_cum[bstarts] - tf_cum[tstart_of_block]).astype(np.uint32)
     skips["max_tf"] = np.maximum.reduceat(tfs, bstarts)
@@ -126,41 +127,29 @@ def encode_postings_batch(
 
     docid_stream = np.frombuffer(encode_varints(deltas, docid_len), dtype=np.uint8)
     tf_stream = np.frombuffer(encode_varints(tfm1, tf_len), dtype=np.uint8)
-    skip_bytes_all = skips.view(np.uint8).reshape(bstarts.size, SKIP_BYTES)
 
-    d_t0 = docid_cum[t_starts]
-    d_t1 = docid_cum[t_ends]
-    f_t0 = tf_cum[t_starts]
-    f_t1 = tf_cum[t_ends]
-    term_lens = (
-        HEADER_BYTES
-        + blocks_per_term * SKIP_BYTES
-        + (d_t1 - d_t0)
-        + (f_t1 - f_t0)
-    ).astype(np.int64)
-    term_offs = np.concatenate([[0], np.cumsum(term_lens)])[:-1]
-
-    total = int(term_lens.sum())
-    out = np.empty(total, dtype=np.uint8)
     headers = np.empty((nterms, 3), dtype="<u4")
     headers[:, 0] = term_sizes
-    headers[:, 1] = d_t1 - d_t0
-    headers[:, 2] = f_t1 - f_t0
-    hbytes = headers.view(np.uint8)
+    headers[:, 1] = docid_cum[t_ends] - docid_cum[t_starts]
+    headers[:, 2] = tf_cum[t_ends] - tf_cum[t_starts]
 
-    bstart_of_term = np.concatenate([[0], np.cumsum(blocks_per_term)])
-    for ti in range(nterms):
-        pos = term_offs[ti]
-        out[pos : pos + HEADER_BYTES] = hbytes[ti]
-        pos += HEADER_BYTES
-        sb = skip_bytes_all[bstart_of_term[ti] : bstart_of_term[ti + 1]].ravel()
-        out[pos : pos + sb.size] = sb
-        pos += sb.size
-        dlen = d_t1[ti] - d_t0[ti]
-        out[pos : pos + dlen] = docid_stream[d_t0[ti] : d_t1[ti]]
-        pos += dlen
-        flen = f_t1[ti] - f_t0[ti]
-        out[pos : pos + flen] = tf_stream[f_t0[ti] : f_t1[ti]]
+    # A list is four pieces (header, skips, docid varints, tf varints) and
+    # each kind's pieces already sit in term order in their own stream, so
+    # one uint8 label per output byte plus one masked copy per kind lays
+    # out every list at once (the masks cost a byte per output byte; an
+    # int64 gather index would cost eight).
+    piece_lens = np.empty((nterms, 4), dtype=np.int64)
+    piece_lens[:, 0] = HEADER_BYTES
+    piece_lens[:, 1] = blocks_per_term * SKIP_BYTES
+    piece_lens[:, 2] = headers[:, 1]
+    piece_lens[:, 3] = headers[:, 2]
+    term_lens = piece_lens.sum(axis=1)
+    term_offs = np.concatenate([[0], np.cumsum(term_lens)])[:-1]
+    labels = np.repeat(
+        np.tile(np.arange(4, dtype=np.uint8), nterms), piece_lens.ravel())
+    out = np.empty(labels.size, dtype=np.uint8)
+    for kind, stream in enumerate((headers, skips, docid_stream, tf_stream)):
+        out[labels == kind] = stream.view(np.uint8).ravel()
     return out.tobytes(), term_offs, term_lens
 
 

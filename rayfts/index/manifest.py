@@ -190,14 +190,19 @@ def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentI
     ``index.rs:49-87``) applied at segment granularity; it is what makes a
     killed build resumable without redoing finished partitions. A merge
     output (lineage ``merged_from``) left by a merge that died before its
-    swap is skipped: its sources are still registered."""
+    swap is skipped: its sources are still registered. So is a source
+    that a registered segment lists in its ``merged_from``, left by a
+    merge that died after its swap but before deleting it: its documents
+    are already in the merge output."""
     seg_root = segments_dir(index_dir)
     if not os.path.isdir(seg_root):
         return []
     known = manifest.segment_ids()
+    merged_away = {sid for s in manifest.segments
+                   for sid in s.lineage.get("merged_from", ())}
     adopted: list[SegmentInfo] = []
     for entry in sorted(os.listdir(seg_root)):
-        if entry in known or entry.endswith(".tmp"):
+        if entry in known or entry in merged_away or entry.endswith(".tmp"):
             continue
         meta = os.path.join(seg_root, entry, "segment.json")
         if not os.path.isfile(meta):

@@ -33,6 +33,7 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -93,20 +94,6 @@ def _reconcile_store_schemas(stores: list[pa.Table]) -> list[pa.Table]:
     return out
 
 
-def _terms_slice(d: dict, lo: int, hi: int) -> np.ndarray:
-    """Term strings for ordinals ``[lo, hi)`` of one source dictionary.
-    A shard task must NOT pay for the whole vocabulary's PyStrings (the
-    lazy ``"terms"`` entry materializes everything), so partial ranges
-    convert only the Arrow slice."""
-    cached = d.get("terms")
-    if cached is not None:
-        return cached[lo:hi]
-    arr = d["terms_pa"]
-    if lo == 0 and hi == len(arr):
-        return d["terms"]  # full range: materialize once, cache for reuse
-    return np.asarray(arr[lo:hi].to_pylist(), dtype=object)
-
-
 def _scatter_spans(dst_offs, src_starts, lens):
     """take/put index pair for copying variable-length spans: returns
     (dst_idx, src_idx) flat gather indices (vectorized, no loop)."""
@@ -134,32 +121,32 @@ def _merge_field_range(
     depend only on that term's own postings, so concatenating shard blobs
     in term order is byte-identical to the unsharded merge (tested).
 
-    Returns a dict with ``terms`` (list[str]) and per-term metadata arrays
-    plus ``post_blob``/``pos_blob`` with blob-relative offsets.
+    Returns a dict with ``terms`` (an Arrow string array) and per-term
+    metadata arrays plus ``post_blob``/``pos_blob`` with blob-relative
+    offsets.
     """
     dicts = [r.term_dict(fdef.name) for r in readers]
     if ranges is None:
         ranges = [(0, len(d["terms_pa"])) for d in dicts]
-    # k-way merge of sorted term arrays (stable: source order within term)
-    all_terms = np.concatenate(
-        [_terms_slice(d, lo, hi) for d, (lo, hi) in zip(dicts, ranges)])
+    # k-way merge of the sorted Arrow term slices: one sort by (term,
+    # source), with no Python string per term
+    all_terms = pa.concat_arrays(
+        [d["terms_pa"][lo:hi] for d, (lo, hi) in zip(dicts, ranges)])
     sizes = [hi - lo for (lo, hi) in ranges]
     src_of = np.repeat(np.arange(len(dicts)), sizes)
-    ord_of = (np.concatenate([np.arange(n) for n in sizes])
-              if all_terms.size else np.empty(0, np.int64))
-    order = np.argsort(all_terms, kind="stable")
-    s_terms, s_src, s_ord = all_terms[order], src_of[order], ord_of[order]
+    ord_of = np.arange(src_of.size) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes)
+    order = pc.sort_indices(
+        pa.table({"term": all_terms, "src": src_of}),
+        sort_keys=[("term", "ascending"), ("src", "ascending")]).to_numpy()
+    s_terms, s_src, s_ord = all_terms.take(order), src_of[order], ord_of[order]
     codec = readers[0].codec
 
-    empty = {
-        "terms": [], "df": np.empty(0, np.int64),
-        "total_tf": np.empty(0, np.int64),
-        "post_off": np.empty(0, np.int64), "post_len": np.empty(0, np.int64),
-        "pos_off": [], "pos_len": [],
-        "post_blob": b"", "pos_blob": b"",
-    }
-    if s_terms.size == 0:
-        return empty
+    if len(s_terms) == 0:
+        z = np.empty(0, np.int64)
+        return {"terms": pa.array([], pa.string()), "df": z, "total_tf": z,
+                "post_off": z, "post_len": z, "pos_off": z, "pos_len": z,
+                "post_blob": b"", "pos_blob": b""}
 
     # per-span (one span = one term's postings in ONE source) metadata,
     # all aligned with the merge order — everything below is vectorized;
@@ -171,9 +158,9 @@ def _merge_field_range(
     total_docs = int(df_all.sum())
 
     # merged-term grouping over spans
-    tchange = np.concatenate([[True], s_terms[1:] != s_terms[:-1]])
-    tstart_span = np.flatnonzero(tchange)
-    merged_terms = s_terms[tstart_span].tolist()
+    tchange = pc.not_equal(s_terms[1:], s_terms[:-1]).to_numpy(zero_copy_only=False)
+    tstart_span = np.flatnonzero(np.concatenate([[True], tchange]))
+    merged_terms = s_terms.take(tstart_span)
     t_sizes = np.add.reduceat(df_all, tstart_span)
 
     # merged docid/tf/norm streams via per-source vectorized scatter
@@ -219,12 +206,10 @@ def _merge_field_range(
         pos_blob = pos_stream.tobytes()
         term_pos_lens = np.add.reduceat(plen_all, tstart_span)
         term_pos_offs = np.concatenate([[0], np.cumsum(term_pos_lens)[:-1]])
-        pos_off_list = term_pos_offs.tolist()
-        pos_len_list = term_pos_lens.tolist()
     else:
         pos_blob = b""
-        pos_off_list = [-1] * len(merged_terms)
-        pos_len_list = [0] * len(merged_terms)
+        term_pos_offs = np.full(tstart_span.size, -1, np.int64)
+        term_pos_lens = np.zeros(tstart_span.size, np.int64)
 
     ends = np.cumsum(t_sizes)
     starts = ends - np.asarray(t_sizes)
@@ -238,8 +223,8 @@ def _merge_field_range(
         "total_tf": tf_cum[ends] - tf_cum[starts],
         "post_off": t_offs,
         "post_len": t_lens,
-        "pos_off": pos_off_list,
-        "pos_len": pos_len_list,
+        "pos_off": term_pos_offs,
+        "pos_len": term_pos_lens,
         "post_blob": blob,
         "pos_blob": pos_blob,
     }
@@ -290,9 +275,7 @@ def merge_segment_group(
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
 
-    term_rows = {k: [] for k in
-                 ["field", "term", "df", "total_tf", "post_off", "post_len",
-                  "pos_off", "pos_len"]}
+    term_tables: list[pa.Table] = []
     post_chunks: list[bytes] = []
     pos_chunks: list[bytes] = []
     post_off = 0
@@ -303,17 +286,10 @@ def merge_segment_group(
     for fdef in schema.indexed_fields:
         norms_out[fdef.name] = np.concatenate([r.norms(fdef.name) for r in readers])
         res = _merge_field_range(readers, fdef, offsets, norms_out[fdef.name])
-        merged_terms = res["terms"]
-        if merged_terms:
-            term_rows["field"].extend([fdef.name] * len(merged_terms))
-            term_rows["term"].extend(merged_terms)
-            term_rows["df"].extend(res["df"].tolist())
-            term_rows["total_tf"].extend(res["total_tf"].tolist())
-            term_rows["post_off"].extend((res["post_off"] + post_off).tolist())
-            term_rows["post_len"].extend(res["post_len"].tolist())
-            term_rows["pos_off"].extend(
-                (p + pos_off if p >= 0 else -1) for p in res["pos_off"])
-            term_rows["pos_len"].extend(res["pos_len"])
+        if len(res["terms"]):
+            res["post_off"] = res["post_off"] + post_off
+            res["pos_off"] = np.where(res["pos_off"] >= 0, res["pos_off"] + pos_off, -1)
+            term_tables.append(_terms_table(fdef.name, res))
             post_chunks.append(res["post_blob"])
             pos_chunks.append(res["pos_blob"])
             post_off += len(res["post_blob"])
@@ -323,19 +299,10 @@ def merge_segment_group(
                 r.info.field_stats.get(fdef.name, {}).get("total_tokens", 0)
                 for r in readers
             ),
-            "num_terms": len(merged_terms),
+            "num_terms": len(res["terms"]),
         }
 
-    terms_table = pa.table({
-        "field": pa.array(term_rows["field"], type=pa.string()),
-        "term": pa.array(term_rows["term"], type=pa.string()),
-        "df": pa.array(term_rows["df"], type=pa.uint32()),
-        "total_tf": pa.array(term_rows["total_tf"], type=pa.int64()),
-        "post_off": pa.array(term_rows["post_off"], type=pa.int64()),
-        "post_len": pa.array(term_rows["post_len"], type=pa.int64()),
-        "pos_off": pa.array(term_rows["pos_off"], type=pa.int64()),
-        "pos_len": pa.array(term_rows["pos_len"], type=pa.int64()),
-    })
+    terms_table = _concat_terms_tables(term_tables)
     pq.write_table(terms_table, os.path.join(tmp, TERMS_FILE))
     with open(os.path.join(tmp, POSTINGS_FILE), "wb") as f:
         f.write(b"".join(post_chunks))
@@ -431,7 +398,8 @@ def plan_merge_shards(
     return shards
 
 
-def _shard_terms_table(field: str, res: dict) -> pa.Table:
+def _terms_table(field: str, res: dict) -> pa.Table:
+    """One field's rows of a merged ``terms.parquet``."""
     return pa.table({
         "field": pa.array([field] * len(res["terms"]), type=pa.string()),
         "term": pa.array(res["terms"], type=pa.string()),
@@ -442,6 +410,16 @@ def _shard_terms_table(field: str, res: dict) -> pa.Table:
         "pos_off": pa.array(res["pos_off"], type=pa.int64()),
         "pos_len": pa.array(res["pos_len"], type=pa.int64()),
     })
+
+
+def _concat_terms_tables(tables: list[pa.Table]) -> pa.Table:
+    """Field tables in (field, term) order as one single-chunk table, so
+    the unsharded and sharded merges write the same parquet bytes."""
+    if not tables:
+        return _terms_table("", {k: [] for k in
+            ["terms", "df", "total_tf", "post_off", "post_len",
+             "pos_off", "pos_len"]})
+    return pa.concat_tables(tables).combine_chunks()
 
 
 @ray.remote
@@ -476,7 +454,7 @@ def _merge_shard_task(
             f.write(res["post_blob"])
         with open(out_prefix + ".pos", "wb") as f:
             f.write(res["pos_blob"])
-        pq.write_table(_shard_terms_table(field, res),
+        pq.write_table(_terms_table(field, res),
                        out_prefix + ".terms.parquet")
         return {"field": field, "prefix": out_prefix,
                 "nterms": len(res["terms"]),
@@ -542,10 +520,7 @@ def merge_segment_group_sharded(
             pos_base += meta["pos_bytes"]
             for ext in (".post", ".pos", ".terms.parquet"):
                 os.unlink(meta["prefix"] + ext)
-    terms_table = pa.concat_tables(term_tables).combine_chunks() if term_tables \
-        else _shard_terms_table("", {k: [] for k in
-            ["terms", "df", "total_tf", "post_off", "post_len",
-             "pos_off", "pos_len"]})
+    terms_table = _concat_terms_tables(term_tables)
     pq.write_table(terms_table, os.path.join(tmp, TERMS_FILE))
 
     norms_out = {f.name: np.concatenate([r.norms(f.name) for r in readers])
@@ -645,13 +620,21 @@ def commit_merge(
     ``None``) unless every source is still registered and each group is
     still contiguous in docid order, and then delete the outputs the
     manifest does not register (a concurrent merge of the same group
-    builds the same id)."""
+    builds the same id).
+
+    A source that is itself a merge output also takes along any leftover
+    directories of its own ``merged_from`` sources: a driver killed
+    between an earlier swap and its deletes leaves them, and only that
+    source's lineage keeps orphan adoption from counting them again."""
     merged_ids = {sid for g in groups for sid in g}
+    retired: set[str] = set()
 
     def swap(m: mf.Manifest) -> mf.Manifest | None:
         pos = {s.segment_id: i for i, s in enumerate(m.ordered_segments())}
         spans = [sorted(pos.get(sid, -1) for sid in g) for g in groups]
         if all(at[0] >= 0 and at[-1] - at[0] == len(at) - 1 for at in spans):
+            retired.update(sid for s in m.segments if s.segment_id in merged_ids
+                           for sid in s.lineage.get("merged_from", ()))
             m.segments = [s for s in m.segments if s.segment_id not in merged_ids]
             m.segments += merged_infos
             return m
@@ -663,7 +646,7 @@ def commit_merge(
 
     committed = mf.commit(index_dir, swap)
     if committed is not None:
-        for sid in merged_ids:
+        for sid in (merged_ids | retired) - committed.segment_ids():
             shutil.rmtree(mf.segment_path(index_dir, sid), ignore_errors=True)
     return committed
 

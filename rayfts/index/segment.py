@@ -32,21 +32,6 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 
-_MISSING = object()
-
-
-class _LazyTermEntry(dict):
-    """Term-dictionary entry whose ``"terms"`` numpy-object array (one
-    PyString per vocabulary term) materializes only when a range or merge
-    scan asks for it; point lookups bisect the Arrow array."""
-
-    def __missing__(self, key):
-        if key == "terms":
-            v = np.asarray(self["terms_pa"].to_pylist(), dtype=object)
-            self[key] = v
-            return v
-        raise KeyError(key)
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -67,6 +52,8 @@ STORE_FILE = "store.parquet"
 META_FILE = "segment.json"
 FACETS_FILE = "facets.parquet"       # per-field facet path dictionary
 FACET_CODES_FILE = "facet_codes.npz"  # per-field int32 code per local docid
+
+_MISSING = object()
 
 
 def lower_bound(arr: pa.Array, term: str) -> int:
@@ -493,7 +480,7 @@ class SegmentReader:
         t = self._terms_table
         mask = pa.compute.equal(t["field"], field)
         sub = t.filter(mask)
-        entry = _LazyTermEntry({
+        entry = {
             "terms_pa": sub["term"].combine_chunks(),
             "df": sub["df"].to_numpy(),
             "total_tf": sub["total_tf"].to_numpy(),
@@ -501,7 +488,7 @@ class SegmentReader:
             "post_len": sub["post_len"].to_numpy(),
             "pos_off": sub["pos_off"].to_numpy(),
             "pos_len": sub["pos_len"].to_numpy(),
-        })
+        }
         self._terms_by_field[field] = entry
         return entry
 

@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 
 from rayfts.codec.postings import decode_skips
 from rayfts.index.schema import NUMERIC_TYPES
-from rayfts.index.segment import SegmentReader
+from rayfts.index.segment import SegmentReader, lower_bound
 from rayfts.query import bm25
 from rayfts.query.ast import QueryError
 from rayfts.query.ast import (
@@ -202,18 +202,24 @@ def _exec_bool(q: Bool, seg: SegmentReader | SegmentsView, stats: GlobalStats) -
 
 
 def _terms_in_range(seg: SegmentReader, q: Range) -> np.ndarray:
-    e = seg.term_dict(q.field)
-    arr = e["terms"]
-    lo = 0
-    hi = arr.size
+    arr = seg.term_dict(q.field)["terms_pa"]
+
+    def bound(value, past_equal: bool) -> int:
+        key = str(value)
+        i = lower_bound(arr, key)
+        if past_equal and i < len(arr) and arr[i].as_py() == key:
+            i += 1
+        return i
+
+    lo, hi = 0, len(arr)
     if q.gte is not None:
-        lo = int(np.searchsorted(arr, str(q.gte), side="left"))
+        lo = bound(q.gte, False)
     if q.gt is not None:
-        lo = max(lo, int(np.searchsorted(arr, str(q.gt), side="right")))
+        lo = max(lo, bound(q.gt, True))
     if q.lte is not None:
-        hi = min(hi, int(np.searchsorted(arr, str(q.lte), side="right")))
+        hi = min(hi, bound(q.lte, True))
     if q.lt is not None:
-        hi = min(hi, int(np.searchsorted(arr, str(q.lt), side="left")))
+        hi = min(hi, bound(q.lt, False))
     return np.arange(lo, max(lo, hi))
 
 

@@ -5,7 +5,8 @@ tests starts Ray.
   when its mutation aborts or raises;
 - ``commit_merge`` is a compare-and-swap: a merge whose sources changed
   aborts, and deletes its output only if the manifest does not register it;
-- orphan adoption skips the output of a merge that died before its swap;
+- orphan adoption skips the output of a merge that died before its swap,
+  and the sources of one that died after it;
 - writers in separate processes, plus a merger, lose no commit.
 """
 
@@ -117,6 +118,54 @@ def test_orphan_merge_output_is_not_adopted(tmp_path):
     assert [s.segment_id for s in adopted] == [orphan.segment_id]
     assert m.num_docs == 9
     assert idx.manifest.num_docs == 8  # adoption itself writes nothing
+    assert Searcher(idx.path).count({"term": {"body": "hello"}}) == 4
+
+
+def _merge_killed_before_deletes(idx, monkeypatch, group):
+    """Merge and swap ``group`` as a driver killed right after the swap
+    would: the source directories stay on disk."""
+    import rayfts.index.merge as merge_mod
+
+    m = idx.manifest
+    info = merge_segment_group(idx.path, m.schema.to_json(), group)
+    with monkeypatch.context() as patch:
+        patch.setattr(merge_mod.shutil, "rmtree", lambda *a, **k: None)
+        assert commit_merge(idx.path, [group], [info]) is not None
+    assert all(os.path.isdir(mf.segment_path(idx.path, s)) for s in group)
+    return info
+
+
+def test_sources_left_by_a_merge_killed_after_its_swap_are_not_adopted(
+        tmp_path, monkeypatch):
+    idx = _index(tmp_path, 4)
+    group = [s.segment_id for s in idx.manifest.ordered_segments()[:3]]
+    _merge_killed_before_deletes(idx, monkeypatch, group)
+
+    m = idx.manifest
+    assert m.num_docs == 8
+    assert mf.recover_orphan_segments(idx.path, m) == []
+    assert m.num_docs == 8
+
+
+def test_retiring_a_merge_output_removes_its_leftover_sources(
+        tmp_path, monkeypatch):
+    """One merge level up, the leftover sources are listed by no
+    registered segment any more, so the merge that retires their output
+    deletes them."""
+    idx = _index(tmp_path, 4)
+    group = [s.segment_id for s in idx.manifest.ordered_segments()[:3]]
+    first = _merge_killed_before_deletes(idx, monkeypatch, group)
+
+    m = idx.manifest
+    top = [s.segment_id for s in m.ordered_segments()]
+    assert top[0] == first.segment_id and len(top) == 2
+    info = merge_segment_group(idx.path, m.schema.to_json(), top)
+    assert commit_merge(idx.path, [top], [info]) is not None
+    assert os.listdir(mf.segments_dir(idx.path)) == [info.segment_id]
+
+    m = idx.manifest
+    assert mf.recover_orphan_segments(idx.path, m) == []
+    assert m.num_docs == 8
     assert Searcher(idx.path).count({"term": {"body": "hello"}}) == 4
 
 

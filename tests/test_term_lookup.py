@@ -48,3 +48,34 @@ def test_lower_bound_matches_bisect(case):
         above = [p for p in probes if p > terms[-1]]
         assert all(lower_bound(arr, p) == 0 for p in below)
         assert above and all(lower_bound(arr, p) == len(terms) for p in above)
+
+
+class _OneField:
+    """The part of a segment reader that ``_terms_in_range`` reads."""
+
+    def __init__(self, arr):
+        self.arr = arr
+
+    def term_dict(self, field):
+        return {"terms_pa": self.arr}
+
+
+@pytest.mark.parametrize("kind", ["gte_lte", "gt_lt", "gte_lt", "gt_lte"])
+def test_string_range_ordinals_match_a_scan(kind):
+    """Range bounds resolve to the ordinals a plain scan of the sorted
+    terms selects, with exact hits on ``gt``/``lte`` bounds."""
+    from rayfts.query.ast import Range
+    from rayfts.query.exec import _terms_in_range
+
+    lo_op, hi_op = kind.split("_")
+    ops = {"gte": str.__ge__, "gt": str.__gt__, "lte": str.__le__, "lt": str.__lt__}
+    seg = _OneField(pa.array(TERMS, type=pa.string()))
+    probes = PROBES[::2] + [None]
+    for lo in probes:
+        for hi in probes:
+            q = Range("f", **{k: v for k, v in ((lo_op, lo), (hi_op, hi))
+                             if v is not None})
+            want = [i for i, t in enumerate(TERMS)
+                    if (lo is None or ops[lo_op](t, lo))
+                    and (hi is None or ops[hi_op](t, hi))]
+            assert _terms_in_range(seg, q).tolist() == want, (kind, lo, hi)
