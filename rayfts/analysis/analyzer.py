@@ -12,9 +12,12 @@ SimpleTokenizer: a token is a maximal run of Unicode-alphanumeric
 characters (Rust ``char::is_alphanumeric`` = categories L* + Nd/Nl/No),
 classified by Arrow's RE2/utf8proc tables on BOTH the row path and the
 whole-column path so index-time and query-time analysis agree exactly
-(see ``_raw_tokens`` / ``_lower_tokens``). Positions are token ordinals;
-filters preserve ordinals. RemoveLong drops tokens whose UTF-8 byte
-length is >= 40 (strict ``len < 40`` keeps).
+(see ``_raw_tokens`` / ``_lower_tokens``). The column path uses the same
+per-character class cache as the row path for non-ASCII rows and then
+one byte-class pass over the column's UTF-8 buffer, with no regex split
+(``_column_tokens``). Positions are token ordinals; filters preserve
+ordinals. RemoveLong drops tokens whose UTF-8 byte length is >= 40
+(strict ``len < 40`` keeps).
 
 The same chain runs at query time (so ``'mundo'`` matches the stemmed
 index of "Ola mundo!" — ``/root/reference/test/basic.js:38-41``).
@@ -28,7 +31,9 @@ from dataclasses import dataclass
 from rayfts.analysis import porter2
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_NONSPACE_RE = re.compile(r"\S+")
+# re.split patterns: surface tokens at the odd indexes of the split
+_TOKEN_SPLIT_RE = re.compile(r"([^\W_]+)", re.UNICODE)
+_NONSPACE_SPLIT_RE = re.compile(r"(\S+)")
 _REMOVE_LONG_BYTES = 40
 
 # DuckDB/RE2 equivalent of the tokenizer for oracle SQL generation.
@@ -58,7 +63,7 @@ _SEPARATORS: dict[int, str] = {}
 
 def _classify(chars: set[str]) -> None:
     """Classify the characters the cache has not seen, in one Arrow call
-    against the same RE2 class as the column path's split pattern."""
+    against RE2's ``[\p{L}\p{N}]``, the oracle SQL's class."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -89,6 +94,72 @@ def _raw_tokens(text: str) -> list[str]:
         return _TOKEN_RE.findall(text)
     _classify(set(text))
     return text.translate(_SEPARATORS).split()
+
+
+def _token_bytes(data):
+    """The token-byte mask of a UTF-8 buffer: ASCII letters and digits,
+    and every byte of a multi-byte character (the column's non-ASCII rows
+    are translated first, so a non-ASCII character left in them is a
+    letter or number). Three comparisons beat a 256-entry table gather."""
+    import numpy as np
+
+    is_tok = (data | 0x20) - np.uint8(ord("a")) < 26
+    is_tok |= data - np.uint8(ord("0")) < 10
+    is_tok |= data >= 0x80
+    return is_tok
+
+
+def _column_tokens(arr) -> tuple:
+    """``(tokens, counts)``: every raw token of a string column in row
+    order, as one ``large_string`` array, and the token count per row.
+
+    The same tokens as :func:`_raw_tokens` row by row, without a regex or
+    a Python string per token: non-ASCII rows are translated with the
+    row path's cached separator table (each separator character becomes
+    one space), then a token is a maximal run of token-class bytes
+    within one row. The token bytes, compacted, are the data buffer of
+    the returned array."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    arr = pc.fill_null(arr, "")
+    n = len(arr)
+    ascii_rows = pc.string_is_ascii(arr)
+    if not pc.all(ascii_rows).as_py():
+        other = pc.invert(ascii_rows)
+        texts = arr.filter(other).to_pylist()
+        _classify(set().union(*texts))
+        arr = pc.replace_with_mask(
+            arr, other, pa.array([t.translate(_SEPARATORS) for t in texts], arr.type))
+    wide = pa.types.is_large_string(arr.type)
+    _, off_buf, data_buf = arr.buffers()
+    offsets = np.frombuffer(off_buf, np.int64 if wide else np.int32)
+    offsets = offsets[arr.offset:arr.offset + n + 1].astype(np.int64)
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    if hi == lo:
+        return pa.array([], pa.large_string()), np.zeros(n, np.int32)
+    data = np.frombuffer(data_buf, np.uint8, hi - lo, lo)
+    offsets -= lo
+    is_tok = _token_bytes(data)
+    # a token byte continues a token when the byte before it is a token
+    # byte of the same row
+    cont = np.empty(len(data), bool)
+    cont[0] = False
+    np.logical_and(is_tok[1:], is_tok[:-1], out=cont[1:])
+    cont[offsets[:-1][offsets[:-1] < offsets[1:]]] = False
+    starts = np.flatnonzero(is_tok & ~cont)
+    last = is_tok.copy()
+    last[:-1] &= ~cont[1:]
+    ends = np.flatnonzero(last) + 1
+    counts = np.diff(np.searchsorted(starts, offsets)).astype(np.int32)
+    tok_offsets = np.zeros(len(starts) + 1, np.int64)
+    np.cumsum(ends - starts, out=tok_offsets[1:])
+    tokens = pa.LargeStringArray.from_buffers(
+        len(starts), pa.py_buffer(tok_offsets), pa.py_buffer(np.compress(is_tok, data)))
+    return tokens, counts
 
 
 @dataclass(frozen=True)
@@ -155,6 +226,7 @@ class Analyzer:
     def __init__(self, spec: AnalyzerSpec | str, cache_cap: int | None = None):
         self.spec = get_spec(spec) if isinstance(spec, str) else spec
         self._stem_cache: dict[str, str] = {}
+        self._term_memo: dict[str, str] = {}  # surface token -> term (token_spans)
         self._cache_cap = self.STEM_CACHE_CAP if cache_cap is None else cache_cap
 
     def _stem_cache_checked(self) -> dict[str, str]:
@@ -197,28 +269,48 @@ class Analyzer:
             return self._filter(text.split())
         return self._filter(_raw_tokens(text))
 
-    def token_spans(self, text: str) -> tuple[list[str], list[int], list[int]]:
+    def token_spans(self, text: str) -> tuple:
         """``(tokens, starts, ends)``: the analyzed tokens of one string,
         as :meth:`tokens` returns them, with the character span of each
-        one's surface form in ``text`` (snippet highlighting)."""
+        one's surface form in ``text`` (snippet highlighting) as int64
+        arrays.
+
+        One ``re.split`` with a capture group finds every surface token;
+        each distinct surface token is analyzed once per analyzer (a memo
+        capped like the stem cache), not once per occurrence."""
+        import numpy as np
+
         spec = self.spec
         if spec.raw:
-            return ([text], [0], [len(text)]) if text else ([], [], [])
+            toks = [text] if text else []
+            return (toks, np.zeros(len(toks), np.int64),
+                    np.array([len(t) for t in toks], np.int64))
         if spec.name == "whitespace":
-            found = _NONSPACE_RE.finditer(text)
+            parts = _NONSPACE_SPLIT_RE.split(text)
         elif text.isascii():
-            found = _TOKEN_RE.finditer(text)
+            parts = _TOKEN_SPLIT_RE.split(text)
         else:
-            # the translation maps one character to one, so spans carry over
+            # the translation maps one character to one and leaves token
+            # characters alone, so spans and surface tokens carry over
             _classify(set(text))
-            found = _NONSPACE_RE.finditer(text.translate(_SEPARATORS))
-        raw, starts, ends = [], [], []
-        for m in found:
-            raw.append(text[m.start():m.end()])
-            starts.append(m.start())
-            ends.append(m.end())
-        toks, kept = self._filter(raw)
-        return toks, [starts[i] for i in kept], [ends[i] for i in kept]
+            parts = _NONSPACE_SPLIT_RE.split(text.translate(_SEPARATORS))
+        bounds = np.cumsum(np.fromiter(map(len, parts), np.int64, len(parts)))
+        surface = parts[1::2]
+        memo = self._term_memo
+        if len(memo) >= self._cache_cap:
+            memo.clear()
+        missing = list(set(surface).difference(memo))
+        if missing:
+            memo.update(dict.fromkeys(missing, ""))  # "": dropped by a filter
+            toks, kept = self._filter(missing)
+            memo.update(zip((missing[i] for i in kept), toks))
+        toks = list(map(memo.__getitem__, surface))
+        starts, ends = bounds[0:-1:2], bounds[1::2]
+        if "" in toks:
+            keep = np.array([t != "" for t in toks], bool)
+            toks = [t for t in toks if t]
+            starts, ends = starts[keep], ends[keep]
+        return toks, starts, ends
 
     def _filter(self, raw: list[str]) -> tuple[list[str], list[int]]:
         """RemoveLong, LowerCase and the stemmer over raw tokens: the
@@ -280,13 +372,14 @@ class Analyzer:
     def analyze_text_column(self, arr) -> tuple:
         """Arrow-native whole-column analysis — the index build's hot path.
 
-        Tokenize/filter/lower/stem an entire string column with C++ kernels
-        (RE2 split + dictionary_encode) so per-token work happens once per
-        UNIQUE surface token instead of once per occurrence. Exactly matches
-        :meth:`tokens_positions` on every row (property-tested).
+        Tokenize an entire string column in one byte-class pass over its
+        UTF-8 data (see :func:`_column_tokens`), then lower/stem once per
+        UNIQUE surface token (``dictionary_encode``) instead of once per
+        occurrence. Exactly matches :meth:`tokens_positions` on every row
+        (property-tested).
 
         Returns ``(codes, doc_idx, positions, uniques, counts)``:
-        ``codes`` int64 term ordinals into the sorted ``uniques`` vocabulary,
+        ``codes`` int32 term ordinals into the sorted ``uniques`` vocabulary,
         one entry per surviving token occurrence; ``doc_idx``/``positions``
         parallel arrays (positions are pre-filter tokenizer ordinals);
         ``counts`` = post-filter token count per doc (the fieldnorm input).
@@ -297,73 +390,56 @@ class Analyzer:
 
         spec = self.spec
         if spec.raw or spec.name == "whitespace":
-            raise ValueError("analyze_text_column supports regex-tokenized chains only")
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        arr = pc.fill_null(arr, "")
-        n = len(arr)
-        sp = pc.split_pattern_regex(arr, pattern=r"[^\p{L}\p{N}]+")
-        counts_all = pc.list_value_length(sp).to_numpy().astype(np.int32)
-        flat = pc.list_flatten(sp)
-        total = len(flat)
+            raise ValueError("analyze_text_column supports SimpleTokenizer chains only")
+        tokens, counts_all = _column_tokens(arr)
+        n = len(counts_all)
         # int32 throughout the token-level arrays: the inversion is memory-
         # bandwidth-bound at full-node concurrency, so halving element width
         # directly buys parallel efficiency (units are <2^31 tokens by plan)
         empty = (np.empty(0, np.int32), np.empty(0, np.int32),
                  np.empty(0, np.int32), np.empty(0, dtype=object),
                  np.zeros(n, np.int64))
-        if total == 0:
+        if len(tokens) == 0:
             return empty
-        denc = flat.dictionary_encode()
-        ind = denc.indices.to_numpy()
-        if ind.dtype != np.int32:
-            ind = ind.astype(np.int32)
+        denc = tokens.dictionary_encode()
+        ind = denc.indices.to_numpy().astype(np.int32, copy=False)
         uniq = denc.dictionary
-        ulen_bytes = pc.binary_length(uniq.cast(pa.binary())).to_numpy()
-        uraw = uniq.to_pylist()
-
-        nonempty_u = ulen_bytes > 0
-        keep_u = nonempty_u.copy()
-        if spec.remove_long is not None:
-            keep_u &= ulen_bytes < spec.remove_long
-        vals = pc.utf8_lower(uniq).to_pylist() if spec.lowercase else uraw
+        if spec.remove_long is None:
+            keep_u = np.ones(len(uniq), bool)
+        else:
+            keep_u = pc.binary_length(uniq).to_numpy() < spec.remove_long
+            if not keep_u.any():
+                return empty
+            if not keep_u.all():
+                uniq = uniq.filter(pa.array(keep_u))
+        vals = pc.utf8_lower(uniq) if spec.lowercase else uniq
         if spec.stemmer is not None:
             cache = self._stem_cache_checked()
-            stem = porter2.stem
-            out = []
-            for keep, v in zip(keep_u, vals):
-                if not keep:
-                    out.append("")
-                    continue
-                s = cache.get(v)
-                if s is None:
-                    s = cache[v] = stem(v)
-                out.append(s)
-            vals = out
-        tvals = np.asarray(vals, dtype=object)
-
-        kept_vals = tvals[keep_u]
-        if kept_vals.size == 0:
-            return empty
-        final_uniques, inv = np.unique(kept_vals, return_inverse=True)
-        code_of_u = np.full(len(uraw), -1, dtype=np.int32)
-        code_of_u[keep_u] = inv.astype(np.int32)
+            lowered = vals.to_numpy(zero_copy_only=False)
+            for v in set(lowered).difference(cache):
+                cache[v] = porter2.stem(v)
+            vals = pa.array(list(map(cache.__getitem__, lowered)), pa.large_string())
+        # the sorted vocabulary: UTF-8 byte order is code-point order
+        venc = vals.dictionary_encode()
+        order = pc.array_sort_indices(venc.dictionary).to_numpy()
+        rank = np.empty(len(order), np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        final_uniques = venc.dictionary.take(pa.array(order)).to_numpy(
+            zero_copy_only=False)
+        code_of_u = np.full(len(keep_u), -1, np.int32)
+        code_of_u[keep_u] = rank[venc.indices.to_numpy()]
         token_codes = code_of_u[ind]
-
-        doc_idx_all = np.repeat(np.arange(n, dtype=np.int32), counts_all)
-        starts = np.concatenate([[0], np.cumsum(counts_all[:-1], dtype=np.int64)])
-        m1 = nonempty_u[ind]
-        c = np.cumsum(m1, dtype=np.int32)
-        base = c[starts] - m1[starts]
-        ordinals = (c - 1) - np.repeat(base, counts_all)
-
         kept = token_codes >= 0
+        doc_idx = np.repeat(np.arange(n, dtype=np.int32), counts_all)
+        # no empty tokens: a row's ordinals are 0..count-1
+        row_first = np.cumsum(counts_all, dtype=np.int32) - counts_all
+        ordinals = np.arange(len(ind), dtype=np.int32) - np.repeat(row_first, counts_all)
         return (
             token_codes[kept],
-            doc_idx_all[kept],
+            doc_idx[kept],
             ordinals[kept],
             final_uniques,
-            np.bincount(doc_idx_all[kept], minlength=n).astype(np.int64),
+            np.bincount(doc_idx[kept], minlength=n).astype(np.int64),
         )
 
     def _raw_token_count(self, text) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 _VOWELS = frozenset("aeiouy")
 _DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
 _LI_ENDING = frozenset("cdeghkmnrt")
+_ASCII_DIGITS = frozenset("0123456789")
 
 # Exceptional forms applied before the algorithm proper.
 _EXCEPTIONS1 = {
@@ -105,8 +106,20 @@ def _contains_vowel(word: str, start: int, end: int) -> bool:
 
 
 def stem(token: str) -> str:
-    """Stem one lowercase token. Non-alphabetic tokens pass through the
-    algorithm unchanged in practice (no suffix rules fire)."""
+    """Stem one lowercase token.
+
+    A token that ends in an ASCII digit comes back unchanged without
+    running the algorithm: every step and every exceptional form needs a
+    letter suffix or a whole-word match, so only the leading-apostrophe
+    strip and the y/Y marking could touch it (identifiers such as
+    ``ident8048`` are most of a code corpus's first-seen words)."""
+    if token[-1:] in _ASCII_DIGITS and token[0] != "'" and "Y" not in token:
+        return token
+    return _stem(token)
+
+
+def _stem(token: str) -> str:
+    """The Porter2 algorithm proper."""
     word = token
     if len(word) <= 2:
         return word

@@ -384,11 +384,9 @@ def build_index(
             "routing cannot change across resumes"
         )
     num_segments = pinned
-    done = {
-        s.lineage.get("seg_mod")
-        for s in manifest.segments
-        if s.lineage.get("num_segments") == num_segments
-    }
+    built = manifest.built_ids()
+    done = {seg for seg in range(num_segments)
+            if segment_name(seg, num_segments) in built}
     if set(range(num_segments)) <= done:
         logger.info("build_index: all %d segments committed; nothing to do", num_segments)
         return manifest
@@ -490,7 +488,7 @@ def _build_from_units(
 ) -> mf.Manifest:
     """Zero-shuffle build: one planned unit -> one segment -> one task."""
     manifest = _open_for_build(index_dir, index_name, schema, resume, build_params)
-    done = manifest.segment_ids()
+    done = manifest.built_ids()
     fail_ids = frozenset(
         u["segment_id"] for i, u in enumerate(units) if i in fail_ordinals
     )

@@ -48,6 +48,13 @@ class Manifest:
     def segment_ids(self) -> set[str]:
         return {s.segment_id for s in self.segments}
 
+    def built_ids(self) -> set[str]:
+        """Ids of every segment whose documents the index holds: the live
+        segments and the build units merged into them (lineage
+        ``covers``). A resumed build skips these."""
+        return self.segment_ids().union(
+            *(s.lineage.get("covers", ()) for s in self.segments))
+
     def ordered_segments(self) -> list[SegmentInfo]:
         return sorted(self.segments, key=lambda s: s.segment_id)
 

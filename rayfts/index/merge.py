@@ -55,6 +55,23 @@ from rayfts.index.segment import (
 from rayfts.codec.postings import encode_postings_batch
 
 
+def _merged_lineage(source_ids: list[str], readers) -> dict:
+    """A merge output's lineage: ``merged_from``, its direct sources (what
+    orphan adoption reads), and ``covers``, every build unit it holds
+    (each source's own ``covers``, plus each source that is a build unit:
+    an input-mode ``path`` or hash-mode ``seg_mod`` lineage), so a merge
+    of merges still names the units a resumed build must skip."""
+    covers = set()
+    for r in readers:
+        lineage = r.info.lineage
+        covers.update(lineage.get("covers", ()))
+        if "path" in lineage or "seg_mod" in lineage:
+            covers.add(r.info.segment_id)
+    if not covers:  # commits and appends: no build to resume
+        return {"merged_from": source_ids}
+    return {"merged_from": source_ids, "covers": sorted(covers)}
+
+
 def merged_segment_id(source_ids: list[str]) -> str:
     """Sorts into the first source's position (prefix order), keeping
     global docid order intact across the swap."""
@@ -315,7 +332,7 @@ def merge_segment_group(
         segment_id=out_id,
         num_docs=int(sum(r.num_docs for r in readers)),
         field_stats=field_stats,
-        lineage={"merged_from": source_ids},
+        lineage=_merged_lineage(source_ids, readers),
         metrics={"postings_bytes": post_off, "positions_bytes": pos_off},
         fieldnorm_codec=readers[0].codec.kind,
     )
@@ -541,7 +558,7 @@ def merge_segment_group_sharded(
         segment_id=out_id,
         num_docs=int(sum(r.num_docs for r in readers)),
         field_stats=field_stats,
-        lineage={"merged_from": source_ids},
+        lineage=_merged_lineage(source_ids, readers),
         metrics={"postings_bytes": post_base, "positions_bytes": pos_base},
         fieldnorm_codec=readers[0].codec.kind,
     )

@@ -16,9 +16,11 @@ One segment directory holds:
     store.parquet   stored fields; row index == local docid
     segment.json    num_docs, per-field token totals, lineage, metrics
 
-The inversion is fully vectorized: whole-column Arrow tokenization (RE2
-``split_pattern_regex`` + ``dictionary_encode``; lower/stem once per
-UNIQUE surface token — ``Analyzer.analyze_text_column``), then
+The inversion is fully vectorized: whole-column tokenization (one
+byte-class pass over the column's UTF-8 buffer, with the row path's
+class table and cache for non-ASCII rows, no regex split; then
+``dictionary_encode`` and lower/stem once per UNIQUE surface token —
+``Analyzer.analyze_text_column``), then
 ``numpy.lexsort`` to group (term, doc) pairs and one batch posting
 encode. No Python loop over rows or tokens in the hot path.
 """
@@ -213,8 +215,9 @@ def build_segment(
             and (pa.types.is_string(col.type) or pa.types.is_large_string(col.type))
         )
         if fast_ok:
-            # Arrow-native whole-column path (RE2 split + dictionary_encode;
-            # per-UNIQUE-token filter/lower/stem) — the hot path.
+            # Arrow-native whole-column path (byte-class tokenizer +
+            # dictionary_encode; per-UNIQUE-token filter/lower/stem) — the
+            # hot path.
             codes, doc_idx, positions, uniq_arr, counts = (
                 analyzer.analyze_text_column(col)
             )

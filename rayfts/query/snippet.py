@@ -10,8 +10,9 @@ Behavioral spec from the reference's golden assertion
 from __future__ import annotations
 
 import html
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from rayfts.analysis.analyzer import _TOKEN_RE, Analyzer  # noqa: F401 (tests import it here)
 
@@ -32,39 +33,39 @@ class SnippetGenerator:
         # every kept token, analyzed in one pass, with its character span
         toks, starts, ends = self.analyzer.token_spans(text)
         terms = self.terms
-        spans = [(ss, se, terms[t]) for t, ss, se in zip(toks, starts, ends)
-                 if t in terms]  # (start, end, weight) of matched tokens
-        if not spans:
+        matched = [i for i, t in enumerate(toks) if t in terms]
+        if not matched:
             return ""
+        weights = [terms[toks[i]] for i in matched]
+        span_starts = starts[matched]
+        spans = list(zip(span_starts.tolist(), ends[matched].tolist()))
+        keys = [text[ss:se].lower() for ss, se in spans]
         # choose the token-aligned window of <= max_chars (code points)
         # with the best summed weight of *distinct* matched terms; the
         # first best window wins. Tokens and spans are sorted and
         # disjoint, so a window's spans are the range [lo, hi) found by
-        # bisect, and only a window whose range differs from the previous
-        # window's can score differently
-        span_starts = [ss for ss, _se, _w in spans]
-        keys = [text[ss:se].lower() for ss, se, _w in spans]
-        best, scored = None, None
-        for wi, ws in enumerate(starts):
-            last = bisect_right(ends, ws + self.max_chars) - 1
-            frag_end = ends[last] if last >= wi else ws
-            lo = bisect_left(span_starts, ws)
-            hi = bisect_left(span_starts, frag_end, lo)
-            if (lo, hi) == scored:
-                continue
-            scored = (lo, hi)
+        # searchsorted, and only a window whose range differs from the
+        # previous window's can score differently
+        last = np.searchsorted(ends, starts + self.max_chars, side="right") - 1
+        frag_ends = np.where(last >= np.arange(len(starts)), ends[last], starts)
+        lo = np.searchsorted(span_starts, starts)
+        hi = np.searchsorted(span_starts, frag_ends)
+        changed = np.ones(len(starts), bool)
+        changed[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        best = None
+        for wi in np.flatnonzero(changed).tolist():
             seen: set[str] = set()
             score = 0.0
-            for i in range(lo, hi):
+            for i in range(lo[wi], hi[wi]):
                 if keys[i] not in seen:
                     seen.add(keys[i])
-                    score += spans[i][2]
+                    score += weights[i]
             if best is None or score > best[0]:
-                best = (score, ws, frag_end)
+                best = (score, int(starts[wi]), int(frag_ends[wi]))
         _, fs, fe = best
         out = []
         pos = fs
-        for ss, se, _w in spans:
+        for ss, se in spans:
             if ss < fs or se > fe:
                 continue
             out.append(html.escape(text[pos:ss]))

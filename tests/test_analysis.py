@@ -173,3 +173,102 @@ def test_raw_tokens_match_arrow_split_on_random_unicode():
                                   pattern=r"[^\p{L}\p{N}]+").to_pylist()
     for text, w in zip(texts, want):
         assert _raw_tokens(text) == [t for t in w if t], repr(text)
+
+
+def _assert_column_matches_rows(arr, docs):
+    """``analyze_text_column`` over ``arr`` (whose rows are ``docs``) gives
+    each row's ``tokens_positions`` stream, for both tokenized chains."""
+    for name in ["default", "en_stem"]:
+        codes, doc_idx, positions, uniques, counts = Analyzer(name).analyze_text_column(arr)
+        assert len(counts) == len(docs)
+        assert list(uniques) == sorted(set(uniques))
+        assert all(type(u) is str for u in uniques)
+        rows = Analyzer(name)
+        for d, text in enumerate(docs):
+            toks, poss = rows.tokens_positions(text)
+            m = doc_idx == d
+            got = [(uniques[c], int(p)) for c, p in zip(codes[m], positions[m])]
+            assert got == list(zip(toks, poss)), (name, d, text)
+            assert counts[d] == len(toks)
+
+
+# rows whose edges decide the column kernel's token boundaries
+EDGE_COLUMNS = [
+    ["ab", "cd"],  # token bytes on both sides of a row boundary
+    ["0", None],
+    [None, "x", None],
+    ["", "a b", ""],
+    ["!!", "ab", "--"],
+    ["..", None, "", "  "],
+    ["plain ascii", "héllo　wörld", "more ascii"],  # non-ASCII between ASCII
+    ["a,\u3000b", "c\u00a0.d", "e.\u00a0\u3000f"],  # multi-byte separators by punctuation
+    ["é" * 20, "é" * 19 + "x", "é" * 19, "x" * 39, "x" * 40],  # RemoveLong in bytes
+    ["日本語　テスト 123", "ab", "İstanbul ΣΙΓΜΑΣ"],
+    [None],
+    [],
+]
+
+
+def test_column_kernel_row_edges():
+    import pyarrow as pa
+
+    for docs in EDGE_COLUMNS:
+        for typ in [pa.string(), pa.large_string()]:
+            _assert_column_matches_rows(pa.array(docs, type=typ), docs)
+
+
+def test_column_kernel_slices_and_chunks():
+    """Sliced arrays (non-zero offset into the data buffer) and multi-chunk
+    columns tokenize like the same rows in a fresh array."""
+    import pyarrow as pa
+
+    docs = [d for col in EDGE_COLUMNS for d in col]
+    # no nulls and no non-ASCII rows: the kernel reads the slice's own buffers
+    plain = [d for d in docs if d is not None and d.isascii()]
+    for typ in [pa.string(), pa.large_string()]:
+        for rows in [docs, plain]:
+            arr = pa.array(rows, type=typ)
+            for lo, hi in [(1, len(rows)), (3, 9), (len(rows) - 2, len(rows)), (4, 4)]:
+                _assert_column_matches_rows(arr.slice(lo, hi - lo), rows[lo:hi])
+        arr = pa.array(docs, type=typ)
+        chunks = pa.chunked_array(
+            [arr.slice(0, 5), arr.slice(5, 0), arr.slice(5, 7), arr.slice(12)])
+        _assert_column_matches_rows(chunks, docs)
+
+
+def test_column_kernel_on_commit_shaped_columns():
+    """Seeded corpus columns of commit size (25 docs, 1% edge rows with
+    non-ASCII text), with extra non-ASCII and null rows mixed in."""
+    import numpy as np
+    import pyarrow as pa
+
+    from rayfts.corpus import generate_shard
+
+    rng = np.random.default_rng(11)
+    extra = [None, "", "naïve café — 東京 ①②", "ΑΒΓ «quoted»", "x y"]
+    for seed in range(6):
+        docs = generate_shard(seed, 25, seed=seed + 40)["content"].to_pylist()
+        for _ in range(3):
+            docs.insert(int(rng.integers(0, len(docs) + 1)), extra[int(rng.integers(len(extra)))])
+        typ = pa.string() if seed % 2 else pa.large_string()
+        _assert_column_matches_rows(pa.array(docs, type=typ), docs)
+
+
+def test_porter2_digit_shortcut_is_exact():
+    """``stem`` returns a token ending in an ASCII digit unchanged without
+    running the algorithm; the algorithm itself agrees on such tokens,
+    including ones with Porter2 suffixes before the digit."""
+    import random
+
+    from rayfts.analysis.porter2 import _stem
+
+    rng = random.Random(5)
+    stems = ["flies", "running", "happiness", "y", "ies", "ing", "sky",
+             "generously", "ational", "eed", "ident", "x", "'s", "yay"]
+    toks = ["0", "12", "830", "ident8048", "a1b2", "'ab1", "xY1", "y9", "ying7"]
+    for _ in range(2000):
+        head = "".join(rng.choice(stems + [str(rng.randrange(100))])
+                       for _ in range(rng.randint(1, 3)))
+        toks.append(head + str(rng.randrange(10)))
+    for t in toks:
+        assert stem(t) == _stem(t), t

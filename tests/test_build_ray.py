@@ -436,3 +436,60 @@ def test_append_then_compact_invariance(ray_session, tmp_path):
     after = Searcher(idx)
     for q in probes:
         assert [(h.score, h.doc_id) for h in after.top_k(q, 10)] == want[q], q
+
+
+@pytest.mark.parametrize("mode", ["input", "hash"])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_resume_after_merge_skips_merged_units(ray_session, tmp_path, mode, levels):
+    """A build resumed after its segments were merged (once, or a merge of
+    merges) indexes nothing again: the merged segment's lineage names
+    every build unit it covers, and both partition modes skip those."""
+    from rayfts.index.merge import merge_index
+
+    full = pq.read_table(f"{SF}/documents.parquet")
+    paths = []
+    for i in range(4):
+        paths.append(str(tmp_path / f"part-{i}.parquet"))
+        pq.write_table(full.slice(50 * i, 50), paths[-1])
+    idx = str(tmp_path / "idx")
+
+    def build():
+        return build_index(paths, idx, doc_schema(), content_col="text",
+                           key_cols=["doc_id"], num_segments=4,
+                           partition_mode=mode)
+
+    units = build().segment_ids()
+    assert len(units) == 4
+    for _ in range(levels):
+        merge_index(idx, group_size=2 if levels == 2 else 4)
+    merged = mf.read_manifest(idx)
+    assert len(merged.segments) == 1 and merged.num_docs == 200
+    again = build()
+    assert again.num_docs == 200
+    assert again.segment_ids() == merged.segment_ids()
+    assert merged.segments[0].lineage["covers"] == sorted(units)
+
+
+def test_resume_after_merge_builds_missing_units(ray_session, tmp_path):
+    """A failed build whose finished units were merged resumes by building
+    only the units that never committed."""
+    from rayfts.index.merge import merge_index
+
+    path = str(tmp_path / "idx")
+    with pytest.raises(Exception):
+        build_index(f"{SF}/documents.parquet", path, doc_schema(),
+                    content_col="text", key_cols=["doc_id"], num_segments=6,
+                    partition_mode="input", _fail_segments=frozenset({2}))
+
+    def adopt(m):  # register the finished units, as a resume would
+        mf.recover_orphan_segments(path, m)
+        return m
+
+    committed = mf.commit(path, adopt)
+    assert 0 < len(committed.segments) < 6
+    merge_index(path, group_size=8)
+    m = build_index(f"{SF}/documents.parquet", path, doc_schema(),
+                    content_col="text", key_cols=["doc_id"],
+                    partition_mode="input")
+    assert m.num_docs == 500
+    assert len(m.segments) == 1 + 6 - len(committed.segments)
