@@ -62,7 +62,7 @@ _SEPARATORS: dict[int, str] = {}
 
 
 def _classify(chars: set[str]) -> None:
-    """Classify the characters the cache has not seen, in one Arrow call
+    r"""Classify the characters the cache has not seen, in one Arrow call
     against RE2's ``[\p{L}\p{N}]``, the oracle SQL's class."""
     import pyarrow as pa
     import pyarrow.compute as pc

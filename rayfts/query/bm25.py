@@ -36,10 +36,3 @@ def tf_weight(tfs: np.ndarray, dls: np.ndarray, avgdl: float) -> np.ndarray:
 def score(tfs: np.ndarray, dls: np.ndarray, avgdl: float, term_idf: float) -> np.ndarray:
     return term_idf * (K1 + 1.0) * tf_weight(tfs, dls, avgdl)
 
-
-def block_max_score_bound(max_tf: float, min_dl: float, avgdl: float, term_idf: float) -> float:
-    """Upper bound on any doc's score within a block, from the block-max
-    skip metadata (max tf, min fieldnorm): the score is increasing in tf
-    and decreasing in dl, so f(max_tf, min_dl) dominates."""
-    w = max_tf / (max_tf + K1 * (1.0 - B + B * min_dl / avgdl))
-    return term_idf * (K1 + 1.0) * w

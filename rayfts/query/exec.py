@@ -16,13 +16,12 @@ together and ``Bool`` combinators run once on the concatenated arrays;
 phrase, range, fuzzy, regex and all leaves run per segment and their
 matches are concatenated in view docids.
 
-``top_k_term_union`` adds a max-score / block-max pruned path for the
-hot serving case (bare term(s), OR semantics): terms are processed in
-descending max-score-bound order; once the summed bound of the remaining
-terms cannot lift a new document into the top-k, the remaining (long,
-stop-word-like) posting lists are only decoded where their skip-table
-blocks overlap current candidates — the block-max WAND idea expressed
-block-at-a-time so every step stays a numpy kernel.
+``top_k_term_union`` is the max-score pruned path for the hot serving
+case (bare term(s), OR semantics), also run once over the view: terms
+are taken in descending max-score order, and once the summed bound of
+the remaining terms cannot lift a new document into the top-k, the
+remaining (long, stop-word-like) lists only add score to the candidates
+already held.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from rayfts.codec.postings import decode_skips
 from rayfts.index.schema import NUMERIC_TYPES
 from rayfts.index.segment import SegmentReader, lower_bound
 from rayfts.query import bm25
@@ -473,150 +471,52 @@ class Expansion:
 
 
 # ---------------------------------------------------------------------------
-# Block-max pruned top-k union (the serving hot path)
+# Max-score pruned top-k union (the serving hot path)
 # ---------------------------------------------------------------------------
 
 
-def _decode_blocks(seg: SegmentReader, field: str, ordinal: int, block_idx: np.ndarray):
-    """Decode only the selected blocks of a posting list (skip-table
-    random access): returns (docids, tfs) of those blocks."""
-    from rayfts.codec.postings import decode_blocks
-
-    e = seg.term_dict(field)
-    off, ln = int(e["post_off"][ordinal]), int(e["post_len"][ordinal])
-    return decode_blocks(seg._postings_buf()[off : off + ln], block_idx)
-
-
-def top_k_single_term(
-    seg: SegmentReader, stats: GlobalStats, field: str, term: str, k: int
-) -> Matches:
-    """Block-max early termination for ONE term: per-block score bounds
-    from the skip table (max tf, min fieldnorm), blocks visited in
-    descending bound order, stop as soon as the next bound cannot beat the
-    current k-th best score. Exact top-k candidates with exact scores;
-    long stop-word lists typically decode only a fraction of their blocks.
-    """
-    if k <= 0:  # top-0 is empty; the pruning loops assume k >= 1
-        return _EMPTY
-    o = seg.term_ordinal(field, term)
-    if o is None:
-        return _EMPTY
-    e = seg.term_dict(field)
-    off, ln = int(e["post_off"][o]), int(e["post_len"][o])
-    raw = seg._postings_buf()[off : off + ln]
-    n, skips = decode_skips(raw)
-    term_idf = stats.idf(field, term)
-    avgdl = stats.avgdl[field]
-    if skips.size <= 4:  # short list: decode everything
-        pl = seg.postings_by_ordinal(field, o)
-        dls = seg.decoded_norms(field)[pl.docids]
-        return pl.docids, bm25.score(pl.tfs, dls, avgdl, term_idf)
-
-    min_dls = seg.codec.decode(skips["min_norm"]).astype(np.float64)
-    max_tfs = skips["max_tf"].astype(np.float64)
-    w = max_tfs / (max_tfs + bm25.K1 * (1.0 - bm25.B + bm25.B * min_dls / avgdl))
-    bounds = term_idf * (bm25.K1 + 1.0) * w
-    order = np.argsort(-bounds)
-    dls_all = seg.decoded_norms(field)
-
-    acc_docs = np.empty(0, dtype=np.uint32)
-    acc_scores = np.empty(0, dtype=np.float64)
-    threshold = -np.inf
-    CHUNK = 32  # blocks per decode round: larger = fewer vectorized calls,
-    # at worst CHUNK-1 unneeded block decodes after the cutoff
-    for i in range(0, order.size, CHUNK):
-        blocks = order[i : i + CHUNK]
-        # strict <: an equal-bound block can still hold an equal-score doc
-        # whose smaller docid wins the (score desc, docid asc) tie-break
-        if acc_scores.size >= k and float(bounds[blocks[0]]) < threshold:
-            break
-        docs, tfs = _decode_blocks(seg, field, o, np.sort(blocks))
-        scores = bm25.score(tfs, dls_all[docs], avgdl, term_idf)
-        acc_docs = np.concatenate([acc_docs, docs])
-        acc_scores = np.concatenate([acc_scores, scores])
-        if acc_scores.size > k:
-            keep = np.lexsort((acc_docs, -acc_scores))[:k]  # tie-safe trim
-            acc_docs, acc_scores = acc_docs[keep], acc_scores[keep]
-        if acc_scores.size >= k:
-            threshold = float(acc_scores.min())
-    return acc_docs, acc_scores
-
-
 def top_k_term_union(
-    seg: SegmentReader,
+    view: SegmentsView,
     stats: GlobalStats,
     pairs: list[tuple[str, str]],
     k: int,
 ) -> Matches:
-    """Max-score / block-max pruned OR over term queries (one or many).
+    """Max-score pruned OR over term queries (one or many), once over a
+    searcher's view.
 
-    Terms are accumulated rarest-first (highest max score bound first).
-    Once the summed max bound of the unprocessed terms drops below the
-    current k-th best score, no unseen document can reach the top-k, so
-    the remaining lists are decoded only in blocks that overlap existing
-    candidates (skip-table ``last_docid`` ranges — block-max skipping).
-    Returns exact top-k-correct (docids, scores) for all candidate docs
-    touched (a superset of the true top-k, each with its exact score).
+    Each pair's postings over every segment are scored, and the list's
+    highest score is its bound. Lists are taken in descending bound
+    order and unioned while the summed bound of the lists not yet taken
+    could still lift a new document to the current k-th best score.
+    From then on no unseen document can reach the top-k, so each
+    remaining list only adds score to the candidates already held, found
+    by binary search in its sorted docids (cutoff, then verify). Returns
+    a superset of the top-k in view docids, each with its exact score.
     """
     if k <= 0:  # top-0 is empty; the threshold logic assumes k >= 1
         return _EMPTY
-    if len(pairs) == 1:
-        return top_k_single_term(seg, stats, pairs[0][0], pairs[0][1], k)
-    entries = []
+    lists = []
     for field, term in pairs:
-        o = seg.term_ordinal(field, term)
-        if o is None:
-            continue
-        e = seg.term_dict(field)
-        off, ln = int(e["post_off"][o]), int(e["post_len"][o])
-        raw = seg._postings_buf()[off : off + ln]
-        n, skips = decode_skips(raw)
-        term_idf = stats.idf(field, term)
-        avgdl = stats.avgdl[field]
-        min_norm_dl = seg.codec.decode(skips["min_norm"]).min() if skips.size else 0
-        bound = bm25.block_max_score_bound(
-            float(skips["max_tf"].max()) if skips.size else 1.0,
-            float(min_norm_dl), avgdl, term_idf,
-        )
-        entries.append({"field": field, "term": term, "ordinal": o, "n": n,
-                        "skips": skips, "idf": term_idf, "bound": bound})
-    if not entries:
+        docids, scores = _exec_term(Term(field, term), view, stats)
+        if docids.size:
+            lists.append((float(scores.max()), docids, scores))
+    if not lists:
         return _EMPTY
-    entries.sort(key=lambda d: -d["bound"])
-    remaining_bound = sum(d["bound"] for d in entries)
-
-    acc_docs = np.empty(0, dtype=np.uint32)
-    acc_scores = np.empty(0, dtype=np.float64)
-    for d in entries:
-        remaining_bound -= d["bound"]
-        threshold = 0.0
-        if acc_scores.size >= k:
-            threshold = float(np.partition(acc_scores, acc_scores.size - k)[acc_scores.size - k])
-        field = d["field"]
-        dls_all = seg.decoded_norms(field)
-        prune = acc_scores.size >= k and d["bound"] + remaining_bound < threshold
-        if prune:
-            # only blocks overlapping current candidates can change the top-k
-            skips = d["skips"]
-            lasts = skips["last_docid"]
-            firsts = np.concatenate([[0], lasts[:-1] + 1])
-            lo = np.searchsorted(acc_docs, firsts, side="left")
-            hi = np.searchsorted(acc_docs, lasts, side="right")
-            blocks = np.flatnonzero(hi > lo)
-            docs, tfs = _decode_blocks(seg, field, d["ordinal"], blocks)
-            if docs.size:
-                keep = np.isin(docs, acc_docs, assume_unique=True)
-                docs, tfs = docs[keep], tfs[keep]
-        else:
-            pl = seg.postings_by_ordinal(field, d["ordinal"])
-            docs, tfs = pl.docids, pl.tfs
-        if docs.size == 0:
+    lists.sort(key=lambda t: -t[0])
+    # summed bound of lists i.. onward, widened so a different summation
+    # order of the same scores can never exceed it
+    rest = np.cumsum([b for b, _, _ in lists][::-1])[::-1] * (1.0 + 1e-9)
+    _, acc_docs, acc_scores = lists[0]
+    for i, (_, docids, scores) in enumerate(lists[1:], 1):
+        n = acc_docs.size
+        if n >= k and rest[i] < np.partition(acc_scores, n - k)[n - k]:
+            pos = np.minimum(np.searchsorted(docids, acc_docs), docids.size - 1)
+            hit = docids[pos] == acc_docs
+            acc_scores[hit] += scores[pos[hit]]
             continue
-        scores = bm25.score(tfs, dls_all[docs], stats.avgdl[field], d["idf"])
-        both = np.concatenate([acc_docs, docs])
-        merged, inv = np.unique(both, return_inverse=True)
-        out = np.zeros(merged.size, dtype=np.float64)
-        np.add.at(out, inv[: acc_docs.size], acc_scores)
-        np.add.at(out, inv[acc_docs.size :], scores)
-        acc_docs, acc_scores = merged.astype(np.uint32), out
+        acc_docs, inv = np.unique(np.concatenate([acc_docs, docids]), return_inverse=True)
+        out = np.zeros(acc_docs.size, dtype=np.float64)
+        out[inv[:n]] = acc_scores
+        out[inv[n:]] += scores
+        acc_scores = out
     return acc_docs, acc_scores

@@ -3,10 +3,10 @@ evaluation per request over a ``SegmentsView`` of all its segments, one
 (score desc, docid asc) top-k cut, stored-doc retrieval, snippets,
 facets, and sort-by-fast-field — the read path of SURVEY.md §2.3.
 
-Two top-k shapes still run per segment: a pure OR of terms takes the
-block-max pruned ``top_k_term_union`` in each segment, and a
-constant-score query (all, fuzzy, range, regex) visits segments in docid
-order and stops once ``limit`` matches are held.
+A pure OR of terms takes the max-score pruned ``top_k_term_union``, also
+once over the view. Only a constant-score top-k (all, fuzzy, range,
+regex) runs per segment: it visits segments in docid order and stops
+once ``limit`` matches are held.
 
 The reference's equivalents: ``IndexHandle::query``
 (``/root/reference/src-rust/index.rs:246-284``, string grammar, default
@@ -214,20 +214,18 @@ class Searcher:
         """``stats`` override: distributed serving computes df across ALL
         actors first and passes the summed map in (rayfts.query.serve).
 
-        Every other query is evaluated once over the view. Two shapes run
-        per segment: a pure OR of terms takes the pruned union, and a
-        constant-score query (every hit scores 1.0) ranks by docid alone,
-        so its segments are visited in docid order and the visit stops
-        once ``limit`` matches are held."""
+        A pure OR of terms takes the pruned union and every other query
+        is evaluated, each once over the view. A constant-score query
+        (every hit scores 1.0) ranks by docid alone, so it runs per
+        segment instead: segments are visited in docid order and the
+        visit stops once ``limit`` matches are held."""
         query = self._resolve(q)
         stats = self.stats_for(query) if stats is None else self._expand(query, stats)
         if limit <= 0:
             return []
         pairs = self._union_terms(query)
         if pairs is not None:
-            return self._merge(
-                [(si, *top_k_term_union(reader, stats, pairs, limit))
-                 for si, reader in enumerate(self.readers)], limit)
+            return self._hits(*top_k_term_union(self.view, stats, pairs, limit), limit)
         if isinstance(query, (All, Fuzzy, Range, Regex)):
             parts, held = [], 0
             for si, reader in enumerate(self.readers):
@@ -369,7 +367,7 @@ class Searcher:
                 sort_field = search.sort_by
         limit = search.limit
         if sort_field is None and not search.facets:
-            hits = self.top_k(query, limit)  # pruned (block-max) path
+            hits = self.top_k(query, limit)  # pruned union for a pure OR
         else:
             docids, keys = self._execute(query, self.view, self.stats_for(query))
             if sort_field is not None:

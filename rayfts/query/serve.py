@@ -199,7 +199,7 @@ class SearchService:
         decided from the partial-df results the df fan-out already
         fetched). Without routing, N shards evaluate every query against
         1/N of the index and per-query cost is sub-linear in index size
-        (block-max WAND), so sharded fan-out used to LOSE to one merged
+        (max-score pruning), so sharded fan-out used to LOSE to one merged
         searcher; routing restores the win for mid/rare-term traffic."""
         actors, hot_actors = self.actors, self.hot_actors
         resolved = [self._resolver._resolve(q) for q in queries]

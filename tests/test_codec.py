@@ -7,8 +7,9 @@ import pytest
 from rayfts.codec.fieldnorm import FieldNormCodec
 from rayfts.codec.postings import (
     BLOCK_SIZE,
+    SMALL_LIST,
+    _decode_vectorized,
     decode_postings,
-    decode_skips,
     encode_postings,
 )
 from rayfts.codec.varint import decode_varints, encode_varints
@@ -43,6 +44,25 @@ def test_postings_roundtrip_property():
         pl = decode_postings(encode_postings(docids, tfs, norms))
         assert (pl.docids == docids).all()
         assert (pl.tfs == tfs).all()
+    # short lists on both sides of the scalar decode's threshold, with
+    # docid deltas and tfs of every varint width up to 5 bytes
+    top = 2**32 - 1
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        deltas = rng.integers(0, 2 ** rng.integers(1, 33, size=n), dtype=np.uint64)
+        deltas[1:] = np.maximum(deltas[1:], 1)
+        while int(deltas.sum()) > top:
+            deltas[int(np.argmax(deltas))] //= 2
+        docids = np.cumsum(deltas).astype(np.uint32)
+        tfs = rng.integers(1, 2 ** rng.integers(1, 33, size=n), dtype=np.uint64).astype(np.uint32)
+        norms = rng.integers(0, 256, size=n).astype(np.uint8)
+        blob = encode_postings(docids, tfs, norms)
+        pl = decode_postings(blob)
+        assert (pl.docids == docids).all() and (pl.tfs == tfs).all()
+        vec = _decode_vectorized(np.frombuffer(blob, dtype=np.uint8))
+        for got, want in ((pl.docids, vec.docids), (pl.tfs, vec.tfs), (pl.skips, vec.skips)):
+            assert got.dtype == want.dtype and (got == want).all()
+    assert SMALL_LIST < 40
 
 
 def test_skip_blockmax_metadata():
@@ -51,7 +71,8 @@ def test_skip_blockmax_metadata():
     tfs = (np.arange(n) % 17 + 1).astype(np.uint32)
     norms = (np.arange(n) % 41).astype(np.uint8)
     blob = encode_postings(docids, tfs, norms)
-    ndocs, skips = decode_skips(blob)
+    pl = decode_postings(blob)
+    ndocs, skips = pl.doc_freq, pl.skips
     assert ndocs == n
     assert skips.size == (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     for b in range(skips.size):

@@ -203,9 +203,9 @@ def test_removed_long_token_keeps_position_gap(tmp_path_factory):
 
 
 def test_wand_pruned_union_matches_naive(ray_session, tmp_path_factory):
-    """Block-max pruned top-k (#24 + north star WAND) returns exactly the
-    same ranked (score, doc) list as the unpruned union on a corpus large
-    enough that pruning actually triggers."""
+    """Max-score pruned top-k (#24) returns exactly the same ranked
+    (score, doc) list as the unpruned union on a corpus large enough that
+    pruning actually triggers."""
     import glob
 
     from rayfts.index.build import build_index

@@ -1,12 +1,14 @@
 """One evaluation over a searcher's ``SegmentsView`` answers exactly as a
 per-segment evaluation: seeded random ``Bool`` trees (depth up to 3, over
 term, phrase, fuzzy, regex, range and all leaves) on a catalog index of
-uneven segments and on a searcher over a non-prefix subset of them. The
-reference runs ``execute`` on each segment, maps docids to global ids and
+uneven segments and on a searcher over a non-prefix subset of them, and
+top-level pure ORs of terms, which take the pruned union. The reference runs ``execute`` on each segment, maps docids to global ids and
 sorts by (score desc, docid asc) on its own."""
 
 import numpy as np
 import pytest
+
+import rayfts.query.searcher as searcher_mod
 
 from rayfts.index.catalog import IndexCatalog
 from rayfts.index.schema import FieldDef, IndexSchema
@@ -65,7 +67,23 @@ def _leaf(rng):
     return All()
 
 
+def _union(rng):
+    """A pure OR of terms, the shape ``top_k_term_union`` answers: two
+    fields, absent words and repeated clauses."""
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.3:  # no facet value holds "delta"
+            terms.append(Term("facet", f"/top/{rng.choice(WORDS[:4])}"))
+        else:
+            terms.append(Term("body", str(rng.choice(WORDS + ["absent"]))))
+    if rng.random() < 0.3:
+        terms.append(terms[int(rng.integers(0, len(terms)))])
+    return Bool(should=terms)
+
+
 def _query(rng, depth: int = 3):
+    if depth == 3 and rng.random() < 0.2:
+        return _union(rng)
     if depth == 0 or rng.random() < 0.25:
         return _leaf(rng)
 
@@ -130,3 +148,27 @@ def test_view_matches_per_segment_evaluation(layouts):
             res = s.search(Search(q, limit=5, sort_by="size"))
             assert _hits(res.docs) == _ranked(gids, sizes, 5), q
     assert checked > 70  # most queries match something
+
+
+def test_pure_or_runs_one_union_per_search(layouts, monkeypatch):
+    """A pure OR of terms is one ``top_k_term_union`` call over the view
+    however many segments the searcher holds (perfbench counts the calls
+    as its pruned layer), and no ``execute``."""
+    searchers, rng = layouts
+    calls = {"union": 0, "execute": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(searcher_mod, "top_k_term_union",
+                        counted("union", searcher_mod.top_k_term_union))
+    monkeypatch.setattr(searcher_mod, "execute", counted("execute", searcher_mod.execute))
+    for s in searchers:
+        for q in (Term("body", "alpha"), _union(rng),
+                  Bool(should=[Term("body", "beta"), Term("facet", "/top/alpha")])):
+            calls.update(union=0, execute=0)
+            s.top_k(q, 10)
+            assert calls == {"union": 1, "execute": 0}, (q, len(s.readers))
