@@ -20,12 +20,13 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import shutil
 import tempfile
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 from rayfts.index.schema import IndexSchema
-from rayfts.index.segment import SegmentInfo
+from rayfts.index.segment import SegmentInfo, scratch_pid
 
 MANIFEST_FILE = "manifest.json"
 LOCK_FILE = ".manifest.lock"
@@ -187,6 +188,16 @@ def commit(
         return out
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's process
+        return True
+    return True
+
+
 def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentInfo]:
     """Adopt committed-but-unregistered segment directories into
     ``manifest``; the caller commits it. A segment write is atomic (tmp +
@@ -200,7 +211,12 @@ def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentI
     swap is skipped: its sources are still registered. So is a source
     that a registered segment lists in its ``merged_from``, left by a
     merge that died after its swap but before deleting it: its documents
-    are already in the merge output."""
+    are already in the merge output.
+
+    Scratch directories (``*.tmp``) are never adopted. Those that a write
+    attempt on this host left behind when its process died are deleted
+    (:func:`rayfts.index.segment.scratch_pid`); a live process's, another
+    host's and any name that does not parse are left alone."""
     seg_root = segments_dir(index_dir)
     if not os.path.isdir(seg_root):
         return []
@@ -209,7 +225,12 @@ def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentI
                    for sid in s.lineage.get("merged_from", ())}
     adopted: list[SegmentInfo] = []
     for entry in sorted(os.listdir(seg_root)):
-        if entry in known or entry in merged_away or entry.endswith(".tmp"):
+        if entry.endswith(".tmp"):
+            pid = scratch_pid(entry)
+            if pid is not None and not _alive(pid):
+                shutil.rmtree(os.path.join(seg_root, entry), ignore_errors=True)
+            continue
+        if entry in known or entry in merged_away:
             continue
         meta = os.path.join(seg_root, entry, "segment.json")
         if not os.path.isfile(meta):

@@ -9,16 +9,21 @@ is an explicit, deterministic operation:
   the merged index preserves global docid order — queries return
   identical (score, docid) before and after a merge;
 - each group does a k-way merge of sorted term dictionaries with docid
-  rebasing; positions need no re-encode (their delta streams are
-  span-local) and are byte-concatenated;
-- big groups fan out TERM-SHARDED: shard k merges term range
+  rebasing, one shard at a time (``_merge_shard``); positions need no
+  re-encode (their delta streams are span-local) and are
+  byte-concatenated;
+- a small group runs one whole-field shard per indexed field in
+  process; a big group fans out TERM-SHARDED: shard k merges term range
   [lo_k, hi_k) of every source (a contiguous slice of each sorted
   dictionary = a contiguous byte range of each postings/positions
-  file) in its own Ray task, and a stitch step concatenates the shard
-  blobs — byte-identical to the single-task merge, wall time divided
-  by the shard count (see the "Term-sharded parallel merge" section);
-- the merged segment is written tmp+rename and swapped into the manifest
-  atomically (originals dropped in the same commit).
+  file) in its own Ray task, and a stitch step streams the shard files
+  into the writer — byte-identical to the single-task merge, wall time
+  divided by the shard count (see the "Term-sharded parallel merge"
+  section);
+- the merged segment is written by the build's own segment writer,
+  ``segment.write_segment`` (a scratch directory per attempt, then one
+  rename), and swapped into the manifest atomically (originals dropped
+  in the same commit).
 
 Merge determinism (SURVEY.md §5 item 3): same source segments in any
 grouping order -> byte-identical merged postings, because inputs are
@@ -27,7 +32,7 @@ always processed in segment_id order.
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 import shutil
 
@@ -41,17 +46,8 @@ import ray
 from rayfts.index import manifest as mf
 from rayfts.index.schema import IndexSchema
 from rayfts.index.segment import (
-    META_FILE,
-    NORMS_FILE,
-    POSITIONS_FILE,
-    POSTINGS_FILE,
-    STORE_FILE,
-    TERMS_FILE,
-    SegmentInfo,
-    SegmentReader,
-    lower_bound,
-    write_facet_sidecar,
-)
+    NO_TERMS, SegmentInfo, SegmentReader, lower_bound, terms_table,
+    write_segment)
 from rayfts.codec.postings import encode_postings_batch
 
 
@@ -121,35 +117,61 @@ def _scatter_spans(dst_offs, src_starts, lens):
     return np.repeat(dst_offs, lens) + rel, np.repeat(src_starts, lens) + rel
 
 
-def _merge_field_range(
+@contextlib.contextmanager
+def _arrow_pools_capped(n: int = 2):
+    """Cap Arrow's CPU and IO pools at ``n`` threads, then RESTORE them:
+    merge tasks run in reused worker processes that later serve other Ray
+    Data tasks."""
+    old_cpu, old_io = pa.cpu_count(), pa.io_thread_count()
+    try:
+        if old_cpu > n:
+            pa.set_cpu_count(n)
+            pa.set_io_thread_count(n)
+        yield
+    finally:
+        pa.set_cpu_count(old_cpu)
+        pa.set_io_thread_count(old_io)
+
+
+def _open_sources(index_dir: str, schema: IndexSchema, source_ids: list[str]):
+    """Readers of a group's sources in segment_id order, and each source's
+    first global docid."""
+    readers = [SegmentReader(mf.segment_path(index_dir, s), schema)
+               for s in sorted(source_ids)]
+    offsets = np.concatenate([[0], np.cumsum([r.num_docs for r in readers])])[:-1]
+    return readers, offsets
+
+
+def _merge_shard(
     readers: list[SegmentReader],
     fdef,
     offsets: np.ndarray,
-    norms_concat: np.ndarray,
-    ranges: list[tuple[int, int]] | None = None,
-) -> dict:
-    """Merge ONE field's postings across sources, restricted to per-source
-    term-ordinal ``ranges[src] = (lo, hi)`` (``None`` = the whole field).
+    norms: np.ndarray,
+    lo: str | None = None,
+    hi: str | None = None,
+) -> tuple[pa.Table, bytes, bytes]:
+    """Merge term range ``[lo, hi)`` of ONE field across sources (``None``
+    = open bound, so both ``None`` is the whole field): a part for
+    :func:`write_segment`.
 
     This is the unit of the term-sharded parallel merge: a term range maps
     to a CONTIGUOUS ordinal slice of every source dictionary (dictionaries
     are sorted), hence a contiguous byte slice of every source postings /
     positions file — a shard reads only its slice. Per-term encodings
     depend only on that term's own postings, so concatenating shard blobs
-    in term order is byte-identical to the unsharded merge (tested).
-
-    Returns a dict with ``terms`` (an Arrow string array) and per-term
-    metadata arrays plus ``post_blob``/``pos_blob`` with blob-relative
-    offsets.
+    in term order is byte-identical to merging whole fields (tested).
     """
     dicts = [r.term_dict(fdef.name) for r in readers]
-    if ranges is None:
-        ranges = [(0, len(d["terms_pa"])) for d in dicts]
+    ranges = [(0 if lo is None else lower_bound(d["terms_pa"], lo),
+               len(d["terms_pa"]) if hi is None else lower_bound(d["terms_pa"], hi))
+              for d in dicts]
     # k-way merge of the sorted Arrow term slices: one sort by (term,
     # source), with no Python string per term
     all_terms = pa.concat_arrays(
-        [d["terms_pa"][lo:hi] for d, (lo, hi) in zip(dicts, ranges)])
-    sizes = [hi - lo for (lo, hi) in ranges]
+        [d["terms_pa"][a:b] for d, (a, b) in zip(dicts, ranges)])
+    if len(all_terms) == 0:
+        return NO_TERMS, b"", b""
+    sizes = [b - a for (a, b) in ranges]
     src_of = np.repeat(np.arange(len(dicts)), sizes)
     ord_of = np.arange(src_of.size) - np.repeat(
         np.cumsum(sizes) - sizes, sizes)
@@ -157,19 +179,12 @@ def _merge_field_range(
         pa.table({"term": all_terms, "src": src_of}),
         sort_keys=[("term", "ascending"), ("src", "ascending")]).to_numpy()
     s_terms, s_src, s_ord = all_terms.take(order), src_of[order], ord_of[order]
-    codec = readers[0].codec
-
-    if len(s_terms) == 0:
-        z = np.empty(0, np.int64)
-        return {"terms": pa.array([], pa.string()), "df": z, "total_tf": z,
-                "post_off": z, "post_len": z, "pos_off": z, "pos_len": z,
-                "post_blob": b"", "pos_blob": b""}
 
     # per-span (one span = one term's postings in ONE source) metadata,
     # all aligned with the merge order — everything below is vectorized;
     # a python per-term loop would dominate at 10 sources x 10^5 terms
     df_all = np.concatenate(
-        [d["df"][lo:hi].astype(np.int64) for d, (lo, hi) in zip(dicts, ranges)]
+        [d["df"][a:b].astype(np.int64) for d, (a, b) in zip(dicts, ranges)]
     )[order]
     span_out_offs = np.concatenate([[0], np.cumsum(df_all)[:-1]])
     total_docs = int(df_all.sum())
@@ -195,8 +210,8 @@ def _merge_field_range(
         )
         m_docs[dst_idx] = b_docs[src_idx].astype(np.int64) + offsets[src]
         m_tfs[dst_idx] = b_tfs[src_idx]
-    if codec.kind == "tantivy_like":
-        m_norms = norms_concat[m_docs].astype(np.uint8)
+    if readers[0].codec.kind == "tantivy_like":
+        m_norms = norms[m_docs].astype(np.uint8)
     else:
         m_norms = np.zeros(total_docs, dtype=np.uint8)
 
@@ -204,11 +219,11 @@ def _merge_field_range(
     # absolute at run starts), gathered per source in merge order
     if fdef.has_positions:
         plen_all = np.concatenate(
-            [d["pos_len"][lo:hi].astype(np.int64)
-             for d, (lo, hi) in zip(dicts, ranges)])[order]
+            [d["pos_len"][a:b].astype(np.int64)
+             for d, (a, b) in zip(dicts, ranges)])[order]
         poff_all = np.concatenate(
-            [d["pos_off"][lo:hi].astype(np.int64)
-             for d, (lo, hi) in zip(dicts, ranges)])[order]
+            [d["pos_off"][a:b].astype(np.int64)
+             for d, (a, b) in zip(dicts, ranges)])[order]
         span_pos_out = np.concatenate([[0], np.cumsum(plen_all)[:-1]])
         total_pos_bytes = int(plen_all.sum())
         pos_stream = np.empty(total_pos_bytes, dtype=np.uint8)
@@ -234,135 +249,93 @@ def _merge_field_range(
     blob, t_offs, t_lens = encode_postings_batch(
         m_docs.astype(np.uint32), m_tfs, m_norms, starts, ends
     )
-    return {
-        "terms": merged_terms,
-        "df": np.asarray(t_sizes, dtype=np.int64),
-        "total_tf": tf_cum[ends] - tf_cum[starts],
-        "post_off": t_offs,
-        "post_len": t_lens,
-        "pos_off": term_pos_offs,
-        "pos_len": term_pos_lens,
-        "post_blob": blob,
-        "pos_blob": pos_blob,
-    }
+    return terms_table(fdef.name, merged_terms, {
+        "df": t_sizes, "total_tf": tf_cum[ends] - tf_cum[starts],
+        "post_off": t_offs, "post_len": t_lens,
+        "pos_off": term_pos_offs, "pos_len": term_pos_lens,
+    }), blob, pos_blob
 
 
-def _write_store_and_facets(
-    tmp: str, schema: IndexSchema, readers: list[SegmentReader]
-) -> None:
-    """Doc-order files of a merged segment (store + facet sidecars) —
-    pure per-doc concatenations, independent of any term sharding."""
-    stores = _reconcile_store_schemas([r.store() for r in readers])
-    merged_store = pa.concat_tables(stores, promote_options="default")
-    pq.write_table(merged_store, os.path.join(tmp, STORE_FILE))
-    # facet sidecars regenerate from the SOURCE sidecars (codes decoded to
-    # paths, re-factorized over the union) — not from the merged store,
-    # which lacks stored=False facet fields
+def _merged_facets(schema: IndexSchema, readers: list[SegmentReader]) -> dict:
+    """Facet columns of the merged segment, regenerated from the SOURCE
+    sidecars (codes decoded to paths, re-factorized over the union by the
+    writer), not from the merged store, which lacks stored=False facet
+    fields. A source without a field's values adds nulls."""
     facet_cols: dict[str, pa.Array] = {}
     for f in schema.fields:
         if f.type != "facet":
             continue
-        vals_parts = []
-        try:
-            for r in readers:
+        vals_parts, present = [], False
+        for r in readers:
+            v = np.full(r.num_docs, None, dtype=object)
+            vals_parts.append(v)
+            try:
                 codes, paths = r.facet_dict(f.name)
-                v = np.empty(codes.size, dtype=object)
-                m = codes >= 0
-                if m.any():
-                    v[m] = paths[codes[m]]
-                vals_parts.append(v)
-        except KeyError:
-            continue  # field absent in the sources
-        facet_cols[f.name] = pa.array(np.concatenate(vals_parts))
-    write_facet_sidecar(tmp, facet_cols)
+            except KeyError:
+                continue
+            present = True
+            m = codes >= 0
+            v[m] = paths[codes[m]]
+        if present:
+            facet_cols[f.name] = pa.array(np.concatenate(vals_parts))
+    return facet_cols
 
 
 def merge_segment_group(
-    index_dir: str, schema_json: list, source_ids: list[str]
+    index_dir: str, schema_json: list, source_ids: list[str], num_shards: int = 1
 ) -> SegmentInfo:
+    """Merge one contiguous group of segments into one segment, written by
+    :func:`write_segment`. With ``num_shards == 1`` every indexed field is
+    one whole-field shard merged here, in process; with more, the group's
+    term space is planned into about ``num_shards`` ranges
+    (:func:`plan_merge_shards`), each merged by a parallel Ray task that
+    stages its files in the attempt's scratch directory, and the stitch
+    streams them into the writer one shard at a time. Both give the same
+    bytes."""
     source_ids = sorted(source_ids)
     schema = IndexSchema.from_json(schema_json)
-    readers = [SegmentReader(mf.segment_path(index_dir, s), schema) for s in source_ids]
-    offsets = np.concatenate([[0], np.cumsum([r.num_docs for r in readers])])[:-1]
-    out_id = merged_segment_id(source_ids)
-    out_dir = mf.segment_path(index_dir, out_id)
-    tmp = out_dir + ".tmp"
-    # a crashed SHARDED attempt may have left shard scratch files here;
-    # this path writes fixed names only, so junk would ride the rename
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
+    readers, offsets = _open_sources(index_dir, schema, source_ids)
+    fields = schema.indexed_fields
+    norms = {f.name: np.concatenate([r.norms(f.name) for r in readers])
+             for f in fields}
 
-    term_tables: list[pa.Table] = []
-    post_chunks: list[bytes] = []
-    pos_chunks: list[bytes] = []
-    post_off = 0
-    pos_off = 0
-    norms_out: dict[str, np.ndarray] = {}
-    field_stats: dict[str, dict] = {}
-
-    for fdef in schema.indexed_fields:
-        norms_out[fdef.name] = np.concatenate([r.norms(fdef.name) for r in readers])
-        res = _merge_field_range(readers, fdef, offsets, norms_out[fdef.name])
-        if len(res["terms"]):
-            res["post_off"] = res["post_off"] + post_off
-            res["pos_off"] = np.where(res["pos_off"] >= 0, res["pos_off"] + pos_off, -1)
-            term_tables.append(_terms_table(fdef.name, res))
-            post_chunks.append(res["post_blob"])
-            pos_chunks.append(res["pos_blob"])
-            post_off += len(res["post_blob"])
-            pos_off += len(res["pos_blob"])
-        field_stats[fdef.name] = {
-            "total_tokens": sum(
-                r.info.field_stats.get(fdef.name, {}).get("total_tokens", 0)
-                for r in readers
-            ),
-            "num_terms": len(res["terms"]),
-        }
-
-    terms_table = _concat_terms_tables(term_tables)
-    pq.write_table(terms_table, os.path.join(tmp, TERMS_FILE))
-    with open(os.path.join(tmp, POSTINGS_FILE), "wb") as f:
-        f.write(b"".join(post_chunks))
-    with open(os.path.join(tmp, POSITIONS_FILE), "wb") as f:
-        f.write(b"".join(pos_chunks))
-    np.savez(os.path.join(tmp, NORMS_FILE), **norms_out)
-    _write_store_and_facets(tmp, schema, readers)
+    def parts(scratch):
+        if num_shards <= 1:
+            for f in fields:
+                yield _merge_shard(readers, f, offsets, norms[f.name])
+            return
+        futs = [
+            _merge_shard_task.remote(
+                index_dir, schema_json, source_ids, s["field"], s["lo"],
+                s["hi"], os.path.join(scratch, f"shard-{i:05d}"))
+            for i, s in enumerate(plan_merge_shards(readers, schema, num_shards))
+        ]
+        for prefix in ray.get(futs):
+            yield _read_shard(prefix)
 
     info = SegmentInfo(
-        segment_id=out_id,
+        segment_id=merged_segment_id(source_ids),
         num_docs=int(sum(r.num_docs for r in readers)),
-        field_stats=field_stats,
+        field_stats={f.name: {"total_tokens": sum(
+            r.info.field_stats.get(f.name, {}).get("total_tokens", 0)
+            for r in readers)} for f in fields},
         lineage=_merged_lineage(source_ids, readers),
-        metrics={"postings_bytes": post_off, "positions_bytes": pos_off},
         fieldnorm_codec=readers[0].codec.kind,
     )
-    with open(os.path.join(tmp, META_FILE), "w") as f:
-        json.dump(info.to_json(), f)
-    if os.path.isdir(out_dir):
-        shutil.rmtree(tmp)
-    else:
-        os.replace(tmp, out_dir)
-    return info
+    return write_segment(
+        mf.segment_path(index_dir, info.segment_id), info, parts, norms,
+        store=pa.concat_tables(_reconcile_store_schemas([r.store() for r in readers]),
+                               promote_options="default"),
+        facets=_merged_facets(schema, readers))
 
 
-# ---------------------------------------------------------------------------
-# Term-sharded parallel merge
-#
-# A group merge is single-threaded per group, so a compaction whose plan
-# yields FEW groups (e.g. 16 small segments -> 1 group) serializes on one
-# core no matter how large the cluster — and one skewed giant group would
-# straddle a whole pass. The sharded path splits one group's work across
-# the TERM space: shard k merges term range [lo_k, hi_k) of every source
-# (a contiguous ordinal slice of each sorted dictionary = a contiguous
-# byte slice of each postings/positions file), and a stitch step
-# concatenates the shard blobs in term order. Because a term's encoding
-# depends only on its own postings, the stitched segment is byte-identical
-# to the unsharded merge (test_merge_sharded golden). Boundaries come from
-# weighted dictionary samples (weight = encoded postings+positions bytes),
-# so a stop-word-heavy term region lands alone in its own shard instead of
-# skewing one worker — the merge-side analogue of the build's salted
+# Term-sharded parallel merge. One group's merge is single-threaded, so a
+# plan with FEW groups (16 small segments -> 1 group) would serialize on
+# one core, and one skewed giant group would straddle a whole pass. Shard
+# boundaries come from byte-weighted dictionary samples, so a
+# stop-word-heavy term region lands alone in its own shard instead of
+# skewing one worker: the merge-side analogue of the build's salted
 # shuffle (north star: "explicit skew handling for stop-word-heavy terms").
-# ---------------------------------------------------------------------------
 
 
 def plan_merge_shards(
@@ -415,170 +388,38 @@ def plan_merge_shards(
     return shards
 
 
-def _terms_table(field: str, res: dict) -> pa.Table:
-    """One field's rows of a merged ``terms.parquet``."""
-    return pa.table({
-        "field": pa.array([field] * len(res["terms"]), type=pa.string()),
-        "term": pa.array(res["terms"], type=pa.string()),
-        "df": pa.array(res["df"], type=pa.uint32()),
-        "total_tf": pa.array(res["total_tf"], type=pa.int64()),
-        "post_off": pa.array(res["post_off"], type=pa.int64()),
-        "post_len": pa.array(res["post_len"], type=pa.int64()),
-        "pos_off": pa.array(res["pos_off"], type=pa.int64()),
-        "pos_len": pa.array(res["pos_len"], type=pa.int64()),
-    })
-
-
-def _concat_terms_tables(tables: list[pa.Table]) -> pa.Table:
-    """Field tables in (field, term) order as one single-chunk table, so
-    the unsharded and sharded merges write the same parquet bytes."""
-    if not tables:
-        return _terms_table("", {k: [] for k in
-            ["terms", "df", "total_tf", "post_off", "post_len",
-             "pos_off", "pos_len"]})
-    return pa.concat_tables(tables).combine_chunks()
-
-
 @ray.remote
 def _merge_shard_task(
     index_dir: str, schema_json: list, source_ids: list[str],
     field: str, lo: str | None, hi: str | None, out_prefix: str,
-) -> dict:
-    """Merge one term range of one field across the group's sources and
-    write blob-relative shard files (``.post``/``.pos``/``.terms.parquet``)
-    next to the segment-in-progress. Reads only the shard's contiguous
+) -> str:
+    """Merge one term range of one field across the group's sources into
+    shard files (``out_prefix`` + ``.terms.parquet``/``.post``/``.pos``)
+    in the attempt's scratch directory. Reads only the shard's contiguous
     byte slice of each source."""
-    old_cpu, old_io = pa.cpu_count(), pa.io_thread_count()
-    try:
-        if old_cpu > 2:
-            pa.set_cpu_count(2)
-            pa.set_io_thread_count(2)
+    with _arrow_pools_capped():
         schema = IndexSchema.from_json(schema_json)
-        readers = [SegmentReader(mf.segment_path(index_dir, s), schema)
-                   for s in sorted(source_ids)]
-        offsets = np.concatenate(
-            [[0], np.cumsum([r.num_docs for r in readers])])[:-1]
+        readers, offsets = _open_sources(index_dir, schema, source_ids)
         fdef = next(f for f in schema.indexed_fields if f.name == field)
-        ranges = []
-        for r in readers:
-            arr = r.term_dict(field)["terms_pa"]
-            o_lo = 0 if lo is None else lower_bound(arr, lo)
-            o_hi = len(arr) if hi is None else lower_bound(arr, hi)
-            ranges.append((o_lo, o_hi))
-        norms_concat = np.concatenate([r.norms(field) for r in readers])
-        res = _merge_field_range(readers, fdef, offsets, norms_concat, ranges)
-        with open(out_prefix + ".post", "wb") as f:
-            f.write(res["post_blob"])
-        with open(out_prefix + ".pos", "wb") as f:
-            f.write(res["pos_blob"])
-        pq.write_table(_terms_table(field, res),
-                       out_prefix + ".terms.parquet")
-        return {"field": field, "prefix": out_prefix,
-                "nterms": len(res["terms"]),
-                "post_bytes": len(res["post_blob"]),
-                "pos_bytes": len(res["pos_blob"])}
-    finally:
-        pa.set_cpu_count(old_cpu)
-        pa.set_io_thread_count(old_io)
+        norms = np.concatenate([r.norms(field) for r in readers])
+        terms, post, pos = _merge_shard(readers, fdef, offsets, norms, lo, hi)
+        pq.write_table(terms, out_prefix + ".terms.parquet")
+        for ext, blob in ((".post", post), (".pos", pos)):
+            with open(out_prefix + ext, "wb") as f:
+                f.write(blob)
+        return out_prefix
 
 
-def merge_segment_group_sharded(
-    index_dir: str, schema_json: list, source_ids: list[str], num_shards: int
-) -> SegmentInfo:
-    """Sharded equivalent of :func:`merge_segment_group` — same output
-    bytes, wall time divided across ``num_shards`` parallel Ray tasks."""
-    source_ids = sorted(source_ids)
-    schema = IndexSchema.from_json(schema_json)
-    readers = [SegmentReader(mf.segment_path(index_dir, s), schema)
-               for s in source_ids]
-    out_id = merged_segment_id(source_ids)
-    out_dir = mf.segment_path(index_dir, out_id)
-    tmp = out_dir + ".tmp"
-    # a crashed prior attempt may have left shard files for a DIFFERENT
-    # plan in tmp; they must not ride the final rename into the segment
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
-
-    plan = plan_merge_shards(readers, schema, num_shards)
-    futs = [
-        _merge_shard_task.remote(
-            index_dir, schema_json, source_ids, s["field"], s["lo"], s["hi"],
-            os.path.join(tmp, f"shard-{i:05d}"))
-        for i, s in enumerate(plan)
-    ]
-    metas = ray.get(futs)
-
-    # stitch: concatenate shard blobs in (field, term) order, rebasing the
-    # per-shard blob-relative offsets by the running file offsets
-    term_tables = []
-    post_base = 0
-    pos_base = 0
-    nterms_by_field: dict[str, int] = {}
-    with open(os.path.join(tmp, POSTINGS_FILE), "wb") as post_f, \
-         open(os.path.join(tmp, POSITIONS_FILE), "wb") as pos_f:
-        for meta in metas:
-            with open(meta["prefix"] + ".post", "rb") as f:
-                post_f.write(f.read())
-            with open(meta["prefix"] + ".pos", "rb") as f:
-                pos_f.write(f.read())
-            t = pq.read_table(meta["prefix"] + ".terms.parquet")
-            if t.num_rows:
-                po = t["post_off"].to_numpy() + post_base
-                zo = t["pos_off"].to_numpy()
-                zo = np.where(zo >= 0, zo + pos_base, -1)
-                t = t.set_column(t.column_names.index("post_off"), "post_off",
-                                 pa.array(po, type=pa.int64()))
-                t = t.set_column(t.column_names.index("pos_off"), "pos_off",
-                                 pa.array(zo, type=pa.int64()))
-                term_tables.append(t)
-            nterms_by_field[meta["field"]] = (
-                nterms_by_field.get(meta["field"], 0) + meta["nterms"])
-            post_base += meta["post_bytes"]
-            pos_base += meta["pos_bytes"]
-            for ext in (".post", ".pos", ".terms.parquet"):
-                os.unlink(meta["prefix"] + ext)
-    terms_table = _concat_terms_tables(term_tables)
-    pq.write_table(terms_table, os.path.join(tmp, TERMS_FILE))
-
-    norms_out = {f.name: np.concatenate([r.norms(f.name) for r in readers])
-                 for f in schema.indexed_fields}
-    np.savez(os.path.join(tmp, NORMS_FILE), **norms_out)
-    _write_store_and_facets(tmp, schema, readers)
-
-    field_stats = {
-        f.name: {
-            "total_tokens": sum(
-                r.info.field_stats.get(f.name, {}).get("total_tokens", 0)
-                for r in readers),
-            "num_terms": nterms_by_field.get(f.name, 0),
-        }
-        for f in schema.indexed_fields
-    }
-    info = SegmentInfo(
-        segment_id=out_id,
-        num_docs=int(sum(r.num_docs for r in readers)),
-        field_stats=field_stats,
-        lineage=_merged_lineage(source_ids, readers),
-        metrics={"postings_bytes": post_base, "positions_bytes": pos_base},
-        fieldnorm_codec=readers[0].codec.kind,
-    )
-    with open(os.path.join(tmp, META_FILE), "w") as f:
-        json.dump(info.to_json(), f)
-    if os.path.isdir(out_dir):
-        shutil.rmtree(tmp)
-    else:
-        os.replace(tmp, out_dir)
-    return info
-
-
-@ray.remote
-def _merge_group_sharded_task(
-    index_dir: str, schema_json: list, source_ids: list[str], num_shards: int
-) -> dict:
-    """Remote wrapper: plans + submits nested shard tasks + stitches, so
-    the driver stays light when many groups shard at once."""
-    return merge_segment_group_sharded(
-        index_dir, schema_json, source_ids, num_shards).to_json()
+def _read_shard(prefix: str) -> tuple[pa.Table, bytes, bytes]:
+    """A shard task's part, read back with its files deleted, so only the
+    segment's own files ride the rename."""
+    part = [pq.read_table(prefix + ".terms.parquet")]
+    os.unlink(prefix + ".terms.parquet")
+    for ext in (".post", ".pos"):
+        with open(prefix + ext, "rb") as f:
+            part.append(f.read())
+        os.unlink(prefix + ext)
+    return tuple(part)
 
 
 def _auto_shards(
@@ -597,36 +438,25 @@ def _auto_shards(
     return int(min(max_shards, max(1, est // target_shard_bytes)))
 
 
-def _submit_group_merges(
-    index_dir: str, schema_json: list, groups: list[list[str]],
-    seg_by_id: dict,
-) -> list:
-    """One future per merge group: single-task for small groups, the
-    term-sharded path when the group's encoded size warrants fan-out."""
-    futs = []
-    for g in groups:
-        n = _auto_shards(seg_by_id, g)
-        if n <= 1:
-            futs.append(_merge_group_task.remote(index_dir, schema_json, g))
-        else:
-            futs.append(_merge_group_sharded_task.remote(
-                index_dir, schema_json, g, n))
-    return futs
+def _merge_groups(
+    index_dir: str, manifest: mf.Manifest, groups: list[list[str]],
+) -> list[SegmentInfo]:
+    """Merge each group in its own Ray task, term-sharded when the group's
+    encoded size warrants fan-out."""
+    seg_by_id = {s.segment_id: s for s in manifest.segments}
+    schema_json = manifest.schema.to_json()
+    return [SegmentInfo.from_json(d) for d in ray.get([
+        _merge_group_task.remote(index_dir, schema_json, g, _auto_shards(seg_by_id, g))
+        for g in groups])]
 
 
 @ray.remote
-def _merge_group_task(index_dir: str, schema_json: list, source_ids: list[str]) -> dict:
-    # cap Arrow's pools for the merge, then RESTORE: this task runs in a
-    # reused worker process that later serves other Ray Data tasks
-    old_cpu, old_io = pa.cpu_count(), pa.io_thread_count()
-    try:
-        if old_cpu > 2:
-            pa.set_cpu_count(2)
-            pa.set_io_thread_count(2)
-        return merge_segment_group(index_dir, schema_json, source_ids).to_json()
-    finally:
-        pa.set_cpu_count(old_cpu)
-        pa.set_io_thread_count(old_io)
+def _merge_group_task(
+    index_dir: str, schema_json: list, source_ids: list[str], num_shards: int
+) -> dict:
+    with _arrow_pools_capped():
+        return merge_segment_group(
+            index_dir, schema_json, source_ids, num_shards).to_json()
 
 
 def commit_merge(
@@ -681,10 +511,7 @@ def merge_index(index_dir: str, group_size: int = 4) -> mf.Manifest:
         for i in range(0, len(ordered), group_size)
     ]
     groups = [g for g in groups if len(g) > 1]
-    seg_by_id = {s.segment_id: s for s in manifest.segments}
-    futs = _submit_group_merges(
-        index_dir, manifest.schema.to_json(), groups, seg_by_id)
-    merged_infos = [SegmentInfo.from_json(d) for d in ray.get(futs)]
+    merged_infos = _merge_groups(index_dir, manifest, groups)
     return commit_merge(index_dir, groups, merged_infos) or mf.read_manifest(index_dir)
 
 
@@ -751,14 +578,11 @@ def log_merge_index(
         )
         if not groups:
             break
-        schema_json = manifest.schema.to_json()
         # remote TASKS, not actors: a one-shot compaction reuses the warm
         # task workers already sitting around from the build, while fresh
         # actor processes would cold-start (~10 s of spawn+imports on the
         # first merge of a session); big groups fan out term-sharded
-        seg_by_id = {s.segment_id: s for s in manifest.segments}
-        futs = _submit_group_merges(index_dir, schema_json, groups, seg_by_id)
-        merged_infos = [SegmentInfo.from_json(d) for d in ray.get(futs)]
+        merged_infos = _merge_groups(index_dir, manifest, groups)
         if os.environ.get("RAYFTS_CRASH_BEFORE_MANIFEST_SWAP"):
             # test hook (kill-and-resume coverage): die in the widest
             # crash window — merged segment dirs committed via tmp+rename,

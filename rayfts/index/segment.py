@@ -27,11 +27,16 @@ encode. No Python loop over rows or tokens in the hot path.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import re
+import shutil
+import socket
 import time
 import weakref
 from collections import OrderedDict
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -173,10 +178,10 @@ def build_segment(
 ) -> SegmentInfo:
     """Invert one partition of documents into a segment on disk.
 
-    Writes to ``out_dir + '.tmp'`` then renames — the idempotent,
-    resumable write pattern (a crashed task leaves no committed segment;
-    mirrors the reference's atomic ``meta.json`` commit discipline,
-    ``index.rs:331-336``).
+    Each indexed field becomes one part for :func:`write_segment`, which
+    writes the files in the attempt's own scratch directory and publishes
+    them with one rename: the idempotent, resumable write (a crashed task
+    leaves no committed segment, a retried one keeps the first copy).
     """
     t0 = time.time()
     n = table.num_rows
@@ -188,17 +193,7 @@ def build_segment(
     analyzers = analyzers or {}
     codec = FieldNormCodec(fieldnorm_codec)
 
-    tmp_dir = out_dir + ".tmp"
-    os.makedirs(tmp_dir, exist_ok=True)
-
-    term_rows = {
-        "field": [], "term": [], "df": [], "total_tf": [],
-        "post_off": [], "post_len": [], "pos_off": [], "pos_len": [],
-    }
-    postings_chunks: list[bytes] = []
-    positions_chunks: list[bytes] = []
-    post_off = 0
-    pos_off = 0
+    parts: list[tuple[pa.Table, bytes, bytes]] = []
     norms_out: dict[str, np.ndarray] = {}
     field_stats: dict[str, dict] = {}
     total_token_count = 0
@@ -218,10 +213,8 @@ def build_segment(
             # Arrow-native whole-column path (byte-class tokenizer +
             # dictionary_encode; per-UNIQUE-token filter/lower/stem) — the
             # hot path.
-            codes, doc_idx, positions, uniq_arr, counts = (
-                analyzer.analyze_text_column(col)
-            )
-            uniques = uniq_arr
+            codes, doc_idx, positions, uniques, counts = (
+                analyzer.analyze_text_column(col))
             total_tokens = int(codes.size)
         else:
             if fdef.type == TEXT:
@@ -259,9 +252,8 @@ def build_segment(
 
         norms_out[fdef.name] = codec.encode(counts)
         total_token_count += total_tokens
-
+        field_stats[fdef.name] = {"total_tokens": total_tokens}
         if total_tokens == 0:
-            field_stats[fdef.name] = {"total_tokens": 0, "num_terms": 0}
             continue
 
         # one stable sort on the int32 term codes alone: the token stream is
@@ -291,9 +283,8 @@ def build_segment(
         t_starts = np.flatnonzero(tchange)
         t_ends = np.append(t_starts[1:], run_starts.size)
 
-        norm_ids_field = norms_out[fdef.name]
         if codec.kind == FieldNormCodec.TANTIVY_LIKE:
-            p_norms = norm_ids_field[p_docs]
+            p_norms = norms_out[fdef.name][p_docs]
         else:
             p_norms = np.zeros(p_docs.size, dtype=np.uint8)
 
@@ -302,81 +293,32 @@ def build_segment(
         blob, t_offs, t_lens = encode_postings_batch(
             p_docs, tfs, p_norms, t_starts, t_ends
         )
-        postings_chunks.append(blob)
 
         # per-posting tf sums per term (vectorized)
         tf_cum = np.concatenate([[0], np.cumsum(tfs.astype(np.int64))])
         term_total_tf = tf_cum[t_ends] - tf_cum[t_starts]
 
-        want_positions = fdef.has_positions
-        if want_positions:
+        if fdef.has_positions:
             # one whole-field position stream; per-term byte spans by cumsum
             pos_deltas = _encode_position_stream(s_pos, run_starts)
             pos_vlens = varint_lengths(pos_deltas)
             pos_blob = encode_varints(pos_deltas, pos_vlens)
-            positions_chunks.append(pos_blob)
             pos_byte_cum = np.concatenate([[0], np.cumsum(pos_vlens)])
             term_tok_starts = run_starts[t_starts]
             term_tok_ends = run_ends[t_ends - 1]
-            pos_offs = pos_off + pos_byte_cum[term_tok_starts]
+            pos_offs = pos_byte_cum[term_tok_starts]
             pos_lens = pos_byte_cum[term_tok_ends] - pos_byte_cum[term_tok_starts]
-            pos_off += len(pos_blob)
         else:
+            pos_blob = b""
             pos_offs = np.full(nterms, -1, dtype=np.int64)
             pos_lens = np.zeros(nterms, dtype=np.int64)
 
         uniq_list = uniques.tolist()
-        term_rows["field"].extend([fdef.name] * nterms)
-        term_rows["term"].extend(uniq_list[c] for c in p_codes[t_starts])
-        term_rows["df"].extend((t_ends - t_starts).tolist())
-        term_rows["total_tf"].extend(term_total_tf.tolist())
-        term_rows["post_off"].extend((t_offs + post_off).tolist())
-        term_rows["post_len"].extend(t_lens.tolist())
-        term_rows["pos_off"].extend(pos_offs.tolist())
-        term_rows["pos_len"].extend(pos_lens.tolist())
-        post_off += len(blob)
-
-        field_stats[fdef.name] = {
-            "total_tokens": total_tokens,
-            "num_terms": int(nterms),
-        }
-
-    terms_table = pa.table(
-        {
-            "field": pa.array(term_rows["field"], type=pa.string()),
-            "term": pa.array(term_rows["term"], type=pa.string()),
-            "df": pa.array(term_rows["df"], type=pa.uint32()),
-            "total_tf": pa.array(term_rows["total_tf"], type=pa.int64()),
-            "post_off": pa.array(term_rows["post_off"], type=pa.int64()),
-            "post_len": pa.array(term_rows["post_len"], type=pa.int64()),
-            "pos_off": pa.array(term_rows["pos_off"], type=pa.int64()),
-            "pos_len": pa.array(term_rows["pos_len"], type=pa.int64()),
-        }
-    )
-    pq.write_table(terms_table, os.path.join(tmp_dir, TERMS_FILE))
-    with open(os.path.join(tmp_dir, POSTINGS_FILE), "wb") as f:
-        f.write(b"".join(postings_chunks))
-    with open(os.path.join(tmp_dir, POSITIONS_FILE), "wb") as f:
-        f.write(b"".join(positions_chunks))
-    np.savez(os.path.join(tmp_dir, NORMS_FILE), **norms_out)
-
-    # facet fields: dictionary-encode '/a/b' paths at build time (code per
-    # doc + sorted path dictionary) so the facet collector is one bincount
-    # over matched docs instead of a string scan (tantivy indexes facets
-    # as a term dictionary — SURVEY.md §2.3 #26)
-    write_facet_sidecar(
-        tmp_dir,
-        {
-            f.name: table[f.name]
-            for f in schema.fields
-            if f.type == FACET and f.name in table.column_names
-        },
-    )
-
-    stored_cols = [f.name for f in schema.stored_fields if f.name in table.column_names]
-    extra_cols = [c for c in table.column_names if c.startswith("__") or c == "content_sha256"]
-    store_table = table.select(stored_cols + [c for c in extra_cols if c not in stored_cols])
-    pq.write_table(store_table, os.path.join(tmp_dir, STORE_FILE))
+        terms = terms_table(fdef.name, [uniq_list[c] for c in p_codes[t_starts]], {
+            "df": t_ends - t_starts, "total_tf": term_total_tf,
+            "post_off": t_offs, "post_len": t_lens,
+            "pos_off": pos_offs, "pos_len": pos_lens})
+        parts.append((terms, blob, pos_blob))
 
     info = SegmentInfo(
         segment_id=segment_id,
@@ -386,20 +328,136 @@ def build_segment(
         metrics={
             "build_secs": round(time.time() - t0, 4),
             "tokens": total_token_count,
-            "postings_bytes": post_off,
-            "positions_bytes": pos_off,
         },
         fieldnorm_codec=fieldnorm_codec,
     )
-    with open(os.path.join(tmp_dir, META_FILE), "w") as f:
-        json.dump(info.to_json(), f)
-    if os.path.isdir(out_dir):
-        # another (retried) task already committed this segment — keep it
-        import shutil
+    stored_cols = [f.name for f in schema.stored_fields if f.name in table.column_names]
+    extra_cols = [c for c in table.column_names if c.startswith("__") or c == "content_sha256"]
+    # facet fields: dictionary-encode '/a/b' paths at build time (code per
+    # doc + sorted path dictionary) so the facet collector is one bincount
+    # over matched docs instead of a string scan (tantivy indexes facets
+    # as a term dictionary — SURVEY.md §2.3 #26)
+    return write_segment(
+        out_dir, info, lambda _scratch: parts, norms_out,
+        store=table.select(stored_cols + [c for c in extra_cols if c not in stored_cols]),
+        facets={f.name: table[f.name] for f in schema.fields
+                if f.type == FACET and f.name in table.column_names},
+    )
 
-        shutil.rmtree(tmp_dir)
-    else:
-        os.replace(tmp_dir, out_dir)
+
+# terms.parquet columns after (field, term)
+_TERM_STATS = {
+    "df": pa.uint32(), "total_tf": pa.int64(), "post_off": pa.int64(),
+    "post_len": pa.int64(), "pos_off": pa.int64(), "pos_len": pa.int64(),
+}
+
+
+def terms_table(field: str, terms, stats: dict) -> pa.Table:
+    """One field's (or one term range's) rows of ``terms.parquet``, with
+    ``post_off``/``pos_off`` relative to its own postings and positions
+    blobs (``pos_off`` -1 for a field without positions)."""
+    return pa.table({
+        "field": pa.array([field] * len(terms), type=pa.string()),
+        "term": pa.array(terms, type=pa.string()),
+        **{k: pa.array(stats[k], type=t) for k, t in _TERM_STATS.items()},
+    })
+
+
+NO_TERMS = terms_table("", [], dict.fromkeys(_TERM_STATS, []))
+
+
+def _rebased(terms: pa.Table, post_base: int, pos_base: int) -> pa.Table:
+    """``terms`` with its blob-relative offsets moved onto file offsets."""
+    pos_off = terms["pos_off"].to_numpy()
+    pos_off = np.where(pos_off >= 0, pos_off + pos_base, -1)
+    at = terms.column_names.index
+    terms = terms.set_column(at("post_off"), "post_off", pa.array(
+        terms["post_off"].to_numpy() + post_base, type=pa.int64()))
+    return terms.set_column(at("pos_off"), "pos_off", pa.array(pos_off, type=pa.int64()))
+
+
+# a write attempt's scratch directory: <segment dir>.<host>-<pid>-<hex8>.tmp
+_SCRATCH_NAME = re.compile(r"(?P<stem>.+)-(?P<pid>\d+)-[0-9a-f]{8}\.tmp")
+
+
+def scratch_pid(name: str) -> int | None:
+    """The pid in the name of a segment scratch directory made on this
+    host; ``None`` for another host's or any other name."""
+    m = _SCRATCH_NAME.fullmatch(name)
+    if m is None or not m["stem"].endswith("." + socket.gethostname()):
+        return None
+    return int(m["pid"])
+
+
+def write_segment(
+    out_dir: str,
+    info: SegmentInfo,
+    parts: Callable[[str], Iterable[tuple[pa.Table, bytes, bytes]]],
+    norms: dict[str, np.ndarray],
+    store: pa.Table,
+    facets: dict[str, pa.ChunkedArray | pa.Array],
+) -> SegmentInfo:
+    """Write a segment and publish it at ``out_dir`` with one rename. The
+    build and every merge write segments through here, and nothing else
+    renames into ``segments/``.
+
+    ``parts(scratch)`` yields ``(terms, postings, positions)`` per field
+    or per term range in (field, term) order, each ``terms`` table (see
+    :func:`terms_table`) with offsets relative to its own two blobs;
+    ``scratch`` is the attempt's directory, where a term-sharded merge
+    stages its shard files. The blobs stream into ``postings.bin`` and
+    ``positions.bin``, the offsets move onto those files, and the rows
+    become one single-chunk ``terms.parquet``. The writer fills in what
+    the files decide: each field's ``num_terms`` in ``info.field_stats``
+    and the ``postings_bytes``/``positions_bytes`` metrics.
+
+    Every attempt writes into its own scratch directory,
+    ``<out_dir>.<host>-<pid>-<hex8>.tmp``, so two attempts at one segment
+    (a retried task, two merges of one group) never share a file. If
+    another attempt has already committed ``out_dir``, the rename fails
+    and this attempt deletes its scratch directory and keeps that copy; on
+    any error it deletes it and re-raises. This is the reference's atomic
+    ``meta.json`` commit discipline (``index.rs:331-336``) at segment
+    granularity."""
+    scratch = f"{out_dir}.{socket.gethostname()}-{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    os.makedirs(scratch)
+    try:
+        tables = []
+        post_bytes = pos_bytes = 0
+        with open(os.path.join(scratch, POSTINGS_FILE), "wb") as post_f, \
+             open(os.path.join(scratch, POSITIONS_FILE), "wb") as pos_f:
+            for terms, postings, positions in parts(scratch):
+                if terms.num_rows:
+                    tables.append(_rebased(terms, post_bytes, pos_bytes))
+                post_f.write(postings)
+                pos_f.write(positions)
+                post_bytes += len(postings)
+                pos_bytes += len(positions)
+        terms = pa.concat_tables(tables).combine_chunks() if tables else NO_TERMS
+        pq.write_table(terms, os.path.join(scratch, TERMS_FILE))
+        np.savez(os.path.join(scratch, NORMS_FILE), **norms)
+        pq.write_table(store, os.path.join(scratch, STORE_FILE))
+        write_facet_sidecar(scratch, facets)
+
+        counts = pa.compute.value_counts(terms["field"])
+        num_terms = dict(zip(counts.field("values").to_pylist(),
+                             counts.field("counts").to_pylist()))
+        for name, stats in info.field_stats.items():
+            stats["num_terms"] = num_terms.get(name, 0)
+        info.metrics.update(postings_bytes=post_bytes, positions_bytes=pos_bytes)
+        with open(os.path.join(scratch, META_FILE), "w") as f:
+            json.dump(info.to_json(), f)
+        try:
+            os.replace(scratch, out_dir)
+        except OSError as e:
+            # Linux refuses to rename onto a non-empty directory: another
+            # attempt committed this segment first
+            if e.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                raise
+            shutil.rmtree(scratch)
+    except BaseException:
+        shutil.rmtree(scratch, ignore_errors=True)
+        raise
     return info
 
 
@@ -658,31 +716,22 @@ class SegmentReader:
         return self.store()[name].to_numpy(zero_copy_only=False)
 
     def facet_dict(self, field: str) -> tuple[np.ndarray, np.ndarray]:
-        """Facet dictionary of a field: ``(codes, paths)`` where ``codes``
-        is an int32 code per local docid (-1 = null) and ``paths`` the
-        path per code. Prefers the build-time sidecar; falls back to
-        dictionary-encoding the stored column once (cached) for segments
-        written without one (e.g. pre-facet-sidecar builds)."""
+        """Facet dictionary of a field from the segment's sidecar:
+        ``(codes, paths)`` where ``codes`` is an int32 code per local docid
+        (-1 = null) and ``paths`` the path per code. ``KeyError`` if the
+        segment holds no value of the field (its column was missing from
+        the documents the segment was built from)."""
         cached = self._facets.get(field)
         if cached is not None:
             return cached
-        codes = None
         codes_path = os.path.join(self.path, FACET_CODES_FILE)
-        if os.path.exists(codes_path):
-            with np.load(codes_path) as z:
-                if field in z.files:
-                    codes = z[field]
-        if codes is not None:
-            t = pq.read_table(os.path.join(self.path, FACETS_FILE))
-            sub = t.filter(pa.compute.equal(t["field"], field))
-            paths = np.asarray(sub["path"].to_pylist(), dtype=object)
-        else:
-            enc = self.store()[field].combine_chunks().dictionary_encode()
-            idx = enc.indices
-            if idx.null_count:
-                idx = pa.compute.fill_null(idx, -1)
-            codes = idx.to_numpy(zero_copy_only=False).astype(np.int32)
-            paths = np.asarray(enc.dictionary.to_pylist(), dtype=object)
+        if not os.path.exists(codes_path):
+            raise KeyError(field)
+        with np.load(codes_path) as z:
+            codes = z[field]
+        t = pq.read_table(os.path.join(self.path, FACETS_FILE))
+        sub = t.filter(pa.compute.equal(t["field"], field))
+        paths = np.asarray(sub["path"].to_pylist(), dtype=object)
         self._facets[field] = (codes, paths)
         return codes, paths
 

@@ -437,7 +437,10 @@ class Searcher:
             counts = acc.setdefault(field, {})
             fdef = self.schema.field(field)
             if fdef.type == "facet":
-                codes, paths = reader.facet_dict(field)
+                try:
+                    codes, paths = reader.facet_dict(field)
+                except KeyError:  # no value of the field in this segment
+                    continue
                 sel = codes[docids]
                 sel = sel[sel >= 0]
                 if sel.size == 0:

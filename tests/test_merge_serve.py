@@ -534,8 +534,6 @@ def test_sharded_merge_byte_identical(built, ray_session, tmp_path):
     import os
     import shutil
 
-    from rayfts.index.merge import merge_segment_group_sharded
-
     man = mf.read_manifest(built)
     ids = [s.segment_id for s in man.ordered_segments()]
 
@@ -554,7 +552,7 @@ def test_sharded_merge_byte_identical(built, ray_session, tmp_path):
     for shards in (3, 16):
         p = str(tmp_path / f"sharded{shards}")
         shutil.copytree(built, p)
-        merge_segment_group_sharded(p, man.schema.to_json(), ids, shards)
+        merge_segment_group(p, man.schema.to_json(), ids, shards)
         assert seg_digests(p) == base, f"shards={shards} diverged"
         # no shard scratch files left behind
         seg = mf.segment_path(p, merged_segment_id(ids))
@@ -578,8 +576,7 @@ def test_log_merge_uses_sharding_and_preserves_results(ray_session, tmp_path):
     # force the sharded path even at sf0.001 scale
     n = _auto_shards(seg_by_id, group, target_shard_bytes=1 << 12)
     assert n > 1
-    from rayfts.index.merge import merge_segment_group_sharded
-    merge_segment_group_sharded(path, man.schema.to_json(), group, n)
+    merge_segment_group(path, man.schema.to_json(), group, n)
     merged = [mf.segment_path(path, merged_segment_id(group))]
     assert all(os.path.isdir(d) for d in merged)
     # swap manifest the way log_merge does, then compare query snapshots
@@ -590,12 +587,10 @@ def test_log_merge_uses_sharding_and_preserves_results(ray_session, tmp_path):
 
 def test_sharded_merge_cleans_stale_tmp(built, ray_session, tmp_path):
     """A crashed prior attempt may leave shard files for a DIFFERENT
-    plan in the .tmp dir; they must not ride the rename into the final
-    segment."""
+    plan in its scratch directory (here the legacy ``<id>.tmp``); they
+    must not ride the rename into the final segment."""
     import os
     import shutil
-
-    from rayfts.index.merge import merge_segment_group_sharded
 
     man = mf.read_manifest(built)
     ids = [s.segment_id for s in man.ordered_segments()][:3]
@@ -604,7 +599,7 @@ def test_sharded_merge_cleans_stale_tmp(built, ray_session, tmp_path):
     tmp = mf.segment_path(p, merged_segment_id(ids)) + ".tmp"
     os.makedirs(tmp)
     open(os.path.join(tmp, "shard-99999.post"), "wb").write(b"junk")
-    merge_segment_group_sharded(p, man.schema.to_json(), ids, 2)
+    merge_segment_group(p, man.schema.to_json(), ids, 2)
     seg = mf.segment_path(p, merged_segment_id(ids))
     assert os.path.isdir(seg)
     assert not [f for f in os.listdir(seg) if f.startswith("shard-")]
@@ -618,8 +613,6 @@ def test_sharded_merge_with_facets_byte_identical(ray_session, tmp_path):
     import os
 
     from rayfts.index.catalog import IndexCatalog
-    from rayfts.index.merge import (merge_segment_group,
-                                    merge_segment_group_sharded)
     from rayfts.index.schema import FieldDef, IndexSchema
 
     schema = IndexSchema([
@@ -646,9 +639,9 @@ def test_sharded_merge_with_facets_byte_identical(ray_session, tmp_path):
     before = h0.searcher().facet_counts("alpha", {"cat": [""]})
 
     merge_segment_group(p0, man.schema.to_json(), ids)
-    merge_segment_group_sharded(p1, mf.read_manifest(p1).schema.to_json(),
-                                [s.segment_id for s in
-                                 mf.read_manifest(p1).ordered_segments()], 4)
+    merge_segment_group(p1, mf.read_manifest(p1).schema.to_json(),
+                        [s.segment_id for s in
+                         mf.read_manifest(p1).ordered_segments()], 4)
 
     def digests(p, sids):
         seg = mf.segment_path(p, merged_segment_id(sids))

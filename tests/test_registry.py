@@ -99,9 +99,10 @@ def _top_level_names(path):
     return names
 
 
-def _write_manifest_callers(path):
-    """Names of the functions in a file that call ``write_manifest``
-    (``<module>`` for a call outside any function)."""
+def _callers(path, callee):
+    """Names of the functions in a file that call ``callee``: ``f`` matches
+    ``f(...)`` and ``m.f(...)``, ``os.f`` only ``os.f(...)`` (``<module>``
+    for a call outside any function)."""
     with open(path) as f:
         tree = ast.parse(f.read(), filename=path)
     out = []
@@ -113,8 +114,10 @@ def _write_manifest_callers(path):
                 continue
             if isinstance(child, ast.Call):
                 fn = child.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if name == "write_manifest":
+                name = getattr(fn, "id", None)
+                if isinstance(fn, ast.Attribute):
+                    name = f"{getattr(fn.value, 'id', '')}.{fn.attr}"
+                if name == callee or (name or "").endswith("." + callee):
                     out.append(owner)
             visit(child, owner)
 
@@ -139,11 +142,25 @@ def test_search_system_does_not_import_ops():
     assert {f: m for f, m in bad.items() if m} == {}
 
 
+def _callers_in(callee, *roots):
+    callers = {os.path.relpath(f, ROOT): _callers(f, callee)
+               for f in _py_files(*roots)}
+    return {f: c for f, c in callers.items() if c}
+
+
 def test_only_manifest_commit_writes_the_manifest():
-    callers = {os.path.relpath(f, ROOT): _write_manifest_callers(f)
-               for f in _py_files("rayfts")}
-    assert {f: c for f, c in callers.items() if c} == {
+    assert _callers_in("write_manifest", "rayfts") == {
         os.path.join("rayfts", "index", "manifest.py"): ["commit"]}
+
+
+def test_only_the_two_writers_rename_into_the_index():
+    """Segments and the manifest are published by rename in one place
+    each: ``write_segment`` and ``write_manifest``."""
+    index = os.path.join("rayfts", "index")
+    assert _callers_in("os.replace", index) == {
+        os.path.join(index, "manifest.py"): ["write_manifest"],
+        os.path.join(index, "segment.py"): ["write_segment"]}
+    assert _callers_in("os.rename", index) == {}
 
 
 def test_no_import_of_removed_modules():
