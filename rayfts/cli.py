@@ -66,7 +66,6 @@ def cmd_build(args) -> int:
         content_col=args.content_col,
         key_cols=args.key_cols.split(",") if args.key_cols else None,
         num_segments=args.num_segments,
-        partition_mode=args.partition_mode,
         target_docs_per_segment=args.target_docs_per_segment,
         resume=not args.no_resume,
     )
@@ -87,8 +86,7 @@ def cmd_append(args) -> int:
     paths = sorted(p for pat in args.input for p in glob.glob(pat)) or args.input
     t0 = time.time()
     m = append_to_index(paths, args.index, content_col=args.content_col,
-                        key_cols=args.key_cols.split(",") if args.key_cols else None,
-                        num_new_segments=args.num_new_segments)
+                        key_cols=args.key_cols.split(",") if args.key_cols else None)
     print(json.dumps({"index": args.index, "segments": len(m.segments),
                       "docs": m.num_docs, "version": m.version,
                       "seconds": round(time.time() - t0, 2)}))
@@ -489,7 +487,6 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--content-col", default="content")
     b.add_argument("--key-cols", default=None, help="comma-separated doc-key columns")
     b.add_argument("--num-segments", type=int, default=None)
-    b.add_argument("--partition-mode", choices=["input", "hash"], default=None)
     b.add_argument("--target-docs-per-segment", type=int, default=None)
     b.add_argument("--no-resume", action="store_true")
     b.set_defaults(fn=cmd_build)
@@ -500,7 +497,6 @@ def main(argv: list[str] | None = None) -> int:
     app.add_argument("--index", required=True)
     app.add_argument("--content-col", default="content")
     app.add_argument("--key-cols", default=None)
-    app.add_argument("--num-new-segments", type=int, default=None)
     app.set_defaults(fn=cmd_append)
 
     q = sub.add_parser("query", help="string query against an index")

@@ -1,51 +1,49 @@
-"""Distributed index build: a resumable Ray Data pipeline.
+"""Distributed index build: one zero-shuffle Ray Data pipeline.
 
-Two partitioning modes:
+Every segment is one unit of input built by one independent task; no
+``repartition`` or ``groupby`` ever moves corpus rows, because segment
+membership can be *any* disjoint cover of the input. A unit is either
 
-**``partition_mode="input"`` (default for parquet sources) — zero-shuffle.**
-The driver plans work units from parquet METADATA only (file x row-group
-spans, ~``target_docs_per_segment`` rows each); each unit is one segment
-built by one independent task::
+- **a planned Parquet unit** (``build_index`` over parquet paths): the
+  driver plans (file, row-group span, row span) units of about
+  ``target_docs_per_segment`` rows from metadata only. The unit id
+  ``seg-<sha16>`` hashes the path and spans, so re-planning the same input
+  gives the same ids; the target is pinned in the manifest's
+  ``build_params``, so a resume on any cluster size re-plans the same
+  list and skips committed (or merged-away) units by a set diff; or
+- **a block of a Dataset as it stands** (``build_index`` over a Dataset,
+  and ``append_to_index``): one segment per block, with an id
+  ``<max existing id>.a<version>-<uuid>`` that sorts after every
+  existing segment and is unique per attempt. A Dataset's blocks cannot
+  be re-planned, so a build over an index with such segments refuses to
+  resume; new rows go in with ``append_to_index``.
 
-    from_items(units, one block per unit)
-      -> map_batches(build_unit)      read the unit's row groups (pruned
-                                      columns), sha256 + doc key, sort by
-                                      key, vectorized inversion, atomic
-                                      tmp+rename segment write
-      -> driver manifest commit       metadata-only, atomic (the reference's
-                                      add_segments pattern, SURVEY.md §3.3)
+::
 
-No corpus bytes ever cross the object store — this is the reference's own
-scale-out design (independent segment construction + metadata-only commit,
-``/root/reference/test/segments.js:27-40``) and the only shape that works
-at 100 TB: an all-to-all shuffle of the raw corpus is never needed because
-segment membership can be *any* disjoint cover of the input. Resume =
-driver diffs planned unit ids against committed segment ids (metadata
-only); lineage (file, row-group span, row span, content checksum) and
-metrics live on each SegmentInfo.
+    planned units | Dataset blocks
+      -> map_batches(one unit per call)   slice, content_sha256, lineage,
+                                          build_segment (tmp + rename)
+      -> manifest.commit                  metadata only, atomic (the
+                                          reference's add_segments pattern,
+                                          SURVEY.md §3.3)
 
-**``partition_mode="hash"``** (for arbitrary Datasets, or when stable
-segment identity under input re-layout matters): segment membership is
-``sha256(doc_key) % num_segments`` — deterministic under any execution
-order / parallelism and any file layout — at the cost of one all-to-all
-``groupby(__seg)`` shuffle of the corpus. Key hashes are uniform by
-construction so the wide step has NO skew regardless of term
-distribution; hot *terms* never cross the network in either mode — they
-are grouped inside each segment task by in-memory factorize/lexsort.
-(The global term-partitioned statistics pipeline with explicit hot-term
-salting lives in ``rayfts.ops.termstats``.)
-
-In both modes docids are deterministic (in-segment order = doc-key sort;
-global offsets = manifest order, SURVEY.md §4 "ordering") and output is
-one directory per segment — never one giant file.
+No corpus bytes cross the object store: this is the reference's own
+scale-out design (independent segment construction plus a metadata-only
+commit, ``/root/reference/test/segments.js:27-40``). Lineage (file, spans,
+rows, content checksum) and build metrics live on each SegmentInfo.
+Docids are deterministic: in-segment order is the unit's row order, and
+global offsets follow manifest order (SURVEY.md §4 "ordering"). Output is
+one directory per segment, never one giant file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import time
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -60,8 +58,6 @@ from rayfts.index.segment import SegmentInfo, build_segment
 
 logger = logging.getLogger(__name__)
 
-SEG_COL = "__seg"
-KEY_COL = "__key"
 SHA_COL = "content_sha256"
 
 
@@ -72,43 +68,41 @@ def _sha256_hex(values: list) -> list[str]:
     ]
 
 
-def _key_hash_u64(keys: list[str]) -> np.ndarray:
-    out = np.empty(len(keys), dtype=np.uint64)
-    for i, k in enumerate(keys):
-        out[i] = int.from_bytes(hashlib.sha256(k.encode("utf-8")).digest()[:8], "big")
-    return out
+def _one_core() -> None:
+    """One task = one core: Arrow's intra-op pool defaults to ALL machine
+    cores, which oversubscribes the node when Ray runs one task per CPU
+    (and falsifies scaling measurements)."""
+    if pa.cpu_count() != 1:
+        pa.set_cpu_count(1)
+        pa.set_io_thread_count(2)
 
 
-def make_prep_fn(content_col: str, key_cols: list[str] | None, num_segments: int):
-    """Stateless map_batches fn: adds content_sha256, __key, __seg."""
-
-    def prep(batch: pa.Table) -> pa.Table:
-        if content_col in batch.column_names:
-            shas = _sha256_hex(batch[content_col].to_pylist())
-        else:
-            shas = [""] * batch.num_rows
-        if SHA_COL not in batch.column_names:
-            batch = batch.append_column(SHA_COL, pa.array(shas, type=pa.string()))
-        if key_cols:
-            parts = [batch[c].to_pylist() for c in key_cols]
-            keys = ["\x1f".join("" if v is None else str(v) for v in row) for row in zip(*parts)]
-        else:
-            keys = shas
-        segs = _key_hash_u64(keys) % np.uint64(num_segments)
-        batch = batch.append_column(KEY_COL, pa.array(keys, type=pa.string()))
-        batch = batch.append_column(SEG_COL, pa.array(segs.astype(np.int64), type=pa.int64()))
-        return batch
-
-    return prep
-
-
-def segment_name(seg: int, num_segments: int) -> str:
-    return f"seg-{int(seg):06d}"
+def _build_unit(
+    tbl: pa.Table, schema: IndexSchema, index_dir: str, segment_id: str,
+    fieldnorm_codec: str, content_col: str, lineage: dict,
+) -> str:
+    """The one per-unit body: add ``content_sha256`` (unless the rows carry
+    it), complete the lineage with the row count and the XOR of the
+    content checksums, and build the segment. Returns its info as JSON."""
+    if SHA_COL in tbl.column_names:
+        shas = tbl[SHA_COL].to_pylist()
+    else:
+        shas = (_sha256_hex(tbl[content_col].to_pylist())
+                if content_col in tbl.column_names else [""] * tbl.num_rows)
+        tbl = tbl.append_column(SHA_COL, pa.array(shas, type=pa.string()))
+    sha_np = np.frombuffer(b"".join(bytes.fromhex(s[:16]) for s in shas),
+                           dtype=np.uint64)
+    lineage = dict(lineage, rows=tbl.num_rows,
+                   content_xor=f"{int(np.bitwise_xor.reduce(sha_np)):016x}")
+    info = build_segment(
+        tbl, schema, segment_id, mf.segment_path(index_dir, segment_id),
+        fieldnorm_codec=fieldnorm_codec, lineage=lineage,
+    )
+    return json.dumps(info.to_json())
 
 
-# ---------------------------------------------------------------------------
-# partition_mode="input": metadata-only planning + zero-shuffle unit build
-# ---------------------------------------------------------------------------
+def _infos(rows: list[str]) -> pa.Table:
+    return pa.table({"info": pa.array(rows, type=pa.string())})
 
 
 def plan_units(paths: list[str], target_rows: int) -> list[dict]:
@@ -159,117 +153,71 @@ def make_unit_builder(
     read_columns: list[str] | None,
     fail_ids: frozenset[str] = frozenset(),
 ):
-    """map_batches fn over unit descriptors (one unit per block): read the
-    unit's row groups with pruned columns, prep, build one segment."""
-    prep = make_prep_fn(content_col, key_cols, 1)
+    """map_batches fn over planned unit descriptors: read each unit's row
+    groups with pruned columns, slice its row span, build one segment.
+    The unit's file row order is its docid order, so no key sort is
+    needed; ``key_cols`` matter only through ``read_columns``.
+    ``fail_ids`` injects faults for the kill-and-resume tests."""
 
-    def build_unit(batch: pa.Table) -> pa.Table:
-        import json as _json
-
+    def build_planned(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
-        # one task = one core: Arrow's intra-op pool defaults to ALL
-        # machine cores, which oversubscribes the node when Ray runs one
-        # task per CPU (and falsifies scaling measurements)
-        if pa.cpu_count() != 1:
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(2)
-
+        _one_core()
         schema = IndexSchema.from_json(schema_json)
         out = []
         for u in batch.to_pylist():
             if u["segment_id"] in fail_ids:
                 raise RuntimeError(f"injected failure for {u['segment_id']}")
-            pf = pq.ParquetFile(u["path"])
-            tbl = pf.read_row_groups(
+            tbl = pq.ParquetFile(u["path"]).read_row_groups(
                 list(range(u["rg_start"], u["rg_end"])), columns=read_columns
             )
             if (u["row_lo"], u["row_hi"]) != (0, tbl.num_rows):
                 tbl = tbl.slice(u["row_lo"], u["row_hi"] - u["row_lo"])
-            # no doc-key sort in input mode: the unit's file row order IS
-            # deterministic (fixed file + row-group span), so local docids
-            # are reproducible without copying the table through a take();
-            # __key is likewise redundant here (lineage pins the row span)
-            tbl = prep(tbl).drop_columns([SEG_COL, KEY_COL])
-            sha_np = np.frombuffer(
-                b"".join(bytes.fromhex(s[:16]) for s in tbl[SHA_COL].to_pylist()),
-                dtype=np.uint64,
-            )
-            lineage = {
-                "path": u["path"],
-                "row_groups": [u["rg_start"], u["rg_end"]],
-                "row_span": [u["row_lo"], u["row_hi"]],
-                "rows": tbl.num_rows,
-                "content_xor": f"{int(np.bitwise_xor.reduce(sha_np)) if sha_np.size else 0:016x}",
-            }
-            info = build_segment(
-                tbl, schema, u["segment_id"],
-                mf.segment_path(index_dir, u["segment_id"]),
-                fieldnorm_codec=fieldnorm_codec,
-                order_by=None, lineage=lineage,
-            )
-            out.append(_json.dumps(info.to_json()))
-        return pa.table({"info": pa.array(out, type=pa.string())})
+            out.append(_build_unit(
+                tbl, schema, index_dir, u["segment_id"], fieldnorm_codec,
+                content_col, {"path": u["path"],
+                              "row_groups": [u["rg_start"], u["rg_end"]],
+                              "row_span": [u["row_lo"], u["row_hi"]]}))
+        return _infos(out)
 
-    return build_unit
+    return build_planned
 
 
-def make_group_builder(
-    index_dir: str,
-    schema_json: list,
-    fieldnorm_codec: str,
-    num_segments: int,
-    fail_segments: frozenset[int] = frozenset(),
-):
-    """Per-group segment builder for ``groupby(__seg).map_groups``.
+def _block_infos(ds, index_dir: str, manifest: mf.Manifest,
+                 fieldnorm_codec: str, content_col: str):
+    """One segment per block of ``ds`` as it stands. Ids extend the
+    largest id of ``manifest``, so they sort after every segment it holds
+    (existing docs keep their global docids); the version keeps successive
+    generations apart and the uuid makes each attempt's id unique."""
+    existing = manifest.segment_ids()
+    gen = f"{max(existing) if existing else 'seg-000000'}.a{manifest.version:04d}"
+    schema_json = manifest.schema.to_json()
 
-    ``fail_segments`` injects faults for the kill-and-resume test."""
+    def build_block(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return _infos([])
+        _one_core()
+        return _infos([_build_unit(
+            batch, IndexSchema.from_json(schema_json), index_dir,
+            f"{gen}-{uuid.uuid4().hex[:10]}", fieldnorm_codec, content_col,
+            {"source": "dataset"})])
 
-    def build_group(batch: pa.Table) -> pa.Table:
-        if pa.cpu_count() != 1:  # see make_unit_builder
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(2)
-        schema = IndexSchema.from_json(schema_json)
-        seg = int(batch[SEG_COL][0].as_py())
-        if seg in fail_segments:
-            raise RuntimeError(f"injected failure for segment {seg}")
-        seg_id = segment_name(seg, num_segments)
-        # deterministic local docids: sort by doc key (execution-order free)
-        sha_np = np.frombuffer(
-            b"".join(bytes.fromhex(s[:16]) for s in batch[SHA_COL].to_pylist()),
-            dtype=np.uint64,
-        )
-        lineage = {
-            "seg_mod": seg,
-            "num_segments": num_segments,
-            "rows": batch.num_rows,
-            "content_xor": f"{int(np.bitwise_xor.reduce(sha_np)) if sha_np.size else 0:016x}",
-        }
-        info = build_segment(
-            batch,
-            schema,
-            seg_id,
-            mf.segment_path(index_dir, seg_id),
-            fieldnorm_codec=fieldnorm_codec,
-            order_by=[KEY_COL],
-            lineage=lineage,
-        )
-        import json as _json
-
-        return pa.table({"info": pa.array([_json.dumps(info.to_json())], type=pa.string())})
-
-    return build_group
+    return ds.map_batches(build_block, batch_format="pyarrow", batch_size=None)
 
 
 def _default_read_columns(
     schema: IndexSchema, content_col: str, key_cols: list[str] | None,
-    available: list[str] | None = None,
+    paths: list[str],
 ) -> list[str]:
-    """Column pruning for the read: schema fields + key/content columns."""
+    """Column pruning for the read: the schema fields and the key and
+    content columns that the first file has."""
+    import pyarrow.parquet as pq
+
+    available = pq.ParquetFile(paths[0]).schema_arrow.names
     want = [f.name for f in schema.fields] + [content_col] + list(key_cols or [])
     seen, out = set(), []
     for c in want:
-        if c not in seen and (available is None or c in available):
+        if c not in seen and c in available:
             seen.add(c)
             out.append(c)
     return out
@@ -277,7 +225,8 @@ def _default_read_columns(
 
 def _parquet_paths(source: str | list[str]) -> list[str]:
     """Parquet files named by a path or a list of paths (a directory
-    contributes its ``*.parquet`` files), sorted."""
+    contributes its ``*.parquet`` files), sorted. A source that names none
+    is an error, not an empty index."""
     paths = []
     for p in ([source] if isinstance(source, str) else source):
         if os.path.isdir(p):
@@ -285,6 +234,8 @@ def _parquet_paths(source: str | list[str]) -> list[str]:
                          if f.endswith(".parquet"))
         else:
             paths.append(p)
+    if not paths:
+        raise ValueError(f"no Parquet files in {source!r}")
     return sorted(paths)
 
 
@@ -293,6 +244,13 @@ def _cluster_cpus() -> int:
         return int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         return 8
+
+
+def _is_plan(build_params: dict) -> bool:
+    """Whether pinned ``build_params`` describe a planned Parquet build,
+    the only kind a resume can re-plan."""
+    return (build_params.get("partition_mode") == "input"
+            and "target_docs_per_segment" in build_params)
 
 
 def build_index(
@@ -307,115 +265,67 @@ def build_index(
     fieldnorm_codec: str = FieldNormCodec.TANTIVY_LIKE,
     resume: bool = True,
     columns: list[str] | None = None,
-    partition_mode: str | None = None,
     target_docs_per_segment: int | None = None,
     _fail_segments: frozenset[int] = frozenset(),
 ) -> mf.Manifest:
     """Build (or resume building) an index from parquet paths or a Dataset.
 
-    ``partition_mode``: ``"input"`` (default for parquet paths) plans one
-    segment per (file, row-group-span) unit with NO corpus shuffle;
-    ``"hash"`` (default, and only option, for Dataset sources) routes rows
-    by ``sha256(doc_key) % num_segments`` through a ``groupby`` shuffle.
+    Parquet paths are planned into units of ``target_docs_per_segment``
+    rows (default: the pinned value on a resume, else ``num_segments``
+    units, else about two per CPU); ``columns`` (default: the schema's
+    fields plus ``content_col`` and ``key_cols``) prunes the read. A
+    Dataset builds one segment per block as it stands and takes no sizing
+    argument: repartition it first to choose the segment count.
 
     Does NOT call ray.init(); Ray Data auto-initializes when standalone and
     the driver/bench own the session (driver contract, __ray_entry__.py).
     """
     t0 = time.time()
-    is_paths = isinstance(source, (str, list))
-    if partition_mode is None:
-        partition_mode = "input" if is_paths else "hash"
-    if partition_mode == "input" and not is_paths:
-        raise ValueError("partition_mode='input' requires parquet path(s)")
+    if not isinstance(source, (str, list)):
+        if num_segments or target_docs_per_segment:
+            raise ValueError(
+                "a Dataset builds one segment per block; num_segments and "
+                "target_docs_per_segment size planned Parquet units only")
+        manifest = _open_for_build(index_dir, index_name, schema, resume, {})
+        return _commit_stream(
+            _block_infos(source, index_dir, manifest, fieldnorm_codec, content_col),
+            index_dir, t0)
 
-    if is_paths:
-        paths = _parquet_paths(source)
-    else:
-        ds = source
-    cpus = _cluster_cpus()
+    import pyarrow.parquet as pq
 
-    if partition_mode == "input":
-        import pyarrow.parquet as pq
-
-        # resume must re-plan the IDENTICAL unit list even on a different
-        # cluster size: the original target is pinned in the manifest
-        if target_docs_per_segment is None and mf.manifest_exists(index_dir):
-            target_docs_per_segment = mf.read_manifest(index_dir).build_params.get(
-                "target_docs_per_segment"
-            )
+    paths = _parquet_paths(source)
+    # resume must re-plan the IDENTICAL unit list even on a different
+    # cluster size: the original target is pinned in the manifest
+    if target_docs_per_segment is None and mf.manifest_exists(index_dir):
+        target_docs_per_segment = mf.read_manifest(index_dir).build_params.get(
+            "target_docs_per_segment"
+        )
+    if target_docs_per_segment is None:
         total_rows = sum(pq.ParquetFile(p).metadata.num_rows for p in paths)
-        if target_docs_per_segment is None:
-            if num_segments:
-                target_docs_per_segment = max(1, -(-total_rows // num_segments))
-            else:
-                target_docs_per_segment = max(1024, -(-total_rows // (2 * cpus)))
-        units = plan_units(paths, target_docs_per_segment)
-        if columns is None:
-            avail = pq.ParquetFile(paths[0]).schema_arrow.names if paths else None
-            columns = _default_read_columns(schema, content_col, key_cols, avail)
-        return _build_from_units(
-            units, index_dir, schema, index_name=index_name,
-            content_col=content_col, key_cols=key_cols,
-            fieldnorm_codec=fieldnorm_codec, resume=resume,
-            read_columns=columns, t0=t0,
-            fail_ordinals=_fail_segments,
-            build_params={
-                "partition_mode": "input",
-                "target_docs_per_segment": int(target_docs_per_segment),
-            },
-        )
+        if num_segments:
+            target_docs_per_segment = max(1, -(-total_rows // num_segments))
+        else:
+            target_docs_per_segment = max(1024, -(-total_rows // (2 * _cluster_cpus())))
+    units = plan_units(paths, target_docs_per_segment)
+    if columns is None:
+        columns = _default_read_columns(schema, content_col, key_cols, paths)
 
-    if is_paths:
-        ds = ray.data.read_parquet(paths, columns=columns)
-
-    # num_segments is PINNED in build_params at index creation: hash-mode
-    # routing is `hash(key) % num_segments`, so a resume that re-derived it
-    # from the (different) cluster size would re-route every row, empty the
-    # done-set, and silently drop/duplicate documents when rebuilt segment
-    # ids collide with committed ones
-    params = {"partition_mode": "hash",
-              "num_segments": int(num_segments or max(2 * cpus, 8))}
-    manifest = _open_for_build(index_dir, index_name, schema, resume, params)
-    pinned = int(manifest.build_params.get("num_segments", params["num_segments"]))
-    if num_segments is not None and int(num_segments) != pinned:
-        raise ValueError(
-            f"num_segments={num_segments} conflicts with the value "
-            f"pinned at index creation ({pinned}); hash-mode segment "
-            "routing cannot change across resumes"
-        )
-    num_segments = pinned
-    built = manifest.built_ids()
-    done = {seg for seg in range(num_segments)
-            if segment_name(seg, num_segments) in built}
-    if set(range(num_segments)) <= done:
-        logger.info("build_index: all %d segments committed; nothing to do", num_segments)
-        return manifest
-
-    ds = ds.map_batches(
-        make_prep_fn(content_col, key_cols, num_segments),
-        batch_format="pyarrow",
-    )
+    manifest = _open_for_build(index_dir, index_name, schema, resume, {
+        "partition_mode": "input",
+        "target_docs_per_segment": int(target_docs_per_segment),
+    })
+    done = manifest.built_ids()
+    todo = [u for u in units if u["segment_id"] not in done]
     if done:
-        done_arr = pa.array(sorted(done), type=pa.int64())
-
-        def drop_done(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return batch.filter(
-                pc.invert(pc.is_in(batch[SEG_COL], value_set=done_arr))
-            )
-
-        ds = ds.map_batches(drop_done, batch_format="pyarrow")
-        logger.info("resume: skipping %d committed segments", len(done))
-
-    # sort-shuffle output block count == input block count, which throttles
-    # map_groups parallelism when the input has few files; split up front
-    # so up to num_segments group-builds run concurrently
-    ds = ds.repartition(num_segments)
-    infos_ds = ds.groupby(SEG_COL).map_groups(
-        make_group_builder(
-            index_dir, schema.to_json(), fieldnorm_codec, num_segments, _fail_segments
-        ),
+        logger.info("resume: %d/%d units already committed", len(units) - len(todo), len(units))
+    if not todo:
+        return manifest
+    fail_ids = frozenset(
+        u["segment_id"] for i, u in enumerate(units) if i in _fail_segments
+    )
+    infos_ds = ray.data.from_items(todo, override_num_blocks=len(todo)).map_batches(
+        make_unit_builder(index_dir, schema.to_json(), fieldnorm_codec,
+                          content_col, key_cols, columns, fail_ids),
         batch_format="pyarrow",
     )
     return _commit_stream(infos_ds, index_dir, t0)
@@ -427,7 +337,8 @@ def _open_for_build(
 ) -> mf.Manifest:
     """Open-or-create the index for a build, in one commit: adopt orphan
     segment checkpoints, refuse to build over committed segments unless
-    resuming, and pin ``build_params`` if none are pinned yet."""
+    resuming a planned build (``build_params`` and the pinned ones both a
+    plan), and pin ``build_params`` if none are pinned yet."""
 
     def open_or_create(manifest: mf.Manifest | None) -> mf.Manifest:
         if manifest is None:
@@ -438,6 +349,14 @@ def _open_for_build(
             logger.info("recovered %d orphan segment checkpoints", len(adopted))
         if manifest.segments and not resume:
             raise ValueError(f"index at {index_dir} already has segments and resume=False")
+        if manifest.segments and not (_is_plan(build_params)
+                                      and _is_plan(manifest.build_params)):
+            # a resume diffs planned unit ids against built ones; without
+            # a plan on both sides it would index every row again
+            raise ValueError(
+                f"index at {index_dir} holds segments that this build cannot "
+                f"re-plan (pinned build_params {manifest.build_params}); "
+                "add new rows with append_to_index")
         manifest.build_params = manifest.build_params or build_params
         return manifest
 
@@ -446,13 +365,11 @@ def _open_for_build(
 
 def _commit_stream(infos_ds, index_dir: str, t0: float) -> mf.Manifest:
     """Stream segment infos and commit INCREMENTALLY: every completed
-    partition becomes durable as soon as its info arrives, so a crashed
-    driver/build loses only in-flight partitions (checkpoint semantics)."""
-    import json as _json
-
+    unit becomes durable as soon as its info arrives, so a crashed
+    driver/build loses only in-flight units (checkpoint semantics)."""
     for batch in infos_ds.iter_batches(batch_size=64, batch_format="pyarrow"):
         infos = [
-            SegmentInfo.from_json(_json.loads(s)) for s in batch["info"].to_pylist()
+            SegmentInfo.from_json(json.loads(s)) for s in batch["info"].to_pylist()
         ]
 
         def register(manifest: mf.Manifest) -> mf.Manifest | None:
@@ -471,51 +388,12 @@ def _commit_stream(infos_ds, index_dir: str, t0: float) -> mf.Manifest:
     return manifest
 
 
-def _build_from_units(
-    units: list[dict],
-    index_dir: str,
-    schema: IndexSchema,
-    *,
-    index_name: str,
-    content_col: str,
-    key_cols: list[str] | None,
-    fieldnorm_codec: str,
-    resume: bool,
-    read_columns: list[str] | None,
-    t0: float,
-    fail_ordinals: frozenset[int] = frozenset(),
-    build_params: dict,
-) -> mf.Manifest:
-    """Zero-shuffle build: one planned unit -> one segment -> one task."""
-    manifest = _open_for_build(index_dir, index_name, schema, resume, build_params)
-    done = manifest.built_ids()
-    fail_ids = frozenset(
-        u["segment_id"] for i, u in enumerate(units) if i in fail_ordinals
-    )
-    todo = [u for u in units if u["segment_id"] not in done]
-    if done:
-        logger.info("resume: %d/%d units already committed", len(units) - len(todo), len(units))
-    if not todo:
-        return manifest
-
-    units_ds = ray.data.from_items(todo, override_num_blocks=len(todo))
-    infos_ds = units_ds.map_batches(
-        make_unit_builder(
-            index_dir, schema.to_json(), fieldnorm_codec,
-            content_col, key_cols, read_columns, fail_ids,
-        ),
-        batch_format="pyarrow",
-    )
-    return _commit_stream(infos_ds, index_dir, t0)
-
-
 def append_to_index(
     source,
     index_dir: str,
     *,
     content_col: str = "content",
     key_cols: list[str] | None = None,
-    num_new_segments: int | None = None,
     columns: list[str] | None = None,
 ) -> mf.Manifest:
     """Distributed INCREMENTAL ingest: build new segments from a Dataset
@@ -524,58 +402,21 @@ def append_to_index(
     commits (one call = one atomic manifest version bump; serving picks
     it up via ``SearchService.refresh()``, ReloadPolicy::OnCommit).
 
-    Segment membership is any disjoint cover of the input, so the new
-    data is simply doc-partitioned into ``num_new_segments`` blocks (no
-    shuffle coordination with existing segments is needed); new segment
-    ids extend the lexicographic MAX existing id so they sort AFTER every
-    current segment — existing docs keep their global docids. The
+    Each block of the Dataset (parquet paths are read as one, pruned as in
+    ``build_index``) becomes one segment whose id sorts after every
+    current segment, so existing docs keep their global docids. The
     fieldnorm codec is inherited from the index's existing segments
     (mixing codecs would skew BM25 norms)."""
-    import json as _json
-    import uuid as _uuid
-
     manifest = mf.read_manifest(index_dir)
-    schema = manifest.schema
     ordered = manifest.ordered_segments()
     fieldnorm_codec = (ordered[0].fieldnorm_codec if ordered
                        else FieldNormCodec.TANTIVY_LIKE)
-
     if isinstance(source, (str, list)):
-        ds = ray.data.read_parquet(_parquet_paths(source), columns=columns)
-    else:
-        ds = source
-    n_new = int(num_new_segments or max(1, _cluster_cpus() // 2))
-
-    existing = manifest.segment_ids()
-    max_id = max(existing) if existing else "seg-000000"
-    # any id extending max_id sorts strictly after every existing id;
-    # the version component keeps successive appends distinct
-    gen = f"{max_id}.a{manifest.version:04d}"
-
-    prep = make_prep_fn(content_col, key_cols, 1)
-    schema_json = schema.to_json()
-
-    def build_block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"info": pa.array([], type=pa.string())})
-        if pa.cpu_count() != 1:
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(2)
-        sch = IndexSchema.from_json(schema_json)
-        seg_id = f"{gen}-{_uuid.uuid4().hex[:10]}"
-        tbl = prep(batch).drop_columns([SEG_COL, KEY_COL])
-        info = build_segment(
-            tbl, sch, seg_id, mf.segment_path(index_dir, seg_id),
-            fieldnorm_codec=fieldnorm_codec,
-            lineage={"source": "append", "rows": tbl.num_rows},
-        )
-        return pa.table({"info": pa.array([_json.dumps(info.to_json())],
-                                          type=pa.string())})
-
-    infos_ds = ds.repartition(n_new).map_batches(
-        build_block, batch_format="pyarrow", batch_size=None)
-    infos = [SegmentInfo.from_json(_json.loads(r["info"]))
-             for r in infos_ds.take_all()]
+        paths = _parquet_paths(source)
+        source = ray.data.read_parquet(paths, columns=columns or _default_read_columns(
+            manifest.schema, content_col, key_cols, paths))
+    infos = [SegmentInfo.from_json(json.loads(r["info"])) for r in _block_infos(
+        source, index_dir, manifest, fieldnorm_codec, content_col).take_all()]
     # committed segment dirs are durable; the manifest commit is the
     # atomic commit point
     return mf.commit(index_dir, lambda m: m.add_segments(infos))

@@ -54,16 +54,16 @@ from rayfts.codec.postings import encode_postings_batch
 def _merged_lineage(source_ids: list[str], readers) -> dict:
     """A merge output's lineage: ``merged_from``, its direct sources (what
     orphan adoption reads), and ``covers``, every build unit it holds
-    (each source's own ``covers``, plus each source that is a build unit:
-    an input-mode ``path`` or hash-mode ``seg_mod`` lineage), so a merge
-    of merges still names the units a resumed build must skip."""
+    (each source's own ``covers``, plus each source that is a planned
+    build unit, i.e. has a ``path`` lineage), so a merge of merges still
+    names the units a resumed build must skip."""
     covers = set()
     for r in readers:
         lineage = r.info.lineage
         covers.update(lineage.get("covers", ()))
-        if "path" in lineage or "seg_mod" in lineage:
+        if "path" in lineage:
             covers.add(r.info.segment_id)
-    if not covers:  # commits and appends: no build to resume
+    if not covers:  # commits and Dataset blocks: no build to resume
         return {"merged_from": source_ids}
     return {"merged_from": source_ids, "covers": sorted(covers)}
 

@@ -172,7 +172,6 @@ def build_segment(
     segment_id: str,
     out_dir: str,
     fieldnorm_codec: str = FieldNormCodec.TANTIVY_LIKE,
-    order_by: list[str] | None = None,
     lineage: dict | None = None,
     analyzers: dict[str, Analyzer] | None = None,
 ) -> SegmentInfo:
@@ -185,11 +184,6 @@ def build_segment(
     """
     t0 = time.time()
     n = table.num_rows
-    if order_by:
-        idx = pa.compute.sort_indices(
-            table, sort_keys=[(c, "ascending") for c in order_by]
-        )
-        table = table.take(idx)
     analyzers = analyzers or {}
     codec = FieldNormCodec(fieldnorm_codec)
 

@@ -98,58 +98,18 @@ def test_content_sha256_integrity(built):
     assert seen == 500
 
 
-def test_resume_after_injected_failure(ray_session, tmp_path):
-    """Kill-and-resume: a build that fails on some partitions commits the
-    others; the rerun skips committed segments (lineage-diff) and converges
-    to the same index."""
-    path = str(tmp_path / "docs")
-    with pytest.raises(Exception):
-        build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                    content_col="text", key_cols=["doc_id"], num_segments=6,
-                    partition_mode="hash", _fail_segments=frozenset({1, 4}))
-    # the atomically-renamed segment dirs ARE the checkpoints: some finished
-    # partitions exist on disk even though the driver died before registering
-    done_dirs = sorted(glob.glob(os.path.join(path, "segments", "seg-*")))
-    assert 0 < len(done_dirs) < 6
-    failed_names = {f"seg-{i:06d}" for i in (1, 4)}
-    assert failed_names.isdisjoint({os.path.basename(d) for d in done_dirs})
-    checkpoint_meta = {
-        d: json.load(open(os.path.join(d, "segment.json"))) for d in done_dirs
-    }
-    for meta in checkpoint_meta.values():
-        assert meta["metrics"]["build_secs"] >= 0
-        assert "content_xor" in meta["lineage"]
-        assert meta["lineage"]["num_segments"] == 6
-    mtimes = {d: os.path.getmtime(os.path.join(d, "postings.bin")) for d in done_dirs}
-
-    m2 = build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                     content_col="text", key_cols=["doc_id"], num_segments=6,
-                     partition_mode="hash")
-    assert len(m2.segments) == 6 and m2.num_docs == 500
-    # previously committed partitions were adopted, not rebuilt
-    for d in done_dirs:
-        assert os.path.getmtime(os.path.join(d, "postings.bin")) == mtimes[d]
-    # resumed index ranks identically to a clean build
-    clean = str(tmp_path / "clean")
-    build_index(f"{SF}/documents.parquet", clean, doc_schema(),
-                content_col="text", key_cols=["doc_id"], num_segments=6,
-                partition_mode="hash")
-    s1, s2 = Searcher(path), Searcher(clean)
-    for q in ["merge", "filter batch"]:
-        assert [
-            (h["doc"]["doc_id"][0], h["score"]) for h in s1.query_string(q)
-        ] == [(h["doc"]["doc_id"][0], h["score"]) for h in s2.query_string(q)]
-
-
 def test_input_mode_resume_and_parity(ray_session, tmp_path):
-    """Zero-shuffle input-partition build: planned units are the checkpoint
-    grain; a failed build resumes by unit-id set diff; ranks match the
-    hash-partitioned build (partitioning must not change BM25 results)."""
+    """Zero-shuffle build: planned units are the checkpoint grain; a failed
+    build leaves its finished units on disk (the atomically renamed segment
+    dirs ARE the checkpoints), the rerun skips them by unit-id set diff,
+    and the resumed index ranks exactly as a clean build of the same plan
+    and, by SURVEY.md §7.5(6), as a build of a different plan
+    (partitioning must not change BM25 results)."""
     path = str(tmp_path / "iunits")
     with pytest.raises(Exception):
         build_index(f"{SF}/documents.parquet", path, doc_schema(),
                     content_col="text", key_cols=["doc_id"], num_segments=6,
-                    partition_mode="input", _fail_segments=frozenset({0, 3}))
+                    _fail_segments=frozenset({0, 3}))
     done_dirs = sorted(
         d for d in glob.glob(os.path.join(path, "segments", "seg-*"))
         if not d.endswith(".tmp")
@@ -158,32 +118,41 @@ def test_input_mode_resume_and_parity(ray_session, tmp_path):
     mtimes = {d: os.path.getmtime(os.path.join(d, "postings.bin")) for d in done_dirs}
     for d in done_dirs:
         meta = json.load(open(os.path.join(d, "segment.json")))
+        assert meta["metrics"]["build_secs"] >= 0
         assert meta["lineage"]["path"].endswith("documents.parquet")
         assert meta["lineage"]["rows"] > 0 and "content_xor" in meta["lineage"]
 
     m2 = build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                     content_col="text", key_cols=["doc_id"], num_segments=6,
-                     partition_mode="input")
+                     content_col="text", key_cols=["doc_id"], num_segments=6)
     assert len(m2.segments) == 6 and m2.num_docs == 500
     for d in done_dirs:  # committed units were skipped, not rebuilt
         assert os.path.getmtime(os.path.join(d, "postings.bin")) == mtimes[d]
 
-    hashed = str(tmp_path / "ihash")
-    build_index(f"{SF}/documents.parquet", hashed, doc_schema(),
-                content_col="text", key_cols=["doc_id"], num_segments=6,
-                partition_mode="hash")
-    s1, s2 = Searcher(path), Searcher(hashed)
-    # rank identity across partitionings is defined on (score, stable
-    # external id) — SURVEY.md §7.5(6): internal docid tie-breaks may
-    # permute equal-score docs (the reference's own docid order is itself
-    # nondeterministic), so compare score sequences and the doc sets above
-    # the boundary score.
+    clean = str(tmp_path / "clean")
+    build_index(f"{SF}/documents.parquet", clean, doc_schema(),
+                content_col="text", key_cols=["doc_id"], num_segments=6)
+    other = str(tmp_path / "other")
+    build_index(f"{SF}/documents.parquet", other, doc_schema(),
+                content_col="text", key_cols=["doc_id"], num_segments=4)
+    s1, s2, s3 = Searcher(path), Searcher(clean), Searcher(other)
     for q in ["merge", "the", "filter batch", "query AND batch"]:
-        h1 = [(h["doc"]["doc_id"][0], round(h["score"], 5)) for h in s1.query_string(q)]
-        h2 = [(h["doc"]["doc_id"][0], round(h["score"], 5)) for h in s2.query_string(q)]
-        assert [s for _, s in h1] == [s for _, s in h2], q
-        boundary = h1[-1][1] if h1 else None
-        assert {d for d, s in h1 if s != boundary} == {d for d, s in h2 if s != boundary}, q
+        h1 = [(h["doc"]["doc_id"][0], h["score"]) for h in s1.query_string(q)]
+        assert h1 == [(h["doc"]["doc_id"][0], h["score"]) for h in s2.query_string(q)], q
+        assert_same_ranking(h1, [(h["doc"]["doc_id"][0], h["score"])
+                                 for h in s3.query_string(q)], q)
+
+
+def assert_same_ranking(h1, h2, q):
+    """Rank identity across partitionings is defined on (score, stable
+    external id), SURVEY.md §7.5(6): internal docid tie-breaks may permute
+    equal-score docs (the reference's own docid order is itself
+    nondeterministic), so compare the score sequences and the doc sets
+    above the boundary score."""
+    h1 = [(d, round(s, 5)) for d, s in h1]
+    h2 = [(d, round(s, 5)) for d, s in h2]
+    assert [s for _, s in h1] == [s for _, s in h2], q
+    boundary = h1[-1][1] if h1 else None
+    assert {d for d, s in h1 if s != boundary} == {d for d, s in h2 if s != boundary}, q
 
 
 def test_input_mode_resume_reuses_pinned_plan(ray_session, tmp_path):
@@ -194,7 +163,7 @@ def test_input_mode_resume_reuses_pinned_plan(ray_session, tmp_path):
     with pytest.raises(Exception):
         build_index(f"{SF}/documents.parquet", path, doc_schema(),
                     content_col="text", key_cols=["doc_id"], num_segments=10,
-                    partition_mode="input", _fail_segments=frozenset({2}))
+                    _fail_segments=frozenset({2}))
     m1 = mf.read_manifest(path)
     assert m1.build_params["target_docs_per_segment"] == 50
     done_dirs = sorted(
@@ -205,8 +174,7 @@ def test_input_mode_resume_reuses_pinned_plan(ray_session, tmp_path):
     mtimes = {d: os.path.getmtime(os.path.join(d, "postings.bin")) for d in done_dirs}
     # resume with NO sizing hints at all: pinned plan must be reused
     m2 = build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                     content_col="text", key_cols=["doc_id"],
-                     partition_mode="input")
+                     content_col="text", key_cols=["doc_id"])
     assert m2.num_docs == 500
     assert len(m2.segments) == 10
     for d in done_dirs:  # not rebuilt under the reused plan
@@ -269,30 +237,6 @@ def test_giant_document(ray_session, tmp_path):
     assert gids.size == 1
 
 
-def test_hash_mode_pins_num_segments(ray_session, tmp_path):
-    """ADVICE r1: hash-mode routing is hash(key) % num_segments, so the
-    count is pinned in build_params at creation; a resume without an
-    explicit value reuses it (cluster-size independent), a conflicting
-    explicit value raises instead of silently re-routing rows."""
-    path = str(tmp_path / "docs")
-    with pytest.raises(Exception):
-        build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                    content_col="text", key_cols=["doc_id"], num_segments=6,
-                    partition_mode="hash", _fail_segments=frozenset({1}))
-    assert mf.read_manifest(path).build_params == {
-        "partition_mode": "hash", "num_segments": 6}
-    # resume WITHOUT num_segments: pinned value is used, build completes
-    m2 = build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                     content_col="text", key_cols=["doc_id"],
-                     partition_mode="hash")
-    assert len(m2.segments) == 6 and m2.num_docs == 500
-    # conflicting explicit value on a pinned index -> hard error
-    with pytest.raises(ValueError, match="pinned"):
-        build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                    content_col="text", key_cols=["doc_id"], num_segments=12,
-                    partition_mode="hash")
-
-
 def test_pipeline_composition_dedup_then_index_then_serve(ray_session, tmp_path):
     """Training-data pipeline chaining: exact_dedup's full-row Dataset
     feeds build_index directly (no parquet round-trip), and the served
@@ -314,22 +258,43 @@ def test_pipeline_composition_dedup_then_index_then_serve(ray_session, tmp_path)
 
     p_direct = str(tmp_path / "direct")
     m1 = build_index(deduped, p_direct, doc_schema(), content_col="text",
-                     key_cols=["doc_id"], num_segments=4, resume=False)
+                     key_cols=["doc_id"], resume=False)
     assert m1.num_docs == n_kept
 
-    # same rows via a parquet checkpoint must rank identically
+    # the same rows via a parquet checkpoint rank the same; the docid order
+    # of equal scores follows segment ids, which differ between the two
     chk = str(tmp_path / "chk.parquet")
     pq.write_table(pa.Table.from_pandas(
         deduped.to_pandas().sort_values("doc_id").reset_index(drop=True)), chk)
     p_parquet = str(tmp_path / "viaparquet")
     build_index(chk, p_parquet, doc_schema(), content_col="text",
-                key_cols=["doc_id"], num_segments=4, partition_mode="hash",
-                resume=False)
+                key_cols=["doc_id"], num_segments=4, resume=False)
     s1, s2 = Searcher(p_direct), Searcher(p_parquet)
     for q in ["merge", "filter batch", '"the the"']:
-        r1 = [(h["doc"]["doc_id"][0], round(h["score"], 9)) for h in s1.query_string(q)]
-        r2 = [(h["doc"]["doc_id"][0], round(h["score"], 9)) for h in s2.query_string(q)]
-        assert r1 == r2, q
+        assert_same_ranking(
+            [(h["doc"]["doc_id"][0], h["score"]) for h in s1.query_string(q)],
+            [(h["doc"]["doc_id"][0], h["score"]) for h in s2.query_string(q)], q)
+
+
+def test_dataset_build_one_segment_per_block(ray_session, tmp_path):
+    """A Dataset builds one segment per block as it stands, with no
+    shuffle; its ids share one generation prefix, its lineage carries the
+    content checksum, and a sizing argument (which only planned Parquet
+    units take) is refused."""
+    import ray.data
+
+    full = pq.read_table(f"{SF}/documents.parquet")
+    ds = ray.data.from_arrow([full.slice(0, 100), full.slice(100, 150),
+                              full.slice(250)])
+    with pytest.raises(ValueError, match="per block"):
+        build_index(ds, str(tmp_path / "sized"), doc_schema(),
+                    content_col="text", num_segments=2)
+    m = build_index(ds, str(tmp_path / "idx"), doc_schema(), content_col="text")
+    assert sorted(s.num_docs for s in m.segments) == [100, 150, 250]
+    assert len({s.segment_id.rsplit("-", 1)[0] for s in m.segments}) == 1
+    assert all(s.lineage["source"] == "dataset" and "content_xor" in s.lineage
+               for s in m.segments)
+    assert m.num_docs == 500
 
 
 def test_append_to_index_distributed(ray_session, tmp_path):
@@ -351,8 +316,7 @@ def test_append_to_index_distributed(ray_session, tmp_path):
     pq.write_table(first, p1)
     idx = str(tmp_path / "idx")
     build_index(p1, idx, doc_schema(), content_col="text",
-                key_cols=["doc_id"], num_segments=4, partition_mode="hash",
-                resume=False)
+                key_cols=["doc_id"], num_segments=4, resume=False)
     base = Searcher(idx)
     base_gids = {  # stored doc_id -> global docid before the append
         int(d): int(g) for g, d in zip(*_gid_docid_pairs(base))
@@ -360,10 +324,10 @@ def test_append_to_index_distributed(ray_session, tmp_path):
     svc = SearchService(idx, num_actors=2)
     try:
         assert svc.count("the") == base.count("the")
-        m2 = append_to_index(ray.data.from_arrow(second), idx,
-                             content_col="text", key_cols=["doc_id"],
-                             num_new_segments=3)
-        assert m2.num_docs == 500
+        blocks = [second.slice(0, 60), second.slice(60, 60), second.slice(120)]
+        m2 = append_to_index(ray.data.from_arrow(blocks), idx,
+                             content_col="text", key_cols=["doc_id"])
+        assert m2.num_docs == 500 and len(m2.segments) == 4 + 3  # one per block
         after = Searcher(idx)
         after_gids = {int(d): int(g) for g, d in zip(*_gid_docid_pairs(after))}
         for doc_id, gid in base_gids.items():
@@ -377,7 +341,7 @@ def test_append_to_index_distributed(ray_session, tmp_path):
     scratch = str(tmp_path / "scratch")
     build_index(f"{SF}/documents.parquet", scratch, doc_schema(),
                 content_col="text", key_cols=["doc_id"], num_segments=4,
-                partition_mode="hash", resume=False)
+                resume=False)
     s1, s2 = Searcher(idx), Searcher(scratch)
     for q in ["merge", "filter batch", '"the the"', "+the -batch"]:
         # equal-score ties break on INTERNAL global docid (tantivy
@@ -421,12 +385,11 @@ def test_append_then_compact_invariance(ray_session, tmp_path):
     pq.write_table(full.slice(0, 200), p1)
     idx = str(tmp_path / "idx")
     build_index(p1, idx, doc_schema(), content_col="text",
-                key_cols=["doc_id"], num_segments=4, partition_mode="hash",
-                resume=False)
+                key_cols=["doc_id"], num_segments=4, resume=False)
     for lo in (200, 300, 400):
-        append_to_index(ray.data.from_arrow(full.slice(lo, 100)), idx,
-                        content_col="text", key_cols=["doc_id"],
-                        num_new_segments=2)
+        blocks = [full.slice(lo, 50), full.slice(lo + 50, 50)]
+        append_to_index(ray.data.from_arrow(blocks), idx,
+                        content_col="text", key_cols=["doc_id"])
     n_before = len(mf.read_manifest(idx).segments)
     s = Searcher(idx)
     probes = ["merge", "filter batch", '"the the"']
@@ -438,12 +401,11 @@ def test_append_then_compact_invariance(ray_session, tmp_path):
         assert [(h.score, h.doc_id) for h in after.top_k(q, 10)] == want[q], q
 
 
-@pytest.mark.parametrize("mode", ["input", "hash"])
 @pytest.mark.parametrize("levels", [1, 2])
-def test_resume_after_merge_skips_merged_units(ray_session, tmp_path, mode, levels):
+def test_resume_after_merge_skips_merged_units(ray_session, tmp_path, levels):
     """A build resumed after its segments were merged (once, or a merge of
     merges) indexes nothing again: the merged segment's lineage names
-    every build unit it covers, and both partition modes skip those."""
+    every build unit it covers, and the resume skips those."""
     from rayfts.index.merge import merge_index
 
     full = pq.read_table(f"{SF}/documents.parquet")
@@ -455,8 +417,7 @@ def test_resume_after_merge_skips_merged_units(ray_session, tmp_path, mode, leve
 
     def build():
         return build_index(paths, idx, doc_schema(), content_col="text",
-                           key_cols=["doc_id"], num_segments=4,
-                           partition_mode=mode)
+                           key_cols=["doc_id"], num_segments=4)
 
     units = build().segment_ids()
     assert len(units) == 4
@@ -479,7 +440,7 @@ def test_resume_after_merge_builds_missing_units(ray_session, tmp_path):
     with pytest.raises(Exception):
         build_index(f"{SF}/documents.parquet", path, doc_schema(),
                     content_col="text", key_cols=["doc_id"], num_segments=6,
-                    partition_mode="input", _fail_segments=frozenset({2}))
+                    _fail_segments=frozenset({2}))
 
     def adopt(m):  # register the finished units, as a resume would
         mf.recover_orphan_segments(path, m)
@@ -489,7 +450,84 @@ def test_resume_after_merge_builds_missing_units(ray_session, tmp_path):
     assert 0 < len(committed.segments) < 6
     merge_index(path, group_size=8)
     m = build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                    content_col="text", key_cols=["doc_id"],
-                    partition_mode="input")
+                    content_col="text", key_cols=["doc_id"])
     assert m.num_docs == 500
     assert len(m.segments) == 1 + 6 - len(committed.segments)
+
+
+def test_resume_refuses_an_index_it_cannot_replan(ray_session, tmp_path):
+    """A resume diffs planned unit ids against built ones, so over segments
+    that no Parquet plan made (an older hash-partitioned build, a Dataset
+    build, catalog commits) it would index every row again: it refuses,
+    naming append_to_index, and the index keeps its documents."""
+    import ray.data
+
+    from rayfts.index.catalog import IndexCatalog
+
+    src = f"{SF}/documents.parquet"
+    hashed = str(tmp_path / "hashed")
+    build_index(src, hashed, doc_schema(), content_col="text",
+                key_cols=["doc_id"], num_segments=4)
+
+    def pin_hash(m):
+        m.build_params = {"partition_mode": "hash", "num_segments": 4}
+        return m
+
+    mf.commit(hashed, pin_hash)
+    from_ds = str(tmp_path / "from_ds")
+    build_index(ray.data.from_arrow(pq.read_table(src)), from_ds, doc_schema(),
+                content_col="text")
+    h = IndexCatalog(str(tmp_path / "cat")).create_index("c", doc_schema())
+    h.add_documents([{"doc_id": 1, "text": "hello world"}])
+    for path in (hashed, from_ds, h.path):
+        before = mf.read_manifest(path)
+        with pytest.raises(ValueError, match="append_to_index"):
+            build_index(src, path, doc_schema(), content_col="text",
+                        key_cols=["doc_id"])
+        after = mf.read_manifest(path)
+        assert (after.num_docs, after.version) == (before.num_docs, before.version)
+    # a Dataset cannot resume a planned build either
+    with pytest.raises(ValueError, match="append_to_index"):
+        build_index(ray.data.from_arrow(pq.read_table(src)), hashed, doc_schema(),
+                    content_col="text")
+    assert mf.read_manifest(hashed).num_docs == 500
+
+
+def test_source_without_parquet_files_fails(ray_session, tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    idx = str(tmp_path / "idx")
+    for source in (str(empty), []):
+        with pytest.raises(ValueError, match="no Parquet files"):
+            build_index(source, idx, doc_schema(), content_col="text")
+    assert not mf.manifest_exists(idx)
+
+
+def test_cli_build_then_append(ray_session, tmp_path, capsys):
+    """``rayfts build`` then ``rayfts append`` on two Parquet files: the
+    appended segments sort after the built ones and ``rayfts info``
+    counts every document."""
+    from rayfts.cli import main as cli_main
+
+    full = pq.read_table(f"{SF}/documents.parquet")
+    p1, p2 = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(full.slice(0, 320), p1)
+    pq.write_table(full.slice(320), p2)
+    idx = str(tmp_path / "idx")
+    common = ["--index", idx, "--content-col", "text", "--key-cols", "doc_id"]
+
+    def info():
+        capsys.readouterr()
+        assert cli_main(["info", "--index", idx]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert cli_main(["build", "--input", p1, "--schema", doc_schema().to_json_str(),
+                     "--num-segments", "4"] + common) == 0
+    built = info()
+    assert built["docs"] == 320 and len(built["segments"]) == 4
+    assert cli_main(["append", "--input", p2] + common) == 0
+    appended = info()
+    assert appended["docs"] == 500
+    ids = [s["id"] for s in appended["segments"]]
+    assert ids[:4] == [s["id"] for s in built["segments"]] and len(ids) > 4
+    assert sum(s["docs"] for s in appended["segments"][4:]) == 180

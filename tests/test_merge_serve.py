@@ -214,7 +214,7 @@ def test_log_merge_invariance_and_compaction(ray_session, tmp_path):
         FieldDef("doc_id", "u64", indexed=False, stored=True, fast=True),
     ])
     build_index(f"{SF}/documents.parquet", path, schema, content_col="text",
-                key_cols=["doc_id"], num_segments=12, partition_mode="hash")
+                key_cols=["doc_id"], num_segments=12)
     before = Searcher(path)
     probes = ["merge", "filter batch", '"the the"', "+the -batch"]
     want = {q: [(h.score, h.doc_id) for h in before.top_k(q, 10)] for q in probes}
@@ -257,14 +257,13 @@ def test_auto_merge_after_commits(tmp_path):
 
 def test_merge_index_preserves_build_params(ray_session, tmp_path):
     """Review r2: merge_index's manifest swap must carry build_params —
-    dropping the num_segments pin would let a later resume silently
-    re-ingest every row."""
+    dropping the pinned plan would make a later resume re-plan with
+    different unit ids and re-ingest every row."""
     path = str(tmp_path / "bp")
     build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                content_col="text", key_cols=["doc_id"], num_segments=6,
-                partition_mode="hash")
+                content_col="text", key_cols=["doc_id"], num_segments=6)
     before = mf.read_manifest(path).build_params
-    assert before.get("num_segments") == 6
+    assert before.get("target_docs_per_segment") == 84  # ceil(500 / 6)
     merge_index(path, group_size=3)
     assert mf.read_manifest(path).build_params == before
     from rayfts.index.merge import log_merge_index
@@ -359,8 +358,7 @@ def test_log_merge_idempotent_after_partial_crash(ray_session, tmp_path):
 
     path = str(tmp_path / "pc")
     build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                content_col="text", key_cols=["doc_id"], num_segments=8,
-                partition_mode="hash")
+                content_col="text", key_cols=["doc_id"], num_segments=8)
     m = mf.read_manifest(path)
     groups = plan_log_merge_groups(m.ordered_segments(), min_merge=4, max_merge=4)
     assert groups
@@ -392,8 +390,7 @@ def test_log_merge_survives_driver_sigkill(ray_session, tmp_path):
 
     path = str(tmp_path / "sk")
     build_index(f"{SF}/documents.parquet", path, doc_schema(),
-                content_col="text", key_cols=["doc_id"], num_segments=8,
-                partition_mode="hash")
+                content_col="text", key_cols=["doc_id"], num_segments=8)
     before = Searcher(path)
     want = [(h.score, h.doc_id) for h in before.top_k("merge", 10)]
     version_before = mf.read_manifest(path).version

@@ -167,9 +167,10 @@ def _write_docs(path: str, docs: list[dict]) -> str:
 
 
 def test_rebuilt_index_at_same_path_opens_new_readers(ray_session, tmp_path):
-    """``build_index`` names segments ``seg-000000``..., so an index deleted
-    and rebuilt at the same path reuses every segment directory name while
-    a searcher of the old index is still alive."""
+    """A planned unit's segment id hashes its file path and row spans, so
+    an index deleted and rebuilt at the same path from the same Parquet
+    path (rewritten with new rows of the same count) reuses every segment
+    directory name while a searcher of the old index is still alive."""
     from rayfts.index.build import build_index
 
     schema = IndexSchema([
@@ -178,25 +179,25 @@ def test_rebuilt_index_at_same_path_opens_new_readers(ray_session, tmp_path):
     ])
     cat = IndexCatalog(str(tmp_path / "cat"))
     path = os.path.join(cat.root, "idx")
-    old_src = _write_docs(str(tmp_path / "old.parquet"), [
-        {"doc_id": i, "text": f"old words number{i}"} for i in range(6)])
-    new_src = _write_docs(str(tmp_path / "new.parquet"), [
-        {"doc_id": 100 + i, "text": f"new words number{i}"} for i in range(5)])
-    kw = dict(content_col="text", key_cols=["doc_id"], num_segments=1,
-              partition_mode="hash")
-    build_index(old_src, path, schema, **kw)
+    src = str(tmp_path / "docs.parquet")
+    kw = dict(content_col="text", key_cols=["doc_id"], num_segments=1)
+    build_index(_write_docs(src, [
+        {"doc_id": i, "text": f"old words number{i}"} for i in range(6)]),
+        path, schema, **kw)
     old = Searcher(path)
     assert old.count("old") == 6
     cat.delete_index("idx")
-    build_index(new_src, path, schema, **kw)
-    assert [s.segment_id for s in mf.read_manifest(path).segments] == [
-        s.segment_id for s in old.segments] == ["seg-000000"]
+    build_index(_write_docs(src, [
+        {"doc_id": 100 + i, "text": f"new words number{i}"} for i in range(6)]),
+        path, schema, **kw)
+    ids = [s.segment_id for s in mf.read_manifest(path).segments]
+    assert ids == [s.segment_id for s in old.segments] and len(ids) == 1
     fresh = Searcher(path)
     assert not {id(r) for r in fresh.readers} & {id(r) for r in old.readers}
     assert fresh.count("old") == 0
-    assert fresh.count("new") == 5
+    assert fresh.count("new") == 6
     assert sorted(h["doc"]["doc_id"][0] for h in fresh.query_string("words", 10)) == [
-        100 + i for i in range(5)]
+        100 + i for i in range(6)]
     assert old.count("old") == 6  # the old searcher keeps its own readers
 
 

@@ -163,6 +163,14 @@ def test_only_the_two_writers_rename_into_the_index():
     assert _callers_in("os.rename", index) == {}
 
 
+def test_index_builds_segments_with_no_shuffle():
+    """Segments come from planned Parquet units or a Dataset's own blocks:
+    nothing under ``rayfts/index/`` repartitions or groups corpus rows."""
+    index = os.path.join("rayfts", "index")
+    assert _callers_in("repartition", index) == {}
+    assert _callers_in("groupby", index) == {}
+
+
 def test_no_import_of_removed_modules():
     for mod in REMOVED_MODULES:
         assert not os.path.exists(
