@@ -612,26 +612,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["corpus_clean"] = corpus_clean_q
 
-    def sample_uniform_q(sf):
-        """Deterministic 10% hash sample (splitmix64(id^seed) threshold):
-        stateless per-batch filter, reproducible across runs/resumes."""
-        from rayfts.ops.sample import deterministic_sample
-
-        out = deterministic_sample(_docs_ds(sf), 10, 100)
-        return out.select_columns(["doc_id"]).sort("doc_id")
-
-    q["sample_uniform"] = sample_uniform_q
-
-    def sample_stratified_q(sf):
-        """Deterministic 5-per-language sample: smallest-k id-hashes per
-        group, two-phase (per-batch combiner -> per-partition head-k)."""
-        from rayfts.ops.sample import stratified_sample_k
-
-        out = stratified_sample_k(_docs_ds(sf), "lang", "doc_id", k=5)
-        return out.sort(["lang", "doc_id"])
-
-    q["sample_stratified"] = sample_stratified_q
-
     def dup_spans_q(sf):
         """Exact duplicated-substring spans (Lee-et-al-style ExactSubstr,
         distributed as an 8-token rolling-hash window exchange): maximal
@@ -643,30 +623,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["dup_spans"] = dup_spans_q
 
-    def weighted_sample_q(sf):
-        """Token-budget-weighted Bernoulli sample: keep probability
-        min(1, n_tokens/2000) per doc — stateless integer-exact filter
-        (floor((w*num << 64)/den) threshold on splitmix64(id))."""
-        import pyarrow.compute as pc2
-
-        from rayfts.ops.sample import weighted_sample
-
-        def add_wt(b: pa.Table) -> pa.Table:
-            arr = b["text"]
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            arr = pc2.fill_null(arr, "")
-            nt = pc2.count_substring_regex(
-                arr, pattern=r"[\p{L}\p{N}]+").to_numpy().astype(np.int64)
-            return pa.table({"doc_id": b["doc_id"].cast(pa.int64()),
-                             "wt": pa.array(nt)})
-
-        ds = _docs_ds(sf).map_batches(add_wt, batch_format="pyarrow")
-        out = weighted_sample(ds, "wt", 1, 2000)
-        return out.select_columns(["doc_id"]).sort("doc_id")
-
-    q["weighted_sample"] = weighted_sample_q
-
     def dup_span_stats_q(sf):
         """Per-doc duplicated-token totals over the same spans (corpus-
         cleaning gate input); integer columns, LEFT-join keeps span-free
@@ -676,40 +632,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return dup_span_stats(_docs_ds(sf), min_len=8).sort("doc_id")
 
     q["dup_span_stats"] = dup_span_stats_q
-
-    def quantiles_q(sf):
-        """Exact discrete quantiles of events.value WITHOUT a sort:
-        iterative histogram refinement, ~4 streaming passes, O(bins)
-        driver state, zero shuffle."""
-        from rayfts.ops.quantile import exact_quantiles
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        return exact_quantiles(ds, "value", [0.1, 0.5, 0.9, 0.99])
-
-    q["quantiles_value"] = quantiles_q
-
-    def grouped_quantiles_q(sf):
-        """Per-event-type exact quantiles: one uniform hash exchange,
-        one vectorized sort per group."""
-        from rayfts.ops.quantile import grouped_quantiles
-
-        ds = ray.data.read_parquet(os.path.join(sf, "events.parquet"))
-        return grouped_quantiles(
-            ds, "event_type", "value", [0.25, 0.5, 0.9]
-        ).sort(["event_type", "q"])
-
-    q["quantiles_by_type"] = grouped_quantiles_q
-
-    def heavy_hitters_q(sf):
-        """Exact tokens with frequency >= 0.5% of the corpus: mergeable
-        Misra-Gries candidate sweep (zero false negatives by the
-        n/(k+1) undercount bound) + one exact verification pass;
-        summary-sized exchanges only."""
-        from rayfts.ops.freq import heavy_hitters
-
-        return heavy_hitters(_docs_ds(sf), phi_num=1, phi_den=200)
-
-    q["heavy_hitters"] = heavy_hitters_q
 
     def scrub_q(sf):
         """PII scrub (email/URL/IP -> placeholder tokens + whitespace
@@ -910,10 +832,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "near_dup_clusters", "near_dup_kept", "repetition_stats",
         "repetition_filter_kept", "duplicate_lines", "line_dedup",
         # cheap, green in round 3
-        "quantiles_value", "quantiles_by_type", "sample_uniform",
-        "sample_stratified",
-        "weighted_sample", "token_stats", "token_counts", "quality_stats",
-        "langid", "fingerprints", "scrub_text", "heavy_hitters",
+        "token_stats", "token_counts", "quality_stats",
+        "langid", "fingerprints", "scrub_text",
         # index-backed (one shared build, then cheap reads)
         "term_topk", "stopword_topk", "or_topk", "and_docs",
         "must_not_docs", "phrase_docs", "range_term_docs",
@@ -970,28 +890,6 @@ def _mulmod64_sql(a_expr: str, p: int) -> str:
             f"+ ((CAST({a_expr} % 4294967296 AS HUGEINT) * {ph} "
             f"+ CAST({a_expr} // 4294967296 AS HUGEINT) * {pl}) % 4294967296) * 4294967296"
             f") % 18446744073709551616)")
-
-
-def _splitmix_ctes(source: str, x_expr: str, seed: int = 42) -> str:
-    """CTE chain computing ``h = splitmix64(x_expr XOR seed)`` (exact
-    mod-2^64 arithmetic, mirroring rayfts/ops/sample.py:splitmix64) over
-    ``source``; the final CTE is ``smh`` = source columns + ``h``.
-    Stepwise CTEs keep the expression linear (the naive inline expansion
-    re-substitutes the input ~4^3 times)."""
-    M = 1 << 64
-
-    def xs(z_expr: str, s: int) -> str:
-        return (f"CAST(xor(CAST(({z_expr}) AS UBIGINT), "
-                f"CAST(({z_expr}) // {1 << s} AS UBIGINT)) AS HUGEINT)")
-
-    z0 = (f"((CAST(xor(CAST({x_expr} AS UBIGINT), CAST({seed} AS UBIGINT)) "
-          f"AS HUGEINT) + 11400714819323198485) % {M})")
-    z1 = _mulmod64_sql(xs("z0", 30), 0xBF58476D1CE4E5B9)
-    z2 = _mulmod64_sql(xs("z1", 27), 0x94D049BB133111EB)
-    return (f"sm0 AS (SELECT *, {z0} AS z0 FROM {source}),\n"
-            f"sm1 AS (SELECT *, {z1} AS z1 FROM sm0),\n"
-            f"sm2 AS (SELECT *, {z2} AS z2 FROM sm1),\n"
-            f"smh AS (SELECT * EXCLUDE (z0, z1, z2), {xs('z2', 31)} AS h FROM sm2)")
 
 
 def _fingerprint_sql() -> str:
@@ -1674,32 +1572,6 @@ FROM s ORDER BY doc_id
     sql["fingerprints"] = _fingerprint_sql()
     sql["simhash_near_dup"] = _SIMHASH_SQL
     sql["minhash_dedup_pairs"] = _minhash_sql(threshold=0.5)
-    thr_10pct = (10 << 64) // 100  # exact integer threshold, both sides
-    sql["sample_uniform"] = f"""
-WITH {_splitmix_ctes("documents", "doc_id")}
-SELECT doc_id FROM smh WHERE h < {thr_10pct} ORDER BY doc_id
-"""
-    sql["weighted_sample"] = f"""
-WITH {_splitmix_ctes("documents", "doc_id")},
-w AS (
-  SELECT doc_id,
-    CAST(len(regexp_extract_all(COALESCE(text, ''), '[\\p{{L}}\\p{{N}}]+'))
-         AS HUGEINT) AS wt
-  FROM documents
-)
-SELECT s.doc_id FROM smh s JOIN w USING (doc_id)
-WHERE s.h < (w.wt * 1 * CAST('18446744073709551616' AS HUGEINT)) // 2000
-ORDER BY s.doc_id
-"""
-    sql["sample_stratified"] = f"""
-WITH {_splitmix_ctes("documents", "doc_id")},
-r AS (
-  SELECT lang, doc_id,
-    row_number() OVER (PARTITION BY lang ORDER BY h, doc_id) AS rn
-  FROM smh
-)
-SELECT lang, doc_id FROM r WHERE rn <= 5 ORDER BY lang, doc_id
-"""
     # duplicated-substring spans: window equality modeled on the actual
     # 8-token gram STRING (the engine compares 64-bit rolling hashes —
     # equal modulo a ~2^-65-probability collision, absent at any tested
@@ -1775,34 +1647,6 @@ SELECT doc_id, trim(regexp_replace(t, '\s+', ' ', 'g')) AS text,
        CAST(n_email AS BIGINT) AS n_email, CAST(n_url AS BIGINT) AS n_url,
        CAST(n_ip AS BIGINT) AS n_ip
 FROM i ORDER BY doc_id
-"""
-    # heavy hitters: exact integer threshold (cnt*den >= n*num), the
-    # same tokenizer as the substring/shingle family
-    sql["heavy_hitters"] = r"""
-WITH toks AS (
-  SELECT lower(x) AS term
-  FROM documents, unnest(regexp_extract_all(COALESCE(text, ''), '[\p{L}\p{N}]+')) AS u(x)
-),
-tot AS (SELECT count(*) AS n FROM toks),
-c AS (SELECT term, CAST(count(*) AS BIGINT) AS cnt FROM toks GROUP BY term)
-SELECT term, cnt FROM c, tot WHERE cnt * 200 >= n * 1
-ORDER BY cnt DESC, term
-"""
-    # exact discrete quantiles: DuckDB quantile_disc shares the engine's
-    # rank convention (1-based rank max(1, ceil(q*n)) over sorted
-    # non-nulls — verified empirically both on n=4 and n=5 edge grids)
-    sql["quantiles_value"] = """
-WITH r AS (SELECT quantile_disc(value, [0.1,0.5,0.9,0.99]) AS v FROM events)
-SELECT CAST(qs.q AS DOUBLE) AS q, r.v[qs.i] AS value
-FROM r, (VALUES (1,0.1),(2,0.5),(3,0.9),(4,0.99)) qs(i, q)
-ORDER BY q
-"""
-    sql["quantiles_by_type"] = """
-WITH r AS (SELECT event_type, quantile_disc(value, [0.25,0.5,0.9]) AS v
-           FROM events GROUP BY event_type)
-SELECT r.event_type, CAST(qs.q AS DOUBLE) AS q, r.v[qs.i] AS value
-FROM r, (VALUES (1,0.25),(2,0.5),(3,0.9)) qs(i, q)
-ORDER BY event_type, q
 """
     great = "greatest(hde, hen, hes, hfr)"
     sql["corpus_clean"] = rf"""

@@ -286,27 +286,11 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     minhash_dedup_pairs(ray.data.read_parquet(docs), threshold=0.5).count()
     out["minhash_dedup"] = time.time() - t0
 
-    ev = os.path.join(sf_dir, "events.parquet")
-    if os.path.exists(ev):
-        from rayfts.ops.clean import clean_corpus
-
-        t0 = time.time()
-        clean_corpus(ray.data.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"))).count()
-        out["corpus_clean"] = time.time() - t0
-
-        from rayfts.ops.quantile import exact_quantiles
-
-        t0 = time.time()
-        exact_quantiles(ray.data.read_parquet(ev), "value",
-                        [0.1, 0.5, 0.9, 0.99])
-        out["quantiles_value"] = time.time() - t0
-
-    from rayfts.ops.freq import heavy_hitters
+    from rayfts.ops.clean import clean_corpus
 
     t0 = time.time()
-    heavy_hitters(ray.data.read_parquet(docs), phi_num=1, phi_den=200)
-    out["heavy_hitters"] = time.time() - t0
+    clean_corpus(ray.data.read_parquet(docs)).count()
+    out["corpus_clean"] = time.time() - t0
 
     from rayfts.ops.substr import duplicated_spans
 

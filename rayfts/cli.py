@@ -52,11 +52,23 @@ def _load_schema(path_or_json: str):
         return IndexSchema.from_json(json.load(f))
 
 
+def _input_paths(patterns: list[str]) -> list[str]:
+    """Expand each glob; if none matches, pass the patterns through as
+    given (remote URIs such as ``s3://...`` are not globbed locally)."""
+    return sorted(p for pat in patterns for p in glob.glob(pat)) or list(patterns)
+
+
+def _read_inputs(patterns: list[str]):
+    import ray.data
+
+    return ray.data.read_parquet(_input_paths(patterns))
+
+
 def cmd_build(args) -> int:
     _ensure_ray()
     from rayfts.index.build import build_index
 
-    paths = sorted(p for pat in args.input for p in glob.glob(pat)) or args.input
+    paths = _input_paths(args.input)
     t0 = time.time()
     manifest = build_index(
         paths,
@@ -83,7 +95,7 @@ def cmd_append(args) -> int:
     _ensure_ray()
     from rayfts.index.build import append_to_index
 
-    paths = sorted(p for pat in args.input for p in glob.glob(pat)) or args.input
+    paths = _input_paths(args.input)
     t0 = time.time()
     m = append_to_index(paths, args.index, content_col=args.content_col,
                         key_cols=args.key_cols.split(",") if args.key_cols else None)
@@ -168,14 +180,9 @@ def cmd_merge(args) -> int:
 def cmd_dedup(args) -> int:
     """Exact-dedup a parquet corpus: write kept ids (or full rows)."""
     _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
     from rayfts.ops.dedup import exact_dedup, exact_dedup_ids
 
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    ds = ray.data.read_parquet(paths)
+    ds = _read_inputs(args.input)
     if args.full_rows:
         out = exact_dedup(ds, col=args.col, id_col=args.id_col)
     else:
@@ -188,15 +195,10 @@ def cmd_dedup(args) -> int:
 def cmd_dedup_minhash(args) -> int:
     """MinHash-LSH near-dup pairs of a parquet corpus -> pairs parquet."""
     _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
     from rayfts.ops.dedup import minhash_dedup_pairs
 
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
     pairs = minhash_dedup_pairs(
-        ray.data.read_parquet(paths), col=args.col, id_col=args.id_col,
+        _read_inputs(args.input), col=args.col, id_col=args.id_col,
         num_perm=args.num_perm, bands=args.bands, k=args.k,
         threshold=args.threshold,
     )
@@ -209,15 +211,10 @@ def cmd_clean(args) -> int:
     """Composed corpus clean (gate -> exact dedup -> near-dup drop) ->
     kept (id, lang_pred, n_tokens) parquet."""
     _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
     from rayfts.ops.clean import clean_corpus
 
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
     kept = clean_corpus(
-        ray.data.read_parquet(paths), col=args.col, id_col=args.id_col,
+        _read_inputs(args.input), col=args.col, id_col=args.id_col,
         langs=tuple(args.langs.split(",")), min_tokens=args.min_tokens,
         alpha_pct=args.alpha_pct, stop_pct=args.stop_pct,
         jaccard_threshold=args.threshold,
@@ -230,14 +227,9 @@ def cmd_clean(args) -> int:
 def cmd_dup_spans(args) -> int:
     """Exact duplicated-substring spans (or per-doc stats) -> parquet."""
     _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
     from rayfts.ops.substr import dup_span_stats, duplicated_spans
 
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    ds = ray.data.read_parquet(paths)
+    ds = _read_inputs(args.input)
     if args.stats:
         out = dup_span_stats(ds, col=args.col, id_col=args.id_col,
                              min_len=args.min_len, scope=args.scope)
@@ -249,83 +241,13 @@ def cmd_dup_spans(args) -> int:
     return 0
 
 
-def cmd_quantiles(args) -> int:
-    """Exact distributed quantiles of a numeric column (no sort)."""
-    _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
-    from rayfts.ops.quantile import exact_quantiles, grouped_quantiles
-
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    ds = ray.data.read_parquet(paths)
-    qs = [float(x) for x in args.qs.split(",")]
-    if args.by:
-        out = grouped_quantiles(ds, args.by, args.col, qs).to_pandas()
-        print(out.sort_values([args.by, "q"]).to_json(orient="records"))
-    else:
-        out = exact_quantiles(ds, args.col, qs)
-        print(out.to_pandas().to_json(orient="records"))
-    return 0
-
-
-def cmd_heavy_hitters(args) -> int:
-    """Exact frequent tokens (freq >= num/den of all tokens)."""
-    _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
-    from rayfts.ops.freq import heavy_hitters
-
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    out = heavy_hitters(ray.data.read_parquet(paths), col=args.col,
-                        phi_num=args.phi_num, phi_den=args.phi_den)
-    print(out.to_pandas().to_json(orient="records"))
-    return 0
-
-
 def cmd_scrub(args) -> int:
     """PII scrub / text normalization -> rewritten parquet."""
     _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
     from rayfts.ops.scrub import scrub_text
 
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    out = scrub_text(ray.data.read_parquet(paths), col=args.col,
+    out = scrub_text(_read_inputs(args.input), col=args.col,
                      rules=tuple(args.rules.split(",")))
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
-def cmd_sample(args) -> int:
-    """Deterministic hash sample (uniform rate or stratified k-per-group)
-    -> parquet."""
-    _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
-    from rayfts.ops.sample import (deterministic_sample, stratified_sample_k,
-                                   weighted_sample)
-
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    ds = ray.data.read_parquet(paths)
-    if args.group_col:
-        out = stratified_sample_k(ds, args.group_col, args.id_col,
-                                  k=args.k, seed=args.seed)
-    elif args.weight_col:
-        out = weighted_sample(ds, args.weight_col, args.rate_num,
-                              args.rate_den, id_col=args.id_col,
-                              seed=args.seed)
-    else:
-        out = deterministic_sample(ds, args.rate_num, args.rate_den,
-                                   id_col=args.id_col, seed=args.seed)
     out.write_parquet(args.out)
     print(json.dumps({"out": args.out, "rows": out.count()}))
     return 0
@@ -334,14 +256,9 @@ def cmd_sample(args) -> int:
 def cmd_term_stats(args) -> int:
     """Corpus (term, df, cf) table via the salted term shuffle."""
     _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
     from rayfts.ops.termstats import term_stats_ds
 
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
-    out = term_stats_ds(ray.data.read_parquet(paths), col=args.col,
+    out = term_stats_ds(_read_inputs(args.input), col=args.col,
                         analyzer=args.analyzer, salt_buckets=args.salt_buckets)
     out.write_parquet(args.out)
     print(json.dumps({"out": args.out, "rows": out.count()}))
@@ -351,15 +268,10 @@ def cmd_term_stats(args) -> int:
 def cmd_postings_export(args) -> int:
     """Term-partitioned global posting lists (groupby-term shuffle)."""
     _ensure_ray()
-    import glob as _glob
-
-    import ray.data
-
     from rayfts.ops.postings_export import build_term_postings
 
-    paths = sorted(p for pat in args.input for p in _glob.glob(pat)) or args.input
     summary = build_term_postings(
-        ray.data.read_parquet(paths), args.out, col=args.col,
+        _read_inputs(args.input), args.out, col=args.col,
         id_col=args.id_col, analyzer=args.analyzer, num_buckets=args.buckets,
         resume=args.resume,
     )
@@ -368,15 +280,6 @@ def cmd_postings_export(args) -> int:
                       "terms_built": int(sum(t for t in terms if t >= 0)),
                       "buckets_resumed": sum(1 for t in terms if t < 0)}))
     return 0
-
-
-def _read_inputs(patterns):
-    import glob as _glob
-
-    import ray.data
-
-    paths = sorted(p for pat in patterns for p in _glob.glob(pat)) or list(patterns)
-    return ray.data.read_parquet(paths)
 
 
 def cmd_decontaminate(args) -> int:
@@ -581,22 +484,6 @@ def main(argv: list[str] | None = None) -> int:
     dsp.add_argument("--out", required=True)
     dsp.set_defaults(fn=cmd_dup_spans)
 
-    qn = sub.add_parser("quantiles",
-                        help="exact distributed quantiles (no sort)")
-    qn.add_argument("--input", nargs="+", required=True)
-    qn.add_argument("--col", default="value")
-    qn.add_argument("--qs", default="0.25,0.5,0.75,0.99")
-    qn.add_argument("--by", default=None, help="optional group-by key")
-    qn.set_defaults(fn=cmd_quantiles)
-
-    hh = sub.add_parser("heavy-hitters",
-                        help="exact frequent tokens (two-pass Misra-Gries)")
-    hh.add_argument("--input", nargs="+", required=True)
-    hh.add_argument("--col", default="text")
-    hh.add_argument("--phi-num", type=int, default=1)
-    hh.add_argument("--phi-den", type=int, default=200)
-    hh.set_defaults(fn=cmd_heavy_hitters)
-
     sc = sub.add_parser("scrub",
                         help="PII scrub / text normalization (RE2 rules)")
     sc.add_argument("--input", nargs="+", required=True)
@@ -604,21 +491,6 @@ def main(argv: list[str] | None = None) -> int:
     sc.add_argument("--rules", default="email,url,ip")
     sc.add_argument("--out", required=True)
     sc.set_defaults(fn=cmd_scrub)
-
-    sp = sub.add_parser("sample",
-                        help="deterministic hash sample (uniform rate, or "
-                             "k-per-group with --group-col)")
-    sp.add_argument("--input", nargs="+", required=True)
-    sp.add_argument("--id-col", default="doc_id")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--rate-num", type=int, default=10)
-    sp.add_argument("--rate-den", type=int, default=100)
-    sp.add_argument("--group-col", default=None)
-    sp.add_argument("--weight-col", default=None,
-                    help="integer weight column: keep prob = min(1, w*num/den)")
-    sp.add_argument("--k", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=42)
-    sp.set_defaults(fn=cmd_sample)
 
     ts = sub.add_parser("term-stats", help="(term, df, cf) over a corpus")
     ts.add_argument("--input", nargs="+", required=True)

@@ -213,6 +213,14 @@ def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentI
     merge that died after its swap but before deleting it: its documents
     are already in the merge output.
 
+    A Dataset block (lineage ``{"source": "dataset"}``) is skipped too and
+    its directory left in place: nothing can re-plan it, so whoever runs
+    its Dataset again builds its rows again. ``append_to_index`` commits
+    its blocks once at the end, so an unregistered block is either left
+    by an append that failed after writing it or belongs to an append
+    still running, whose commit does not look for ids already registered.
+    Adopting it would count its rows twice in both cases.
+
     Scratch directories (``*.tmp``) are never adopted. Those that a write
     attempt on this host left behind when its process died are deleted
     (:func:`rayfts.index.segment.scratch_pid`); a live process's, another
@@ -237,7 +245,8 @@ def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentI
             continue
         with open(meta) as f:
             info = SegmentInfo.from_json(json.load(f))
-        if "merged_from" not in info.lineage:
+        if ("merged_from" not in info.lineage
+                and info.lineage.get("source") != "dataset"):
             adopted.append(info)
     manifest.add_segments(adopted)
     return adopted

@@ -6,7 +6,7 @@ tests starts Ray.
 - ``commit_merge`` is a compare-and-swap: a merge whose sources changed
   aborts, and deletes its output only if the manifest does not register it;
 - orphan adoption skips the output of a merge that died before its swap,
-  and the sources of one that died after it;
+  the sources of one that died after it, and Dataset blocks;
 - writers in separate processes, plus a merger, lose no commit.
 """
 
@@ -106,16 +106,22 @@ def test_commit_merge_aborts_on_changed_sources(tmp_path):
 
 def test_orphan_merge_output_is_not_adopted(tmp_path):
     """A merge killed before its swap leaves its output unregistered while
-    its sources stay registered; adopting it would count them twice."""
+    its sources stay registered; adopting it would count them twice. A
+    Dataset block left by a failed or still running ``append_to_index``
+    is not adopted either, and stays on disk."""
     idx = _index(tmp_path, 4)
     m = idx.manifest
     merge_segment_group(idx.path, m.schema.to_json(),
                         [s.segment_id for s in m.ordered_segments()[:3]])
+    block = build_segment(_rows(101), _schema(), "seg-999999-block",
+                          mf.segment_path(idx.path, "seg-999999-block"),
+                          lineage={"source": "dataset"})
     orphan = build_segment(_rows(100), _schema(), "seg-999999-orphan",
                            mf.segment_path(idx.path, "seg-999999-orphan"))
 
     adopted = mf.recover_orphan_segments(idx.path, m)
     assert [s.segment_id for s in adopted] == [orphan.segment_id]
+    assert os.path.isdir(mf.segment_path(idx.path, block.segment_id))
     assert m.num_docs == 9
     assert idx.manifest.num_docs == 8  # adoption itself writes nothing
     assert Searcher(idx.path).count({"term": {"body": "hello"}}) == 4

@@ -19,7 +19,7 @@ import pandas as pd
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+TABLES = ["documents"]  # the only table the oracles read
 
 
 def to_pandas(obj) -> pd.DataFrame:
