@@ -16,6 +16,8 @@ here calls ray.init()/ray.shutdown().
 
 from __future__ import annotations
 
+import functools
+import glob
 import hashlib
 import json
 import os
@@ -95,9 +97,25 @@ def _fts_schema() -> IndexSchema:
 _SEARCHERS: dict[tuple[str, str], Searcher] = {}
 
 
+@functools.cache
+def _writer_source_digest() -> str:
+    """sha256 over the ``.py`` files under ``rayfts/{analysis,codec,index}``
+    (the code that writes segments), in order of relative path, so
+    checkouts whose segment-writing code differs never share a cache."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "rayfts")
+    h = hashlib.sha256()
+    for path in sorted(p for pkg in ("analysis", "codec", "index") for p in
+                       glob.glob(os.path.join(root, pkg, "**", "*.py"),
+                                 recursive=True)):
+        with open(path, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
 def _docs_index(sf_dir: str, kind: str) -> Searcher:
     """Build-or-open the documents index for this sf_dir (cached on disk
-    keyed by input+config+format; a completed build short-circuits)."""
+    keyed by input+config+format+writer source; a completed build
+    short-circuits)."""
     key = (sf_dir, kind)
     if key in _SEARCHERS:
         return _SEARCHERS[key]
@@ -105,7 +123,8 @@ def _docs_index(sf_dir: str, kind: str) -> Searcher:
               "fts": _fts_schema}[kind]()
     fieldnorm = "tantivy_like" if kind == "fts" else "exact"
     digest = hashlib.sha256(
-        f"{os.path.abspath(sf_dir)}|{kind}|{FORMAT_VERSION}".encode()
+        f"{os.path.abspath(sf_dir)}|{kind}|{FORMAT_VERSION}|"
+        f"{_writer_source_digest()}".encode()
     ).hexdigest()[:16]
     index_dir = os.path.join(CACHE_ROOT, f"docs-{kind}-{digest}")
     build_index(
@@ -592,75 +611,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     q["minhash_dedup_pairs"] = minhash_q
 
-    def corpus_clean_q(sf):
-        """Flagship composed pipeline: quality/langid gate -> exact dedup
-        -> minhash near-dup drop (pair-minimal keep). The input is the
-        documents table unioned with an id-shifted exact copy so the
-        exact-dedup stage is exercised for real."""
-        from rayfts.ops.clean import clean_corpus
-
-        ds = _docs_ds(sf)
-
-        def shift(b: pa.Table) -> pa.Table:
-            i = b.schema.get_field_index("doc_id")
-            return b.set_column(
-                i, "doc_id",
-                pa.array(b["doc_id"].to_numpy() + 1_000_000, type=pa.int64()))
-
-        inp = ds.union(ds.map_batches(shift, batch_format="pyarrow"))
-        return clean_corpus(inp).sort("doc_id")
-
-    q["corpus_clean"] = corpus_clean_q
-
-    def dup_spans_q(sf):
-        """Exact duplicated-substring spans (Lee-et-al-style ExactSubstr,
-        distributed as an 8-token rolling-hash window exchange): maximal
-        merged token spans whose windows occur in >= 2 distinct docs."""
-        from rayfts.ops.substr import duplicated_spans
-
-        out = duplicated_spans(_docs_ds(sf), min_len=8)
-        return out.sort(["doc_id", "span_start"])
-
-    q["dup_spans"] = dup_spans_q
-
-    def dup_span_stats_q(sf):
-        """Per-doc duplicated-token totals over the same spans (corpus-
-        cleaning gate input); integer columns, LEFT-join keeps span-free
-        docs at 0."""
-        from rayfts.ops.substr import dup_span_stats
-
-        return dup_span_stats(_docs_ds(sf), min_len=8).sort("doc_id")
-
-    q["dup_span_stats"] = dup_span_stats_q
-
-    def scrub_q(sf):
-        """PII scrub (email/URL/IP -> placeholder tokens + whitespace
-        collapse). The synthetic corpus has no scrubbables, so both
-        sides deterministically append doc_id-derived emails/URLs/IPs
-        to every 5th doc first — the redaction path is genuinely
-        exercised and the rewritten STRINGS are hash-compared."""
-        import pandas as pd2
-
-        from rayfts.ops.scrub import scrub_text
-
-        ds = _docs_ds(sf).select_columns(["doc_id", "text"])
-
-        def salt(b: pa.Table) -> pa.Table:
-            ids = b["doc_id"].to_numpy(zero_copy_only=False)
-            t = pd2.Series(b["text"].to_pylist(), dtype="object").fillna("")
-            s = pd2.Series(ids).astype(str)
-            suffix = (" contact u" + s + "@ex" + (ids % 7).astype(str)
-                      + ".org or https://site" + s + ".example/p/" + s
-                      + " at 10.0." + (ids % 256).astype(str) + "."
-                      + (ids % 100).astype(str))
-            salted = t.where(ids % 5 != 0, t + suffix.to_numpy())
-            return pa.table({"doc_id": b["doc_id"],
-                             "text": pa.array(salted.tolist(), type=pa.string())})
-
-        return scrub_text(ds.map_batches(salt, batch_format="pyarrow")).sort("doc_id")
-
-    q["scrub_text"] = scrub_q
-
     def simhash_q(sf):
         from rayfts.ops.dedup import simhash_near_dup_pairs
 
@@ -676,27 +626,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return ngram_jaccard_pairs(_docs_ds(sf), threshold=0.5).sort(["id_a", "id_b"])
 
     q["ngram_jaccard_pairs"] = ngram_jaccard_q
-
-    def near_dup_clusters_q(sf):
-        """Near-dup CLUSTERS: connected components (hash-to-min, log-round
-        MapReduce CC) over the exact n-gram Jaccard pair graph — the
-        production keep-one-per-cluster dedup step the pair emitters
-        feed. Oracle: recursive-CTE min-label closure over the same
-        pair SQL."""
-        from rayfts.ops.cc import near_dup_components
-
-        return near_dup_components(_docs_ds(sf), threshold=0.5).sort("node")
-
-    q["near_dup_clusters"] = near_dup_clusters_q
-
-    def near_dup_kept_q(sf):
-        """Cluster-level dedup survivors: every doc not in a near-dup
-        component plus each component's min-id representative."""
-        from rayfts.ops.cc import near_dup_kept_ids
-
-        return near_dup_kept_ids(_docs_ds(sf), threshold=0.5).sort("doc_id")
-
-    q["near_dup_kept"] = near_dup_kept_q
 
     def repetition_stats_q(sf):
         """Gopher/MassiveText repetition quality signals as exact
@@ -828,12 +757,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # expensive previously-verified rows.
     _COST_ORDER = [
         # cheap round-4 additions
-        "prepare_corpus", "decontaminate_8gram",
-        "near_dup_clusters", "near_dup_kept", "repetition_stats",
+        "prepare_corpus", "decontaminate_8gram", "repetition_stats",
         "repetition_filter_kept", "duplicate_lines", "line_dedup",
         # cheap, green in round 3
         "token_stats", "token_counts", "quality_stats",
-        "langid", "fingerprints", "scrub_text",
+        "langid", "fingerprints",
         # index-backed (one shared build, then cheap reads)
         "term_topk", "stopword_topk", "or_topk", "and_docs",
         "must_not_docs", "phrase_docs", "range_term_docs",
@@ -844,7 +772,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # heavy corpus passes last
         "term_stats_top50", "exact_dedup_kept",
         "simhash_near_dup", "ngram_jaccard_pairs", "minhash_dedup_pairs",
-        "dup_spans", "dup_span_stats", "corpus_clean", "term_postings",
+        "term_postings",
     ]
     assert set(_COST_ORDER) == set(q), (
         set(_COST_ORDER) ^ set(q))  # keep the list exhaustive
@@ -860,7 +788,6 @@ def _driver_check_recency() -> dict[str, int]:
     Scanned from the repo root at call time so the rotation self-maintains:
     after the round-N driver run lands CORRECTNESS_r0N.json, round N+1
     automatically fronts whatever that file's 50-row budget left out."""
-    import glob
     import re as _re
 
     here = os.path.dirname(os.path.abspath(__file__))
@@ -957,8 +884,7 @@ ORDER BY id_a, id_b
 
 
 
-def _minhash_sql(threshold: float = 0.5, source: str = "documents",
-                 ctes_only: bool = False) -> str:
+def _minhash_sql(threshold: float = 0.5) -> str:
     """MinHash-LSH near-dup oracle: the ENTIRE pipeline in SQL — md5 token
     hashes, k=3 rolling shingles (mod-2^64 split multiply), the 64
     (a*x+b) mod 2^61-1 permutations with the engine's exact
@@ -985,7 +911,7 @@ def _minhash_sql(threshold: float = 0.5, source: str = "documents",
   SELECT doc_id,
     [('0x' || substr(md5(lower(x)), 1, 16))::UBIGINT
      for x in regexp_extract_all(text, '[\p{{L}}\p{{N}}]+')] AS hs
-  FROM {source}
+  FROM documents
 ),
 shingles AS (
   SELECT doc_id,
@@ -1040,8 +966,6 @@ jac AS (
 mh_pairs AS (
   SELECT id_a, id_b, round_even(j, 6) AS jaccard FROM jac WHERE j >= {threshold}
 )"""
-    if ctes_only:
-        return ctes
     return f"WITH {ctes} SELECT id_a, id_b, jaccard FROM mh_pairs ORDER BY id_a, id_b"
 
 
@@ -1410,36 +1334,6 @@ ORDER BY t.doc_id
 """
 
 
-def _near_dup_cc_sql(kept: bool = False, threshold: float = 0.5) -> str:
-    """Connected components of the n-gram Jaccard pair graph via a
-    recursive min-label closure: seed every node with itself, propagate
-    a label across an edge only while it is smaller than the target
-    (the component minimum reaches every node along some path, and the
-    guard prunes the transitive closure to labels that can still win).
-    ``kept=True`` returns the cluster-dedup survivors instead."""
-    pairs = _ngram_jaccard_sql(threshold=threshold)
-    cc = rf"""
-WITH RECURSIVE
-p AS (SELECT id_a, id_b FROM ({pairs})),
-edges AS (SELECT id_a AS u, id_b AS v FROM p
-          UNION SELECT id_b, id_a FROM p),
-walk(node, lbl) AS (
-  SELECT u, u FROM (SELECT DISTINCT u FROM edges) t
-  UNION
-  SELECT e.v, w.lbl FROM walk w JOIN edges e ON e.u = w.node
-  WHERE w.lbl < e.v
-),
-cc AS (SELECT node, min(lbl) AS component FROM walk GROUP BY node)
-"""
-    if kept:
-        return cc + """
-SELECT doc_id FROM documents
-WHERE doc_id NOT IN (SELECT node FROM cc WHERE node <> component)
-ORDER BY doc_id
-"""
-    return cc + "SELECT node, component FROM cc ORDER BY node\n"
-
-
 def oracle_sql() -> dict[str, str]:
     stop = {k: sorted(v) for k, v in __import__("rayfts.ops.textstats", fromlist=["LANG_STOPWORDS"]).LANG_STOPWORDS.items()}
 
@@ -1572,135 +1466,7 @@ FROM s ORDER BY doc_id
     sql["fingerprints"] = _fingerprint_sql()
     sql["simhash_near_dup"] = _SIMHASH_SQL
     sql["minhash_dedup_pairs"] = _minhash_sql(threshold=0.5)
-    # duplicated-substring spans: window equality modeled on the actual
-    # 8-token gram STRING (the engine compares 64-bit rolling hashes —
-    # equal modulo a ~2^-65-probability collision, absent at any tested
-    # scale); interval merge is the classic gaps-and-islands
-    _dupspan_ctes = r"""t AS (
-  SELECT doc_id,
-    [lower(x) for x in regexp_extract_all(COALESCE(text, ''), '[\p{L}\p{N}]+')] AS toks
-  FROM documents
-),
-wins AS (
-  SELECT t.doc_id, g.i AS pos1,
-         array_to_string(list_slice(t.toks, g.i, g.i + 7), chr(31)) AS gram
-  FROM t, unnest(generate_series(1, len(t.toks) - 7)) AS g(i)
-),
-dup AS (SELECT gram FROM wins GROUP BY gram HAVING count(DISTINCT doc_id) >= 2),
-hits AS (SELECT w.doc_id, w.pos1 FROM wins w JOIN dup USING (gram)),
-brk AS (
-  SELECT doc_id, pos1,
-         CASE WHEN lag(pos1) OVER w IS NULL
-              OR pos1 - lag(pos1) OVER w > 8 THEN 1 ELSE 0 END AS b
-  FROM hits WINDOW w AS (PARTITION BY doc_id ORDER BY pos1)
-),
-isl AS (
-  SELECT doc_id, pos1,
-         sum(b) OVER (PARTITION BY doc_id ORDER BY pos1) AS grp
-  FROM brk
-),
-spans AS (
-  SELECT doc_id,
-         CAST(min(pos1) - 1 AS BIGINT) AS span_start,
-         CAST(max(pos1) - 1 + 8 AS BIGINT) AS span_end
-  FROM isl GROUP BY doc_id, grp
-)"""
-    sql["dup_spans"] = (
-        f"WITH {_dupspan_ctes}\n"
-        "SELECT doc_id, span_start, span_end FROM spans "
-        "ORDER BY doc_id, span_start"
-    )
-    sql["dup_span_stats"] = f"""
-WITH {_dupspan_ctes},
-dsum AS (
-  SELECT doc_id, CAST(sum(span_end - span_start) AS BIGINT) AS dt
-  FROM spans GROUP BY doc_id
-)
-SELECT t.doc_id, CAST(len(t.toks) AS BIGINT) AS n_tokens,
-       COALESCE(dsum.dt, CAST(0 AS BIGINT)) AS dup_tokens
-FROM t LEFT JOIN dsum USING (doc_id)
-ORDER BY doc_id
-"""
-    # PII scrub: both engines run RE2, so the rewritten strings match
-    # bit-for-bit; the CTE chain mirrors the sequential rule order
-    _em = r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"
-    _ur = r"https?://[^\s]+"
-    _ip = r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b"
-    sql["scrub_text"] = rf"""
-WITH s0 AS (
-  SELECT doc_id,
-    COALESCE(text, '') || CASE WHEN doc_id % 5 = 0 THEN
-      ' contact u' || doc_id || '@ex' || (doc_id % 7) ||
-      '.org or https://site' || doc_id || '.example/p/' || doc_id ||
-      ' at 10.0.' || (doc_id % 256) || '.' || (doc_id % 100)
-    ELSE '' END AS t
-  FROM documents
-),
-e AS (SELECT doc_id, len(regexp_extract_all(t, '{_em}')) AS n_email,
-             regexp_replace(t, '{_em}', '<EMAIL>', 'g') AS t FROM s0),
-u AS (SELECT doc_id, n_email, len(regexp_extract_all(t, '{_ur}')) AS n_url,
-             regexp_replace(t, '{_ur}', '<URL>', 'g') AS t FROM e),
-i AS (SELECT doc_id, n_email, n_url,
-             len(regexp_extract_all(t, '{_ip}')) AS n_ip,
-             regexp_replace(t, '{_ip}', '<IP>', 'g') AS t FROM u)
-SELECT doc_id, trim(regexp_replace(t, '\s+', ' ', 'g')) AS text,
-       CAST(n_email AS BIGINT) AS n_email, CAST(n_url AS BIGINT) AS n_url,
-       CAST(n_ip AS BIGINT) AS n_ip
-FROM i ORDER BY doc_id
-"""
-    great = "greatest(hde, hen, hes, hfr)"
-    sql["corpus_clean"] = rf"""
-WITH src AS (
-  SELECT doc_id, text FROM documents
-  UNION ALL
-  SELECT doc_id + 1000000 AS doc_id, text FROM documents
-),
-gt AS (
-  SELECT doc_id, text,
-    [lower(x) for x in regexp_extract_all(text, '[\p{{L}}\p{{N}}]+')] AS gtoks
-  FROM src
-),
-gl AS (
-  SELECT doc_id, text,
-    CAST(len(gtoks) AS BIGINT) AS n_tokens,
-    CAST(length(regexp_replace(text, '[^\p{{L}}]', '', 'g')) AS BIGINT) AS n_alpha,
-    CAST(length(text) AS BIGINT) AS n_chars,
-    CAST(len([x for x in gtoks if list_contains({lst('en')}, x)]) AS BIGINT) AS n_stop,
-    len([x for x in gtoks if list_contains({lst('de')}, x)]) AS hde,
-    len([x for x in gtoks if list_contains({lst('en')}, x)]) AS hen,
-    len([x for x in gtoks if list_contains({lst('es')}, x)]) AS hes,
-    len([x for x in gtoks if list_contains({lst('fr')}, x)]) AS hfr
-  FROM gt
-),
-gp AS (
-  SELECT *,
-    CASE WHEN {great} = 0 THEN 'und'
-         WHEN hde = {great} THEN 'de'
-         WHEN hen = {great} THEN 'en'
-         WHEN hes = {great} THEN 'es'
-         ELSE 'fr' END AS lang_pred
-  FROM gl
-),
-gated AS (
-  SELECT doc_id, text, lang_pred, n_tokens
-  FROM gp
-  WHERE lang_pred IN ('en')
-    AND n_tokens >= 20
-    AND 100 * n_alpha >= 50 * n_chars
-    AND 100 * n_stop >= 5 * n_tokens
-),
-ex AS (SELECT min(doc_id) AS doc_id FROM gated GROUP BY text),
-surv AS (
-  SELECT g.doc_id, g.text, g.lang_pred, g.n_tokens
-  FROM gated g JOIN ex ON ex.doc_id = g.doc_id
-),
-{_minhash_sql(threshold=0.5, source="surv", ctes_only=True)}
-SELECT s.doc_id, s.lang_pred, s.n_tokens FROM surv s
-WHERE s.doc_id NOT IN (SELECT id_b FROM mh_pairs) ORDER BY s.doc_id
-"""
     sql["ngram_jaccard_pairs"] = _ngram_jaccard_sql(threshold=0.5)
-    sql["near_dup_clusters"] = _near_dup_cc_sql(kept=False, threshold=0.5)
-    sql["near_dup_kept"] = _near_dup_cc_sql(kept=True, threshold=0.5)
     sql["duplicate_lines"] = _duplicate_lines_sql(min_docs=2)
     sql["line_dedup"] = _line_dedup_sql(min_docs=2)
     sql["repetition_stats"] = _repetition_sql()

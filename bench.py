@@ -286,18 +286,6 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     minhash_dedup_pairs(ray.data.read_parquet(docs), threshold=0.5).count()
     out["minhash_dedup"] = time.time() - t0
 
-    from rayfts.ops.clean import clean_corpus
-
-    t0 = time.time()
-    clean_corpus(ray.data.read_parquet(docs)).count()
-    out["corpus_clean"] = time.time() - t0
-
-    from rayfts.ops.substr import duplicated_spans
-
-    t0 = time.time()
-    duplicated_spans(ray.data.read_parquet(docs), min_len=8).count()
-    out["dup_spans"] = time.time() - t0
-
     from rayfts.ops.repetition import repetition_filter
 
     t0 = time.time()
@@ -673,43 +661,6 @@ def _ngram_shuffle_stats(files, num_docs_subset: int, cap: int | None) -> dict:
     return hist
 
 
-def _substr_partials_stats(files) -> dict:
-    """Qualify-pass reducer inputs for duplicated_spans over the
-    stop-word-heavy corpus: partial rows per hash partition must stay
-    level even when one window dominates the stream (the min/max/cnt
-    pre-aggregation collapses a hot window to one row per batch)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data
-
-    from rayfts.ops.substr import WindowHashes
-
-    def keyed(b: pa.Table) -> pa.Table:
-        return b.select(["part"])
-
-    def add_row_id(b: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(b["commit"].to_numpy(zero_copy_only=False))
-        return b.append_column(
-            "bench_row", pa.array((h >> np.uint64(1)).astype(np.int64)))
-
-    ds = ray.data.read_parquet(files).map_batches(
-        add_row_id, batch_format="pyarrow")
-    from rayfts.ops._stagecache import call_cached
-
-    partials = ds.map_batches(
-        call_cached,
-        fn_kwargs={"_cls": WindowHashes, "col": "content",
-                   "id_col": "bench_row", "min_len": 8, "num_parts": 64,
-                   "mode": "partials"},
-        batch_format="pyarrow", batch_size=4096,
-    )
-    counts = (partials.map_batches(keyed, batch_format="pyarrow")
-              .groupby("part").count())
-    return _reducer_histogram([r["count()"] for r in counts.take_all()])
-
-
 def _merge_shard_balance(index_dir: str, num_shards: int = 8) -> dict:
     """Per-shard encoded-bytes histogram of the term-sharded merge plan
     over ALL of an index's segments — the merge-side skew evidence: a
@@ -809,8 +760,6 @@ def run_skew(num_docs: int) -> dict:
         files_by_label["skew"], ngram_subset, 2048)
     hist["ngram_skew_uncapped"] = _ngram_shuffle_stats(
         files_by_label["skew"], ngram_subset, None)
-    for label, files in files_by_label.items():
-        hist[f"substr_qualify_{label}"] = _substr_partials_stats(files)
     ray.shutdown()
     return {
         "metric": "skew immunity (stop-word-heavy vs uniform corpus)",

@@ -53,9 +53,11 @@ def _load_schema(path_or_json: str):
 
 
 def _input_paths(patterns: list[str]) -> list[str]:
-    """Expand each glob; if none matches, pass the patterns through as
-    given (remote URIs such as ``s3://...`` are not globbed locally)."""
-    return sorted(p for pat in patterns for p in glob.glob(pat)) or list(patterns)
+    """Expand each glob on its own; a pattern that matches nothing is
+    passed through as given (remote URIs such as ``s3://...`` are not
+    globbed locally), so the reader raises on a missing path instead of
+    silently dropping it."""
+    return [p for pat in patterns for p in sorted(glob.glob(pat)) or [pat]]
 
 
 def _read_inputs(patterns: list[str]):
@@ -207,52 +209,6 @@ def cmd_dedup_minhash(args) -> int:
     return 0
 
 
-def cmd_clean(args) -> int:
-    """Composed corpus clean (gate -> exact dedup -> near-dup drop) ->
-    kept (id, lang_pred, n_tokens) parquet."""
-    _ensure_ray()
-    from rayfts.ops.clean import clean_corpus
-
-    kept = clean_corpus(
-        _read_inputs(args.input), col=args.col, id_col=args.id_col,
-        langs=tuple(args.langs.split(",")), min_tokens=args.min_tokens,
-        alpha_pct=args.alpha_pct, stop_pct=args.stop_pct,
-        jaccard_threshold=args.threshold,
-    )
-    kept.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "kept": kept.count()}))
-    return 0
-
-
-def cmd_dup_spans(args) -> int:
-    """Exact duplicated-substring spans (or per-doc stats) -> parquet."""
-    _ensure_ray()
-    from rayfts.ops.substr import dup_span_stats, duplicated_spans
-
-    ds = _read_inputs(args.input)
-    if args.stats:
-        out = dup_span_stats(ds, col=args.col, id_col=args.id_col,
-                             min_len=args.min_len, scope=args.scope)
-    else:
-        out = duplicated_spans(ds, col=args.col, id_col=args.id_col,
-                               min_len=args.min_len, scope=args.scope)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
-def cmd_scrub(args) -> int:
-    """PII scrub / text normalization -> rewritten parquet."""
-    _ensure_ray()
-    from rayfts.ops.scrub import scrub_text
-
-    out = scrub_text(_read_inputs(args.input), col=args.col,
-                     rules=tuple(args.rules.split(",")))
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
 def cmd_term_stats(args) -> int:
     """Corpus (term, df, cf) table via the salted term shuffle."""
     _ensure_ray()
@@ -342,23 +298,6 @@ def cmd_prepare(args) -> int:
     import ray.data as _rd
     print(json.dumps({"out": args.out,
                       "rows": _rd.read_parquet(args.out).count()}))
-    return 0
-
-
-def cmd_near_dup_clusters(args) -> int:
-    """Near-dup connected components (or the kept-id set with --kept)."""
-    _ensure_ray()
-    from rayfts.ops.cc import near_dup_components, near_dup_kept_ids
-
-    ds = _read_inputs(args.input)
-    kw = dict(col=args.col, id_col=args.id_col, k=args.k,
-              threshold=args.threshold)
-    if args.kept:
-        out = near_dup_kept_ids(ds, **kw)
-    else:
-        out = near_dup_components(ds, method=args.method, **kw)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
     return 0
 
 
@@ -458,40 +397,6 @@ def main(argv: list[str] | None = None) -> int:
     dm.add_argument("--threshold", type=float, default=0.7)
     dm.set_defaults(fn=cmd_dedup_minhash)
 
-    cl = sub.add_parser("clean",
-                        help="composed corpus clean: quality/langid gate + "
-                             "exact dedup + minhash near-dup drop")
-    cl.add_argument("--input", nargs="+", required=True)
-    cl.add_argument("--col", default="content")
-    cl.add_argument("--id-col", default="doc_id")
-    cl.add_argument("--out", required=True)
-    cl.add_argument("--langs", default="en")
-    cl.add_argument("--min-tokens", type=int, default=20)
-    cl.add_argument("--alpha-pct", type=int, default=50)
-    cl.add_argument("--stop-pct", type=int, default=5)
-    cl.add_argument("--threshold", type=float, default=0.5)
-    cl.set_defaults(fn=cmd_clean)
-
-    dsp = sub.add_parser("dup-spans",
-                         help="exact duplicated-substring spans / stats")
-    dsp.add_argument("--input", nargs="+", required=True)
-    dsp.add_argument("--col", default="text")
-    dsp.add_argument("--id-col", default="doc_id")
-    dsp.add_argument("--min-len", type=int, default=20)
-    dsp.add_argument("--scope", choices=["cross_doc", "any"], default="cross_doc")
-    dsp.add_argument("--stats", action="store_true",
-                     help="per-doc (n_tokens, dup_tokens) instead of spans")
-    dsp.add_argument("--out", required=True)
-    dsp.set_defaults(fn=cmd_dup_spans)
-
-    sc = sub.add_parser("scrub",
-                        help="PII scrub / text normalization (RE2 rules)")
-    sc.add_argument("--input", nargs="+", required=True)
-    sc.add_argument("--col", default="text")
-    sc.add_argument("--rules", default="email,url,ip")
-    sc.add_argument("--out", required=True)
-    sc.set_defaults(fn=cmd_scrub)
-
     ts = sub.add_parser("term-stats", help="(term, df, cf) over a corpus")
     ts.add_argument("--input", nargs="+", required=True)
     ts.add_argument("--col", default="content")
@@ -562,20 +467,6 @@ def main(argv: list[str] | None = None) -> int:
                          "three passes skip the repetition gate")
     pr.add_argument("--out", required=True)
     pr.set_defaults(fn=cmd_prepare)
-
-    nc = sub.add_parser("near-dup-clusters",
-                        help="connected-component near-dup clusters "
-                             "(or kept ids with --kept)")
-    nc.add_argument("--input", nargs="+", required=True)
-    nc.add_argument("--col", default="text")
-    nc.add_argument("--id-col", default="doc_id")
-    nc.add_argument("--k", type=int, default=3)
-    nc.add_argument("--threshold", type=float, default=0.5)
-    nc.add_argument("--method", default="ngram_jaccard",
-                    choices=["ngram_jaccard", "minhash"])
-    nc.add_argument("--kept", action="store_true")
-    nc.add_argument("--out", required=True)
-    nc.set_defaults(fn=cmd_near_dup_clusters)
 
     i = sub.add_parser("info", help="print manifest (segments, lineage, metrics)")
     i.add_argument("--index", required=True)

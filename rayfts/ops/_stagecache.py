@@ -12,8 +12,8 @@ real resources (index readers, codecs, models) stay actor pools.
 The cache holds ONE instance per class, replaced when the constructor
 kwargs change: stages of one class run sequentially within a pipeline
 (pre-aggregations are materialized between them), and a keyed unbounded
-cache would pin per-run broadcast ``ObjectRef`` payloads (e.g. the
-substring probe array) in the object store for the life of the worker.
+cache would pin per-run broadcast ``ObjectRef`` payloads in the object
+store for the life of the worker.
 
 Usage::
 

@@ -180,7 +180,7 @@ _POLY_BASE = np.uint64(1099511628211)
 def _poly_powers(k: int) -> np.ndarray:
     """Descending power vector [base^(k-1) ... base^0] mod 2^64 — the
     single definition behind every rolling-window hash in this package
-    (shingles, short-doc windows, substring-dedup windows)."""
+    (shingles and short-doc windows)."""
     with np.errstate(over="ignore"):
         powers = np.empty(k, dtype=np.uint64)
         powers[0] = np.uint64(1)
@@ -240,8 +240,7 @@ class _ShingleStage:
         self, texts: pa.ChunkedArray | pa.Array
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """(tok_h, doc_idx, n_docs): the doc-major stream of per-token
-        md5 hashes (empties dropped) BEFORE any windowing — shared by the
-        shingle window below and the substring-dedup window stage."""
+        md5 hashes (empties dropped) BEFORE any windowing."""
         import pyarrow.compute as pc2
 
         arr = texts.combine_chunks() if isinstance(texts, pa.ChunkedArray) else texts

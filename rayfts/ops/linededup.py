@@ -40,8 +40,7 @@ row per batch, never one per occurrence. The qualifying set contains
 ONLY duplicated lines; it broadcasts once via ``ray.put`` in
 byte-budgeted chunks — membership is ``pc.is_in`` per chunk — with no
 fall-over needed because the chain of chunks IS the large-set path
-(each chunk pins at most ``chunk_bytes`` in the object store, mirroring
-``rayfts.ops.clean._semi_difference``).
+(each chunk pins at most ``chunk_bytes`` in the object store).
 """
 
 from __future__ import annotations

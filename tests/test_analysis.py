@@ -272,3 +272,16 @@ def test_porter2_digit_shortcut_is_exact():
         toks.append(head + str(rng.randrange(10)))
     for t in toks:
         assert stem(t) == _stem(t), t
+
+
+def test_analyzer_stem_cache_capped():
+    from rayfts.analysis.analyzer import Analyzer
+
+    a = Analyzer("en_stem", cache_cap=20)
+    ref = Analyzer("en_stem")
+    for start in range(0, 500, 50):
+        text = " ".join(f"running{i} quickly{i} nations{i}" for i in range(start, start + 15))
+        assert a.tokens(text) == ref.tokens(text)
+    # the per-token loop checks the cap at call entry, so at rest the cache
+    # holds at most cap + one call's unique tokens
+    assert len(a._stem_cache) <= 20 + 45

@@ -525,6 +525,12 @@ def test_cli_build_then_append(ray_session, tmp_path, capsys):
                      "--num-segments", "4"] + common) == 0
     built = info()
     assert built["docs"] == 320 and len(built["segments"]) == 4
+    # a path that matches nothing is read as given, so the append fails
+    # instead of indexing only the paths that exist
+    missing = str(tmp_path / "missing.parquet")
+    with pytest.raises(FileNotFoundError, match="missing.parquet"):
+        cli_main(["append", "--input", p2, missing] + common)
+    assert info()["docs"] == 320
     assert cli_main(["append", "--input", p2] + common) == 0
     appended = info()
     assert appended["docs"] == 500

@@ -271,19 +271,6 @@ def test_minhash_cache_capped():
         assert got.equals(want)
 
 
-def test_analyzer_stem_cache_capped():
-    from rayfts.analysis.analyzer import Analyzer
-
-    a = Analyzer("en_stem", cache_cap=20)
-    ref = Analyzer("en_stem")
-    for start in range(0, 500, 50):
-        text = " ".join(f"running{i} quickly{i} nations{i}" for i in range(start, start + 15))
-        assert a.tokens(text) == ref.tokens(text)
-    # the per-token loop checks the cap at call entry, so at rest the cache
-    # holds at most cap + one call's unique tokens
-    assert len(a._stem_cache) <= 20 + 45
-
-
 def test_minhash_broadcast_byte_budget_falls_over(ray_session):
     """A byte budget the pair count cannot see: broadcast is selected by
     count, but long-document blobs exceed broadcast_bytes_budget mid-build

@@ -28,7 +28,8 @@ SEARCH_PACKAGES = ("analysis", "codec", "index", "query")
 REMOVED_MODULES = tuple(f"rayfts.ops.{m}" for m in
                         ("multimodal", "media_codec", "events", "joins",
                          "ann", "lm", "chunk", "pack", "shuffle", "dsir",
-                         "sketch", "profile", "quantile", "freq", "sample"))
+                         "sketch", "profile", "quantile", "freq", "sample",
+                         "cc", "clean", "substr", "scrub"))
 # rows with no SQL oracle: check_oracle.py prints only their value hash
 ROWS_ONLY = {"snippets"}
 
