@@ -285,33 +285,6 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     t0 = time.time()
     minhash_dedup_pairs(ray.data.read_parquet(docs), threshold=0.5).count()
     out["minhash_dedup"] = time.time() - t0
-
-    from rayfts.ops.repetition import repetition_filter
-
-    t0 = time.time()
-    repetition_filter(ray.data.read_parquet(docs)).count()
-    out["repetition_filter"] = time.time() - t0
-
-    from rayfts.ops.linededup import line_dedup
-
-    t0 = time.time()
-    line_dedup(ray.data.read_parquet(docs)).count()
-    out["line_dedup"] = time.time() - t0
-
-    from rayfts.ops.decontam import decontaminate_stats
-
-    t0 = time.time()
-    bench_set = ray.data.read_parquet(docs).limit(200)
-    decontaminate_stats(ray.data.read_parquet(docs), bench_set,
-                        k=8).count()
-    out["decontaminate"] = time.time() - t0
-
-    from rayfts.ops.prep import prepare_corpus
-
-    t0 = time.time()
-    prepare_corpus(ray.data.read_parquet(docs),
-                   ray.data.read_parquet(docs).limit(200)).count()
-    out["prepare_corpus"] = time.time() - t0
     return out
 
 

@@ -238,69 +238,6 @@ def cmd_postings_export(args) -> int:
     return 0
 
 
-def cmd_decontaminate(args) -> int:
-    """Drop corpus docs sharing a token k-gram with the benchmark set."""
-    _ensure_ray()
-    from rayfts.ops.decontam import decontaminate
-
-    out = decontaminate(_read_inputs(args.input), _read_inputs(args.bench),
-                        col=args.col, id_col=args.id_col, k=args.k)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
-def cmd_repetition(args) -> int:
-    """Gopher repetition signals (--stats-only) or the composed filter."""
-    _ensure_ray()
-    from rayfts.ops.repetition import repetition_filter, repetition_stats
-
-    ds = _read_inputs(args.input)
-    if args.stats_only:
-        out = repetition_stats(ds, col=args.col, id_col=args.id_col)
-    else:
-        out = repetition_filter(
-            ds, col=args.col, id_col=args.id_col,
-            max_dup_line_frac=args.max_dup_line_frac,
-            max_dup_line_char_frac=args.max_dup_line_char_frac,
-            max_top_2gram_char_frac=args.max_top_2gram_char_frac,
-            max_dup_5gram_frac=args.max_dup_5gram_frac)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
-def cmd_line_dedup(args) -> int:
-    """Remove lines duplicated across >= --min-docs documents."""
-    _ensure_ray()
-    from rayfts.ops.linededup import line_dedup
-
-    out = line_dedup(_read_inputs(args.input), col=args.col,
-                     id_col=args.id_col, min_docs=args.min_docs)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
-def cmd_prepare(args) -> int:
-    """Composed published-recipe preparation: Gopher repetition gate ->
-    RefinedWeb line dedup -> GPT-3 decontamination -> exact dedup."""
-    _ensure_ray()
-    from rayfts.ops.prep import prepare_corpus
-
-    out = prepare_corpus(_read_inputs(args.input), _read_inputs(args.bench),
-                         col=args.col, id_col=args.id_col,
-                         min_docs=args.min_docs, k=args.k,
-                         checkpoint_dir=args.checkpoint_dir)
-    out.write_parquet(args.out)
-    # count from the written files (metadata-only) -- counting the lazy
-    # pipeline would re-execute the whole chain a second time
-    import ray.data as _rd
-    print(json.dumps({"out": args.out,
-                      "rows": _rd.read_parquet(args.out).count()}))
-    return 0
-
-
 def cmd_info(args) -> int:
     from rayfts.index.manifest import build_metrics_summary, read_manifest
 
@@ -416,57 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     pe.add_argument("--resume", action="store_true",
                     help="skip buckets whose (atomic) files already exist")
     pe.set_defaults(fn=cmd_postings_export)
-
-    dc = sub.add_parser("decontaminate",
-                        help="drop docs sharing a token k-gram with a "
-                             "benchmark set")
-    dc.add_argument("--input", nargs="+", required=True)
-    dc.add_argument("--bench", nargs="+", required=True,
-                    help="benchmark/held-out parquet (small by definition)")
-    dc.add_argument("--col", default="text")
-    dc.add_argument("--id-col", default="doc_id")
-    dc.add_argument("--k", type=int, default=8)
-    dc.add_argument("--out", required=True)
-    dc.set_defaults(fn=cmd_decontaminate)
-
-    rp = sub.add_parser("repetition",
-                        help="Gopher repetition signals / filter")
-    rp.add_argument("--input", nargs="+", required=True)
-    rp.add_argument("--col", default="text")
-    rp.add_argument("--id-col", default="doc_id")
-    rp.add_argument("--stats-only", action="store_true",
-                    help="emit the integer signal table instead of filtering")
-    rp.add_argument("--max-dup-line-frac", type=float, default=0.30)
-    rp.add_argument("--max-dup-line-char-frac", type=float, default=0.20)
-    rp.add_argument("--max-top-2gram-char-frac", type=float, default=0.20)
-    rp.add_argument("--max-dup-5gram-frac", type=float, default=0.15)
-    rp.add_argument("--out", required=True)
-    rp.set_defaults(fn=cmd_repetition)
-
-    ld = sub.add_parser("line-dedup",
-                        help="remove lines duplicated across documents")
-    ld.add_argument("--input", nargs="+", required=True)
-    ld.add_argument("--col", default="text")
-    ld.add_argument("--id-col", default="doc_id")
-    ld.add_argument("--min-docs", type=int, default=2)
-    ld.add_argument("--out", required=True)
-    ld.set_defaults(fn=cmd_line_dedup)
-
-    pr = sub.add_parser("prepare",
-                        help="composed recipe: repetition gate -> line "
-                             "dedup -> decontaminate -> exact dedup")
-    pr.add_argument("--input", nargs="+", required=True)
-    pr.add_argument("--bench", nargs="+", required=True,
-                    help="held-out benchmark parquet for decontamination")
-    pr.add_argument("--col", default="text")
-    pr.add_argument("--id-col", default="doc_id")
-    pr.add_argument("--min-docs", type=int, default=2)
-    pr.add_argument("--k", type=int, default=8)
-    pr.add_argument("--checkpoint-dir", default=None,
-                    help="persist the gated corpus once so line dedup's "
-                         "three passes skip the repetition gate")
-    pr.add_argument("--out", required=True)
-    pr.set_defaults(fn=cmd_prepare)
 
     i = sub.add_parser("info", help="print manifest (segments, lineage, metrics)")
     i.add_argument("--index", required=True)

@@ -103,10 +103,6 @@ class IndexSchema:
         return [f for f in self.fields if f.indexed]
 
     @property
-    def indexed_text_fields(self) -> list[FieldDef]:
-        return [f for f in self.fields if f.indexed and f.type == TEXT]
-
-    @property
     def stored_fields(self) -> list[FieldDef]:
         return [f for f in self.fields if f.stored]
 
@@ -140,18 +136,3 @@ class IndexSchema:
             data = json.loads(data)
         return IndexSchema([FieldDef.from_json(d) for d in data])
 
-
-def source_code_schema() -> IndexSchema:
-    """Schema for the input_hint corpus (BASELINE.json:16): Parquet table
-    (repo, path, commit, lang, content); content is the indexed field."""
-    return IndexSchema(
-        [
-            FieldDef("content", TEXT, indexed=True, record="position",
-                     tokenizer="en_stem", stored=True),
-            FieldDef("repo", TEXT, indexed=False, stored=True),
-            FieldDef("path", TEXT, indexed=False, stored=True),
-            FieldDef("commit", TEXT, indexed=False, stored=True),
-            FieldDef("lang", TEXT, indexed=True, record="basic",
-                     tokenizer="raw", stored=True),
-        ]
-    )

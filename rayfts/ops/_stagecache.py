@@ -12,8 +12,8 @@ real resources (index readers, codecs, models) stay actor pools.
 The cache holds ONE instance per class, replaced when the constructor
 kwargs change: stages of one class run sequentially within a pipeline
 (pre-aggregations are materialized between them), and a keyed unbounded
-cache would pin per-run broadcast ``ObjectRef`` payloads in the object
-store for the life of the worker.
+cache would keep every past run's instance alive for the life of the
+worker.
 
 Usage::
 
@@ -21,8 +21,8 @@ Usage::
                    fn_kwargs={"_cls": ShingleExplode, "col": ..., ...},
                    batch_format="pyarrow", batch_size=4096)
 
-Constructor kwargs must be hashable (str/int/bool/ObjectRef), which
-every call site here satisfies.
+Constructor kwargs must be hashable (str/int/bool), which every call
+site here satisfies.
 """
 
 from __future__ import annotations

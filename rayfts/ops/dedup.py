@@ -219,11 +219,12 @@ def minhash_signature(sh: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
 
 
 class _ShingleStage:
-    """Shared vectorized shingle machinery for the actor-pool dedup
-    stages: Arrow RE2 tokenization, per-UNIQUE-token md5 (bounded cache),
-    one global sliding-window rolling hash over the doc-major token
-    stream. Per-doc output equals :func:`shingle_hashes` modulo
-    uniqueness (property-tested)."""
+    """Shared vectorized shingle machinery for the dedup stages
+    :class:`MinHashBands` and :class:`ShingleExplode`: Arrow RE2
+    tokenization, per-UNIQUE-token md5 (bounded cache), one global
+    sliding-window rolling hash over the doc-major token stream. Per-doc
+    output equals :func:`shingle_hashes` modulo uniqueness
+    (property-tested)."""
 
     # Per-actor token-hash cache cap: one entry per distinct surface token
     # ever seen would be a slow OOM on a 100 TB stream with long-lived

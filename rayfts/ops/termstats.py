@@ -145,13 +145,6 @@ def term_stats_ds(
     return first
 
 
-def term_stats(ds, **kw) -> "pd.DataFrame":
-    """Driver-side (term, df, cf) DataFrame sorted by (cf desc, term) —
-    small-result convenience over :func:`term_stats_ds`."""
-    out = term_stats_ds(ds, **kw).to_pandas()
-    return out.sort_values(["cf", "term"], ascending=[False, True]).reset_index(drop=True)
-
-
 def top_terms(ds, n: int = 50, **kw) -> pa.Table:
     """Top-n by collection frequency; the sort+limit runs in Ray, so only
     n rows ever reach the driver."""

@@ -87,6 +87,13 @@ class Searcher:
         offsets = self.manifest.doc_id_offsets()
         if segment_ids is not None:
             wanted = set(segment_ids)
+            # ids from an older manifest version (a merge replaced them)
+            # would otherwise drop their documents silently
+            missing = wanted - self.manifest.segment_ids()
+            if missing:
+                raise ValueError(
+                    f"segments {sorted(missing)} are not in manifest version "
+                    f"{self.manifest.version} of {index_dir}")
             ordered = [s for s in ordered if s.segment_id in wanted]
         self.segments = ordered
         self.offsets = offsets

@@ -176,6 +176,31 @@ def test_service_refresh_on_commit(built, ray_session, tmp_path):
         svc.shutdown()
 
 
+def test_stale_shard_searcher_raises(ray_session, tmp_path):
+    """Shard ids split from a manifest version a merge has since replaced
+    (``SearchService._split``'s shards, then ``merge_index``): a Searcher
+    over them must fail naming the ids, not serve none of the index's
+    docs while it counts them all."""
+    from rayfts.index.catalog import IndexCatalog
+    from rayfts.index.schema import FieldDef, IndexSchema
+
+    cat = IndexCatalog(str(tmp_path), auto_merge_min=0)
+    h = cat.create_index("race", IndexSchema([FieldDef("body", "text")]))
+    for c in range(4):
+        h.add_documents([{"body": f"alpha c{c} d{i}"} for i in range(5)])
+    ordered = [s.segment_id for s in mf.read_manifest(h.path).ordered_segments()]
+    shards = [list(x) for x in np.array_split(ordered, 2)]
+    merge_index(h.path)
+    m = mf.read_manifest(h.path)
+    assert (m.num_docs, len(m.segments)) == (20, 1)
+    for shard in shards:
+        with pytest.raises(ValueError, match=f"manifest version {m.version} ") as err:
+            Searcher(h.path, segment_ids=shard)
+        assert all(sid in str(err.value) for sid in shard)
+    # the service's segment-less resolver stays legal
+    assert Searcher(h.path, segment_ids=[]).n_docs == 20
+
+
 def test_batch_search_dataset(built, ray_session):
     """Bulk query evaluation: Dataset of query strings -> actor-pool
     map_batches -> Dataset of (query, rank, doc_id, score); results match

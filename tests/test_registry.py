@@ -29,7 +29,8 @@ REMOVED_MODULES = tuple(f"rayfts.ops.{m}" for m in
                         ("multimodal", "media_codec", "events", "joins",
                          "ann", "lm", "chunk", "pack", "shuffle", "dsir",
                          "sketch", "profile", "quantile", "freq", "sample",
-                         "cc", "clean", "substr", "scrub"))
+                         "cc", "clean", "substr", "scrub", "prep",
+                         "repetition", "linededup", "decontam"))
 # rows with no SQL oracle: check_oracle.py prints only their value hash
 ROWS_ONLY = {"snippets"}
 
