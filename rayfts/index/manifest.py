@@ -156,7 +156,7 @@ def write_manifest(index_dir: str, manifest: Manifest) -> None:
     fd, tmp = tempfile.mkstemp(dir=index_dir, prefix=".manifest-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump(manifest.to_json(), f)
+            f.write(json.dumps(manifest.to_json()))
         os.replace(tmp, manifest_path(index_dir))
     finally:
         if os.path.exists(tmp):

@@ -20,10 +20,15 @@ is an explicit, deterministic operation:
   into the writer — byte-identical to the single-task merge, wall time
   divided by the shard count (see the "Term-sharded parallel merge"
   section);
+- sources are read through ``segment.open_reader``: an in-process
+  auto-merge reuses the readers the index's searcher already holds warm,
+  and merge tasks in Ray workers share parsed term tables and norms
+  through the process's parts cache;
 - the merged segment is written by the build's own segment writer,
   ``segment.write_segment`` (a scratch directory per attempt, then one
-  rename), and swapped into the manifest atomically (originals dropped
-  in the same commit).
+  rename, which puts its term table and norms in the parts cache), and
+  swapped into the manifest atomically (originals dropped in the same
+  commit).
 
 Merge determinism (SURVEY.md §5 item 3): same source segments in any
 grouping order -> byte-identical merged postings, because inputs are
@@ -46,8 +51,8 @@ import ray
 from rayfts.index import manifest as mf
 from rayfts.index.schema import IndexSchema
 from rayfts.index.segment import (
-    NO_TERMS, SegmentInfo, SegmentReader, lower_bound, terms_table,
-    write_segment)
+    NO_TERMS, SegmentInfo, SegmentReader, lower_bound, open_reader,
+    terms_table, write_segment)
 from rayfts.codec.postings import encode_postings_batch
 
 
@@ -135,8 +140,10 @@ def _arrow_pools_capped(n: int = 2):
 
 def _open_sources(index_dir: str, schema: IndexSchema, source_ids: list[str]):
     """Readers of a group's sources in segment_id order, and each source's
-    first global docid."""
-    readers = [SegmentReader(mf.segment_path(index_dir, s), schema)
+    first global docid. They come from :func:`open_reader`, so a source a
+    searcher of this process holds is read through its live reader, and
+    the others open through the parts cache."""
+    readers = [open_reader(mf.segment_path(index_dir, s), schema)
                for s in sorted(source_ids)]
     offsets = np.concatenate([[0], np.cumsum([r.num_docs for r in readers])])[:-1]
     return readers, offsets

@@ -38,7 +38,6 @@ class QueryActor:
     def __init__(self, index_dir: str, segment_ids: list[str],
                  cache_size: int = 0):
         self.index_dir = index_dir
-        self.segment_ids = segment_ids
         self.searcher = Searcher(index_dir, segment_ids=segment_ids)
         # bounded result cache (hot-tier replicas only): head queries
         # repeat by definition, and results are immutable per manifest
@@ -54,7 +53,6 @@ class QueryActor:
         old searcher holds its readers until the new one is built, so only
         segments new to this actor are opened; the result cache is
         dropped."""
-        self.segment_ids = segment_ids
         self.searcher = Searcher(self.index_dir, segment_ids=segment_ids)
         self._cache = {}
         return self.searcher.manifest.version
