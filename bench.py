@@ -268,7 +268,6 @@ def bench_postings_export(num_buckets: int = 32) -> float:
 def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     import ray.data
 
-    from rayfts.ops.dedup import exact_dedup, minhash_dedup_pairs
     from rayfts.ops.termstats import top_terms
 
     out = {}
@@ -277,14 +276,6 @@ def bench_sf_ops(sf_dir: str) -> dict[str, float]:
     t0 = time.time()
     top_terms(ray.data.read_parquet(docs), n=50, col="text", analyzer="default")
     out["term_stats_top50"] = time.time() - t0
-
-    t0 = time.time()
-    exact_dedup(ray.data.read_parquet(docs), col="text", id_col="doc_id").count()
-    out["exact_dedup"] = time.time() - t0
-
-    t0 = time.time()
-    minhash_dedup_pairs(ray.data.read_parquet(docs), threshold=0.5).count()
-    out["minhash_dedup"] = time.time() - t0
     return out
 
 
@@ -594,46 +585,6 @@ def _term_shuffle_reducer_sizes(files, salt_buckets: int, num_reducers: int = 32
     return _reducer_histogram(sizes)
 
 
-def _ngram_shuffle_stats(files, num_docs_subset: int, cap: int | None) -> dict:
-    """Shingle-partition reducer inputs + emitted candidate pairs for
-    ngram_jaccard over a stop-gram-heavy corpus: the reducer INPUT is
-    level by uniform shingle hashing regardless of skew; the cap bounds
-    the pair-emission burst a stop-gram would otherwise produce."""
-    import ray.data
-
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    from rayfts.ops.dedup import ngram_jaccard_pairs, shingle_hashes
-
-    def add_id(b: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(b["commit"].to_numpy(zero_copy_only=False))
-        return b.append_column(
-            "bench_id", pa.array((h >> np.uint64(1)).astype(np.int64)))
-
-    ds = (ray.data.read_parquet(files).limit(num_docs_subset)
-          .map_batches(add_id, batch_format="pyarrow").materialize())
-    # reducer input sizes: rows per __sp partition out of the explode stage
-
-    def explode_parts(batch: pa.Table) -> pa.Table:
-        sh = [shingle_hashes(t or "", 3) for t in batch["content"].to_pylist()]
-        allsh = np.concatenate(sh) if sh else np.empty(0, np.uint64)
-        return pa.table({"part": pa.array((allsh % np.uint64(64)).astype(np.int32))})
-
-    counts = (ds.map_batches(explode_parts, batch_format="pyarrow")
-              .groupby("part").count())
-    hist = _reducer_histogram([r["count()"] for r in counts.take_all()])
-    t0 = time.time()
-    n_pairs = ngram_jaccard_pairs(
-        ds, col="content", id_col="bench_id", threshold=0.01,
-        max_shingle_df=cap,
-    ).count()
-    hist["pairs_emitted"] = int(n_pairs)
-    hist["wall_sec"] = round(time.time() - t0, 3)
-    return hist
-
-
 def _merge_shard_balance(index_dir: str, num_shards: int = 8) -> dict:
     """Per-shard encoded-bytes histogram of the term-sharded merge plan
     over ALL of an index's segments — the merge-side skew evidence: a
@@ -728,11 +679,6 @@ def run_skew(num_docs: int) -> dict:
                 _term_shuffle_reducer_sizes(files, salt))
     for label, bal in merge_by_label.items():
         hist[f"merge_shards_{label}"] = bal
-    ngram_subset = int(os.environ.get("RAYFTS_SKEW_NGRAM_DOCS", "3000"))
-    hist["ngram_skew_capped2048"] = _ngram_shuffle_stats(
-        files_by_label["skew"], ngram_subset, 2048)
-    hist["ngram_skew_uncapped"] = _ngram_shuffle_stats(
-        files_by_label["skew"], ngram_subset, None)
     ray.shutdown()
     return {
         "metric": "skew immunity (stop-word-heavy vs uniform corpus)",

@@ -108,7 +108,7 @@ def cmd_append(args) -> int:
 
 
 def cmd_query(args) -> int:
-    _ensure_ray()
+    """In-process string query: ``Searcher`` needs no Ray session."""
     from rayfts.query.searcher import Searcher
 
     s = Searcher(args.index)
@@ -176,36 +176,6 @@ def cmd_merge(args) -> int:
         "index": args.index, "segments": len(manifest.segments),
         "docs": manifest.num_docs, "seconds": round(time.time() - t0, 2),
     }))
-    return 0
-
-
-def cmd_dedup(args) -> int:
-    """Exact-dedup a parquet corpus: write kept ids (or full rows)."""
-    _ensure_ray()
-    from rayfts.ops.dedup import exact_dedup, exact_dedup_ids
-
-    ds = _read_inputs(args.input)
-    if args.full_rows:
-        out = exact_dedup(ds, col=args.col, id_col=args.id_col)
-    else:
-        out = exact_dedup_ids(ds, col=args.col, id_col=args.id_col)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
-    return 0
-
-
-def cmd_dedup_minhash(args) -> int:
-    """MinHash-LSH near-dup pairs of a parquet corpus -> pairs parquet."""
-    _ensure_ray()
-    from rayfts.ops.dedup import minhash_dedup_pairs
-
-    pairs = minhash_dedup_pairs(
-        _read_inputs(args.input), col=args.col, id_col=args.id_col,
-        num_perm=args.num_perm, bands=args.bands, k=args.k,
-        threshold=args.threshold,
-    )
-    pairs.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "pairs": pairs.count()}))
     return 0
 
 
@@ -313,26 +283,6 @@ def main(argv: list[str] | None = None) -> int:
     m.add_argument("--index", required=True)
     m.add_argument("--group-size", type=int, default=8)
     m.set_defaults(fn=cmd_merge)
-
-    dd = sub.add_parser("dedup-exact", help="exact dedup of a parquet corpus")
-    dd.add_argument("--input", nargs="+", required=True)
-    dd.add_argument("--col", default="content")
-    dd.add_argument("--id-col", default="doc_id")
-    dd.add_argument("--out", required=True)
-    dd.add_argument("--full-rows", action="store_true")
-    dd.set_defaults(fn=cmd_dedup)
-
-    dm = sub.add_parser("dedup-minhash",
-                        help="minhash-LSH near-dup pairs of a parquet corpus")
-    dm.add_argument("--input", nargs="+", required=True)
-    dm.add_argument("--col", default="content")
-    dm.add_argument("--id-col", default="doc_id")
-    dm.add_argument("--out", required=True)
-    dm.add_argument("--num-perm", type=int, default=64)
-    dm.add_argument("--bands", type=int, default=16)
-    dm.add_argument("--k", type=int, default=3)
-    dm.add_argument("--threshold", type=float, default=0.7)
-    dm.set_defaults(fn=cmd_dedup_minhash)
 
     ts = sub.add_parser("term-stats", help="(term, df, cf) over a corpus")
     ts.add_argument("--input", nargs="+", required=True)

@@ -18,7 +18,7 @@ worker.
 Usage::
 
     ds.map_batches(call_cached,
-                   fn_kwargs={"_cls": ShingleExplode, "col": ..., ...},
+                   fn_kwargs={"_cls": TokenizeFragments, "col": ..., ...},
                    batch_format="pyarrow", batch_size=4096)
 
 Constructor kwargs must be hashable (str/int/bool), which every call

@@ -42,8 +42,7 @@ class TokenizeFragments:
     short (tens of batches), and an autoscaling actor pool spends most of
     the stage ramping up while a fixed pool of ``num_cpus`` actors
     starves the upstream read tasks — measured 13.5 s vs 22.1 s wall at
-    8 CPUs on the 120 k-doc bench corpus (interleaved best-of-3). Same
-    win-back as the round-4 minhash banding move."""
+    8 CPUs on the 120 k-doc bench corpus (interleaved best-of-3)."""
 
     def __init__(self, col: str = "text", id_col: str = "doc_id",
                  analyzer: str = "en_stem"):

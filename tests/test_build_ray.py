@@ -237,27 +237,23 @@ def test_giant_document(ray_session, tmp_path):
     assert gids.size == 1
 
 
-def test_pipeline_composition_dedup_then_index_then_serve(ray_session, tmp_path):
-    """Training-data pipeline chaining: exact_dedup's full-row Dataset
-    feeds build_index directly (no parquet round-trip), and the served
-    index matches one built from the same rows via parquet — the Ray-Data
-    composition contract for multi-stage pipelines."""
+def test_pipeline_composition_filter_then_index_then_serve(ray_session, tmp_path):
+    """Pipeline chaining: an upstream Ray Data transform's full-row
+    Dataset feeds build_index directly (no parquet round-trip), and the
+    served index matches one built from the same rows via parquet — the
+    Ray-Data composition contract for multi-stage pipelines."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     import ray.data
 
-    from rayfts.ops.dedup import exact_dedup
-
-    deduped = exact_dedup(
-        ray.data.read_parquet(f"{SF}/documents.parquet"),
-        col="text", id_col="doc_id",
-    ).materialize()
-    n_kept = deduped.count()
-    assert 0 < n_kept <= 500
+    kept = ray.data.read_parquet(f"{SF}/documents.parquet").filter(
+        expr="n_chars >= 200").materialize()
+    n_kept = kept.count()
+    assert 0 < n_kept < 500
 
     p_direct = str(tmp_path / "direct")
-    m1 = build_index(deduped, p_direct, doc_schema(), content_col="text",
+    m1 = build_index(kept, p_direct, doc_schema(), content_col="text",
                      key_cols=["doc_id"], resume=False)
     assert m1.num_docs == n_kept
 
@@ -265,7 +261,7 @@ def test_pipeline_composition_dedup_then_index_then_serve(ray_session, tmp_path)
     # of equal scores follows segment ids, which differ between the two
     chk = str(tmp_path / "chk.parquet")
     pq.write_table(pa.Table.from_pandas(
-        deduped.to_pandas().sort_values("doc_id").reset_index(drop=True)), chk)
+        kept.to_pandas().sort_values("doc_id").reset_index(drop=True)), chk)
     p_parquet = str(tmp_path / "viaparquet")
     build_index(chk, p_parquet, doc_schema(), content_col="text",
                 key_cols=["doc_id"], num_segments=4, resume=False)
@@ -503,10 +499,11 @@ def test_source_without_parquet_files_fails(ray_session, tmp_path):
     assert not mf.manifest_exists(idx)
 
 
-def test_cli_build_then_append(ray_session, tmp_path, capsys):
+def test_cli_build_then_append(ray_session, tmp_path, capsys, monkeypatch):
     """``rayfts build`` then ``rayfts append`` on two Parquet files: the
     appended segments sort after the built ones and ``rayfts info``
-    counts every document."""
+    counts every document. ``rayfts query`` then prints the in-process
+    searcher's hits without starting Ray."""
     from rayfts.cli import main as cli_main
 
     full = pq.read_table(f"{SF}/documents.parquet")
@@ -537,3 +534,16 @@ def test_cli_build_then_append(ray_session, tmp_path, capsys):
     ids = [s["id"] for s in appended["segments"]]
     assert ids[:4] == [s["id"] for s in built["segments"]] and len(ids) > 4
     assert sum(s["docs"] for s in appended["segments"][4:]) == 180
+
+    def no_ray():
+        raise AssertionError("rayfts query started Ray")
+
+    monkeypatch.setattr("rayfts.cli._ensure_ray", no_ray)
+    capsys.readouterr()
+    assert cli_main(["query", "--index", idx, "--query", "merge sort",
+                     "--limit", "5"]) == 0
+    printed = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    want = [{"score": round(h["score"], 6), "doc": h["doc"],
+             "snippet": h.get("snippet")}
+            for h in Searcher(idx).query_string("merge sort", limit=5)]
+    assert printed and printed == json.loads(json.dumps(want))

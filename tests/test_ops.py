@@ -1,6 +1,6 @@
-"""Training-data operators (SURVEY.md §2.5 'ours' additions): exact /
-minhash / simhash dedup, term statistics, text analysis — verified
-against independent in-test oracles (DuckDB / brute-force numpy)."""
+"""Corpus term operators (SURVEY.md §2.5 'ours' additions): the salted
+(term, df, cf) table and the term-partitioned posting-list export,
+verified against independent in-test oracles (DuckDB / naive Python)."""
 
 import numpy as np
 import pyarrow as pa
@@ -15,84 +15,6 @@ SF01 = "/root/testdata/sf0.01"
 
 def _docs(sf=SF):
     return ray.data.read_parquet(f"{sf}/documents.parquet")
-
-
-def test_exact_dedup_matches_duckdb(ray_session):
-    import duckdb
-
-    from rayfts.ops.dedup import exact_dedup_ids
-
-    got = sorted(r["doc_id"] for r in exact_dedup_ids(_docs(), col="text").take_all())
-    exp = [r[0] for r in duckdb.sql(
-        f"SELECT min(doc_id) FROM read_parquet('{SF}/documents.parquet') "
-        "GROUP BY text ORDER BY 1").fetchall()]
-    assert got == exp
-
-
-def test_exact_dedup_drops_planted_duplicates(ray_session):
-    from rayfts.ops.dedup import exact_dedup, exact_dedup_ids
-
-    base = pa.table({
-        "doc_id": pa.array(range(8), type=pa.int64()),
-        "text": pa.array(["alpha beta", "gamma", "alpha beta", "delta",
-                          "gamma", "alpha beta", "eps", None]),
-    })
-    ds = ray.data.from_arrow(base)
-    kept = sorted(r["doc_id"] for r in exact_dedup_ids(ds, col="text").take_all())
-    assert kept == [0, 1, 3, 6, 7]
-    rows = exact_dedup(ray.data.from_arrow(base), col="text")
-    assert sorted(r["doc_id"] for r in rows.take_all()) == [0, 1, 3, 6, 7]
-
-
-def test_minhash_finds_planted_near_dup(ray_session):
-    from rayfts.ops.dedup import minhash_dedup_pairs
-
-    words = [f"w{i}" for i in range(60)]
-    a = " ".join(words)
-    b = " ".join(words[:57] + ["x1", "x2", "x3"])  # high-jaccard neighbor
-    c = " ".join(f"z{i}" for i in range(60))       # unrelated
-    ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([1, 2, 3], type=pa.int64()),
-        "text": pa.array([a, b, c]),
-    }))
-    for bc in (None, False):  # auto-broadcast AND the partitioned-reduce plan
-        pairs_ds = minhash_dedup_pairs(ds, threshold=0.5, bands=16, num_perm=64,
-                                       broadcast=bc)
-        rows = pairs_ds.take_all()  # Dataset out: no driver step inside the op
-        got = {(r["id_a"], r["id_b"]) for r in rows}
-        assert (1, 2) in got
-        assert all(3 not in p for p in got)
-        jac = [r["jaccard"] for r in rows if (r["id_a"], r["id_b"]) == (1, 2)][0]
-        assert 0.5 <= jac <= 1.0
-
-
-def test_minhash_signature_approximates_jaccard():
-    from rayfts.ops.dedup import (_perm_params, exact_jaccard,
-                                  minhash_signature, shingle_hashes)
-
-    t1 = " ".join(f"tok{i}" for i in range(100))
-    t2 = " ".join(f"tok{i}" for i in range(80)) + " " + " ".join(f"oth{i}" for i in range(20))
-    a, b = _perm_params(256)
-    s1 = minhash_signature(shingle_hashes(t1), a, b)
-    s2 = minhash_signature(shingle_hashes(t2), a, b)
-    est = float(np.mean(s1 == s2))
-    true = exact_jaccard(t1, t2)
-    assert abs(est - true) < 0.15
-
-
-def test_simhash_band_guarantee(ray_session):
-    from rayfts.ops.dedup import simhash_near_dup_pairs
-
-    words = [f"common{i}" for i in range(64)]
-    a = " ".join(words)
-    b = " ".join(words[:-1] + ["changed"])  # tiny perturbation
-    ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([10, 20, 30], type=pa.int64()),
-        "text": pa.array([a, b, "entirely different content here entirely"]),
-    }))
-    pairs = simhash_near_dup_pairs(ds, max_hamming=10)
-    got = {(r["id_a"], r["id_b"]): r["hamming"] for r in pairs.take_all()}
-    assert (10, 20) in got and got[(10, 20)] <= 10
 
 
 def test_term_stats_match_duckdb(ray_session):
@@ -114,34 +36,6 @@ def test_term_stats_match_duckdb(ray_session):
         """).fetchall()
         got = list(zip(t["term"].to_pylist(), t["df"].to_pylist(), t["cf"].to_pylist()))
         assert got == [(r[0], r[1], r[2]) for r in exp], f"salt={salt}"
-
-
-def test_token_stats_and_quality_match_python(ray_session):
-    import re
-
-    from rayfts.ops.textstats import quality_stats_batch, token_stats_batch
-
-    tbl = pa.table({
-        "doc_id": pa.array([0, 1, 2], type=pa.int64()),
-        "text": pa.array(["Hello hello world", "", "a b c a héllo!"]),
-    })
-    out = token_stats_batch(tbl)
-    assert out["n_tokens"].to_pylist() == [3, 0, 5]
-    assert out["n_types"].to_pylist() == [2, 0, 4]
-    q = quality_stats_batch(tbl)
-    assert q["n_chars_total"].to_pylist() == [17, 0, 14]
-    assert q["n_alpha_chars"].to_pylist() == [
-        sum(c.isalpha() for c in t) for t in tbl["text"].to_pylist()]
-
-
-def test_fingerprints_shift_invariant():
-    from rayfts.ops.textstats import rolling_fingerprints
-
-    toks = [f"t{i}" for i in range(20)]
-    f1 = rolling_fingerprints(toks, k=5)
-    f2 = rolling_fingerprints(["pre"] + toks, k=5)
-    # shared windows hash identically regardless of position
-    assert set(f1).issubset(set(f2) | set(f1[:1])) or np.intersect1d(f1, f2).size >= 14
 
 
 def test_term_postings_export_matches_duckdb(ray_session, tmp_path):
@@ -169,166 +63,6 @@ def test_term_postings_export_matches_duckdb(ray_session, tmp_path):
         """).fetchall()
         assert docids.tolist() == [r[0] for r in exp], term
         assert tfs.tolist() == [r[1] for r in exp], term
-
-
-def test_near_dup_oracles_match_duckdb(ray_session):
-    """The minhash / simhash / fingerprint pipelines match their DuckDB
-    oracles bit-for-bit at sf0.001 (the driver runs the same comparison
-    at sf0.01) — md5 hashes, mod-2^64 rolling arithmetic, permutation
-    constants, banding, and rounding all reproduced in SQL."""
-    import sys
-
-    import duckdb
-
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as e
-
-    con = duckdb.connect()
-    con.register("documents", pq.read_table(f"{SF}/documents.parquet"))
-    q, o = e.queries(), e.oracle_sql()
-    for name in ["fingerprints", "simhash_near_dup", "minhash_dedup_pairs"]:
-        res = q[name](SF)
-        if hasattr(res, "take_all"):
-            res = pa.Table.from_pylist(res.take_all())
-        orc = con.sql(o[name]).arrow()
-        assert res.num_rows == orc.num_rows, name
-        ra = res.select(sorted(res.column_names))
-        oa = orc.select(sorted(orc.column_names))
-        assert ra.equals(oa), name
-
-
-def test_ngram_jaccard_exact_pairs(ray_session):
-    """Exact n-gram Jaccard (inverted shingle index): finds every pair
-    above the threshold — including ones minhash-LSH could miss — and
-    matches the DuckDB oracle exactly."""
-    import sys
-
-    import duckdb
-
-    from rayfts.ops.dedup import exact_jaccard, ngram_jaccard_pairs
-
-    words = [f"w{i}" for i in range(40)]
-    a = " ".join(words)
-    b = " ".join(words[:30] + [f"x{i}" for i in range(10)])
-    c = " ".join(f"z{i}" for i in range(40))
-    tbl = pa.table({
-        "doc_id": pa.array([1, 2, 3], type=pa.int64()),
-        "text": pa.array([a, b, c]),
-    })
-    pairs = ngram_jaccard_pairs(ray.data.from_arrow(tbl), threshold=0.3).take_all()
-    got = {(r["id_a"], r["id_b"]): r["jaccard"] for r in pairs}
-    assert set(got) == {(1, 2)}
-    assert got[(1, 2)] == pytest.approx(round(exact_jaccard(a, b), 6), abs=1e-6)
-
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as e
-
-    con = duckdb.connect()
-    con.register("documents", pq.read_table(f"{SF}/documents.parquet"))
-    res = pa.Table.from_pylist(e.queries()["ngram_jaccard_pairs"](SF).take_all())
-    orc = con.sql(e.oracle_sql()["ngram_jaccard_pairs"]).arrow()
-    assert res.num_rows == orc.num_rows
-    assert res.select(sorted(res.column_names)).equals(orc.select(sorted(orc.column_names)))
-
-
-def test_dedup_pairs_partitioned_property(ray_session):
-    """Property: the hash-partitioned global pair dedup equals pandas
-    drop_duplicates for arbitrary duplicated pair sets."""
-    import pandas as pd
-
-    from rayfts.ops.dedup import dedup_pairs_partitioned
-
-    rng = np.random.default_rng(3)
-    a = rng.integers(0, 50, 400)
-    b = rng.integers(50, 100, 400)
-    tbl = pa.table({"id_a": pa.array(a, type=pa.int64()),
-                    "id_b": pa.array(b, type=pa.int64())})
-    got = sorted((r["id_a"], r["id_b"]) for r in
-                 dedup_pairs_partitioned(ray.data.from_arrow(tbl)).take_all())
-    want = sorted(map(tuple, pd.DataFrame({"id_a": a, "id_b": b})
-                      .drop_duplicates().itertuples(index=False)))
-    assert got == want
-
-
-def test_minhash_cache_capped():
-    """Streaming more distinct tokens than the cap through MinHashBands
-    keeps the per-actor token-hash cache bounded (VERDICT r2 #2), without
-    changing the emitted band rows."""
-    from rayfts.ops.dedup import MinHashBands
-
-    capped = MinHashBands(cache_cap=50)
-    uncapped = MinHashBands()
-    for start in range(0, 2000, 200):
-        texts = [" ".join(f"tok{start + i + j}" for j in range(8))
-                 for i in range(0, 200, 8)]
-        batch = pa.table({
-            "text": pa.array(texts),
-            "doc_id": pa.array(np.arange(start, start + len(texts)), type=pa.int64()),
-        })
-        got = capped(batch)
-        want = uncapped(batch)
-        assert len(capped._uniq_cache) <= 50
-        assert got.equals(want)
-
-
-def test_minhash_broadcast_byte_budget_falls_over(ray_session):
-    """A byte budget the pair count cannot see: broadcast is selected by
-    count, but long-document blobs exceed broadcast_bytes_budget mid-build
-    and the op falls over to the partitioned-reduce plan with identical
-    results (ADVICE r2)."""
-    from rayfts.ops.dedup import minhash_dedup_pairs
-
-    words = [f"w{i}" for i in range(200)]
-    a = " ".join(words)
-    b = " ".join(words[:190] + [f"x{i}" for i in range(10)])
-    c = " ".join(f"z{i}" for i in range(200))
-    ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([1, 2, 3], type=pa.int64()),
-        "text": pa.array([a, b, c]),
-    }))
-    kw = dict(threshold=0.5, bands=16, num_perm=64)
-    want = sorted((r["id_a"], r["id_b"], r["jaccard"])
-                  for r in minhash_dedup_pairs(ds, **kw).take_all())
-    got = sorted((r["id_a"], r["id_b"], r["jaccard"])
-                 for r in minhash_dedup_pairs(
-                     ds, broadcast_bytes_budget=8, **kw).take_all())
-    assert got == want and (1, 2) in {(x, y) for x, y, _ in got}
-
-
-def test_ngram_jaccard_df_cap_binds(ray_session):
-    """With max_shingle_df below a stop-gram's df, pairs supported only by
-    that stop-gram disappear and intersections shrink — matching a
-    brute-force reference that applies the same per-shingle cap."""
-    from collections import Counter
-
-    from rayfts.ops.dedup import ngram_jaccard_pairs, shingle_hashes
-
-    common = "the quick brown fox jumps over"
-    texts = [f"{common} unique{i} tail{i} extra{i}" for i in range(6)]
-    texts += [f"{common} unique0 tail0 extra0 suffix"]  # near-dup of doc 0
-    tbl = pa.table({"doc_id": pa.array(range(len(texts)), type=pa.int64()),
-                    "text": pa.array(texts)})
-    cap = 4
-    got = sorted((r["id_a"], r["id_b"], r["jaccard"]) for r in
-                 ngram_jaccard_pairs(ray.data.from_arrow(tbl), threshold=0.1,
-                                     max_shingle_df=cap).take_all())
-    sets = [set(shingle_hashes(t, 3).tolist()) for t in texts]
-    df_count = Counter(s for ss in sets for s in ss)
-    want = []
-    for i in range(len(texts)):
-        for j in range(i + 1, len(texts)):
-            inter = sum(1 for s in sets[i] & sets[j] if df_count[s] <= cap)
-            if inter == 0:
-                continue
-            uni = len(sets[i]) + len(sets[j]) - inter
-            jac = inter / uni
-            if jac >= 0.1:
-                want.append((i, j, round(jac, 6)))
-    assert got == sorted(want) and len(want) > 0
-    # sanity: uncapped finds MORE pairs (the stop-gram-supported ones)
-    uncapped = ngram_jaccard_pairs(ray.data.from_arrow(tbl), threshold=0.1,
-                                   max_shingle_df=None).take_all()
-    assert len(uncapped) > len(got)
 
 
 def test_assemble_bucket_property_random_fragments(ray_session, tmp_path):
@@ -386,46 +120,6 @@ def test_assemble_bucket_property_random_fragments(ray_session, tmp_path):
             assert int(got["df"][i].as_py()) == len(ref_docs)
             assert int(got["cf"][i].as_py()) == sum(f for _, f in ref_docs)
             assert sorted(tfs.tolist()) == sorted(f for _, f in ref_docs)
-
-
-def test_shingle_explode_matches_shingle_hashes():
-    """The vectorized ShingleExplode per-doc unique shingle sets equal the
-    scalar shingle_hashes() reference, including edge cases (None, empty,
-    separators-only, <k tokens, unicode, case-folding, duplicates)."""
-    from rayfts.ops.dedup import ShingleExplode, shingle_hashes
-
-    texts = [
-        None, "", "!!! --- ;;", "one", "one two", "one two three four",
-        "The THE the tHe", "héllo wörld naïve café résumé again",
-        "a b a b a b a b", "x1 y2 z3 x1 y2 z3", "word " * 50,
-    ]
-    batch = pa.table({
-        "doc_id": pa.array(range(len(texts)), type=pa.int64()),
-        "text": pa.array(texts, type=pa.string()),
-    })
-    stage = ShingleExplode(k=3)
-    out = stage(batch)
-    got: dict[int, list[int]] = {i: [] for i in range(len(texts))}
-    for r in out.to_pylist():
-        got[r["doc_id"]].append(r["sh"])
-        assert r["nsh"] == len(shingle_hashes(texts[r["doc_id"]] or "", 3))
-    for i, t in enumerate(texts):
-        want = np.sort(shingle_hashes(t or "", 3)).astype(np.int64).tolist()
-        assert sorted(got[i]) == sorted(want), (i, t)
-
-
-def test_cli_minhash_roundtrip(ray_session, tmp_path):
-    """CLI smoke for dedup-minhash, in-process against the test Ray
-    session."""
-    from rayfts.cli import main as cli_main
-
-    mh_out = str(tmp_path / "pairs")
-    rc = cli_main(["dedup-minhash", "--input", f"{SF}/documents.parquet",
-                   "--col", "text", "--id-col", "doc_id",
-                   "--threshold", "0.5", "--out", mh_out])
-    assert rc == 0
-    pairs = pq.read_table(mh_out)
-    assert set(pairs.column_names) == {"id_a", "id_b", "jaccard"}
 
 
 def test_term_postings_resume_skips_completed_buckets(ray_session, tmp_path):

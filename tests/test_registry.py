@@ -30,7 +30,8 @@ REMOVED_MODULES = tuple(f"rayfts.ops.{m}" for m in
                          "ann", "lm", "chunk", "pack", "shuffle", "dsir",
                          "sketch", "profile", "quantile", "freq", "sample",
                          "cc", "clean", "substr", "scrub", "prep",
-                         "repetition", "linededup", "decontam"))
+                         "repetition", "linededup", "decontam", "dedup",
+                         "pjoin", "textstats"))
 # rows with no SQL oracle: check_oracle.py prints only their value hash
 ROWS_ONLY = {"snippets"}
 

@@ -130,9 +130,8 @@ if __name__ == "__main__":
     ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
     ap.add_argument("--only", help="comma-separated query names to run")
     ap.add_argument("--skip", help="comma-separated query names to skip "
-                    "(e.g. minhash_dedup_pairs, whose full-pipeline SQL "
-                    "oracle is 10+ min at sf0.1 — an oracle cost, see "
-                    "BASELINE.md cross-scale section)")
+                    "(e.g. sharded_search_tier, which starts a Ray actor "
+                    "pool)")
     a = ap.parse_args()
     sys.exit(main(a.sf_dir,
                   only=set(a.only.split(",")) if a.only else None,
