@@ -66,6 +66,15 @@ def _read_inputs(patterns: list[str]):
     return ray.data.read_parquet(_input_paths(patterns))
 
 
+def _write_parquet(ds, out: str) -> int:
+    """Write ``ds`` as Parquet under ``out`` and return its row count. The
+    pipeline runs once: it is materialized first, so the count reads
+    block metadata instead of running the lazy plan a second time."""
+    ds = ds.materialize()
+    ds.write_parquet(out)
+    return ds.count()
+
+
 def cmd_build(args) -> int:
     _ensure_ray()
     from rayfts.index.build import build_index
@@ -127,7 +136,7 @@ def cmd_serve_query(args) -> int:
     from rayfts.query.serve import SearchService
 
     svc = SearchService(args.index, num_actors=args.actors,
-                        hot_replicas=getattr(args, "hot_replicas", 0))
+                        hot_replicas=args.hot_replicas)
     for score, gid, doc in svc.search(args.query, limit=args.limit, fetch=True):
         print(json.dumps({"score": round(score, 6), "docid": int(gid), "doc": doc}))
     svc.shutdown()
@@ -153,8 +162,7 @@ def cmd_batch_search(args) -> int:
         qds = ray.data.from_arrow(pa.table({"query": pa.array(lines)}))
     out = batch_search(qds, args.index, limit=args.limit)
     if args.out:
-        out.write_parquet(args.out)
-        print(json.dumps({"out": args.out, "rows": out.count()}))
+        print(json.dumps({"out": args.out, "rows": _write_parquet(out, args.out)}))
     else:
         for r in out.take_all():
             print(json.dumps(r))
@@ -186,8 +194,7 @@ def cmd_term_stats(args) -> int:
 
     out = term_stats_ds(_read_inputs(args.input), col=args.col,
                         analyzer=args.analyzer, salt_buckets=args.salt_buckets)
-    out.write_parquet(args.out)
-    print(json.dumps({"out": args.out, "rows": out.count()}))
+    print(json.dumps({"out": args.out, "rows": _write_parquet(out, args.out)}))
     return 0
 
 

@@ -13,10 +13,10 @@ membership can be *any* disjoint cover of the input. A unit is either
   list and skips committed (or merged-away) units by a set diff; or
 - **a block of a Dataset as it stands** (``build_index`` over a Dataset,
   and ``append_to_index``): one segment per block, with an id
-  ``<max existing id>.a<version>-<uuid>`` that sorts after every
-  existing segment and is unique per attempt. A Dataset's blocks cannot
-  be re-planned, so a build over an index with such segments refuses to
-  resume; new rows go in with ``append_to_index``.
+  ``<max existing id>.a<version>.<host>-<pid>-<hex8>`` that sorts after
+  every existing segment, is unique per attempt and names its driver. A
+  Dataset's blocks cannot be re-planned, so a build over an index with
+  such segments refuses to resume; new rows go in with ``append_to_index``.
 
 ::
 
@@ -42,8 +42,8 @@ import hashlib
 import json
 import logging
 import os
+import socket
 import time
-import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -188,9 +188,11 @@ def _block_infos(ds, index_dir: str, manifest: mf.Manifest,
     """One segment per block of ``ds`` as it stands. Ids extend the
     largest id of ``manifest``, so they sort after every segment it holds
     (existing docs keep their global docids); the version keeps successive
-    generations apart and the uuid makes each attempt's id unique."""
+    generations apart, the driver's host and pid let the sweep delete the
+    blocks its death leaves, and the suffix makes each attempt's id unique."""
     existing = manifest.segment_ids()
-    gen = f"{max(existing) if existing else 'seg-000000'}.a{manifest.version:04d}"
+    gen = (f"{max(existing) if existing else 'seg-000000'}.a{manifest.version:04d}"
+           f".{socket.gethostname()}-{os.getpid()}")
     schema_json = manifest.schema.to_json()
 
     def build_block(batch: pa.Table) -> pa.Table:
@@ -199,7 +201,7 @@ def _block_infos(ds, index_dir: str, manifest: mf.Manifest,
         _one_core()
         return _infos([_build_unit(
             batch, IndexSchema.from_json(schema_json), index_dir,
-            f"{gen}-{uuid.uuid4().hex[:10]}", fieldnorm_codec, content_col,
+            f"{gen}-{os.urandom(4).hex()}", fieldnorm_codec, content_col,
             {"source": "dataset"})])
 
     return ds.map_batches(build_block, batch_format="pyarrow", batch_size=None)
@@ -239,7 +241,7 @@ def _parquet_paths(source: str | list[str]) -> list[str]:
     return sorted(paths)
 
 
-def _cluster_cpus() -> int:
+def cluster_cpus() -> int:
     try:
         return int(ray.cluster_resources().get("CPU", 8))
     except Exception:
@@ -305,7 +307,7 @@ def build_index(
         if num_segments:
             target_docs_per_segment = max(1, -(-total_rows // num_segments))
         else:
-            target_docs_per_segment = max(1024, -(-total_rows // (2 * _cluster_cpus())))
+            target_docs_per_segment = max(1024, -(-total_rows // (2 * cluster_cpus())))
     units = plan_units(paths, target_docs_per_segment)
     if columns is None:
         columns = _default_read_columns(schema, content_col, key_cols, paths)
@@ -364,9 +366,9 @@ def _open_for_build(
 
 
 def _commit_stream(infos_ds, index_dir: str, t0: float) -> mf.Manifest:
-    """Stream segment infos and commit INCREMENTALLY: every completed
-    unit becomes durable as soon as its info arrives, so a crashed
-    driver/build loses only in-flight units (checkpoint semantics)."""
+    """Stream segment infos and register them in one commit per batch of
+    64. A crashed driver leaves its last batch's finished units on disk
+    unregistered; the next build's opening commit adopts them."""
     for batch in infos_ds.iter_batches(batch_size=64, batch_format="pyarrow"):
         infos = [
             SegmentInfo.from_json(json.loads(s)) for s in batch["info"].to_pylist()

@@ -13,6 +13,11 @@ A segment's entry carries its lineage (input partition -> content hash)
 and build metrics, which is what makes builds resumable: a restarted
 build diffs the manifest against its planned partition list and skips
 committed segments.
+
+Files leave an index only through :func:`sweep`: a merge retires its
+sources, kept for readers of older versions until a grace has passed
+(tantivy 0.18 deletes only files no living searcher uses [tantivy 0.18,
+public]).
 """
 
 from __future__ import annotations
@@ -22,15 +27,19 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 from rayfts.index.schema import IndexSchema
-from rayfts.index.segment import SegmentInfo, scratch_pid
+from rayfts.index.segment import META_FILE, SegmentInfo, owner_pid
 
 MANIFEST_FILE = "manifest.json"
 LOCK_FILE = ".manifest.lock"
 SEGMENTS_DIR = "segments"
+# how long a retired segment outlives its retiring commit, in both units
+RETIRE_GRACE_VERSIONS = 2
+RETIRE_GRACE_SECONDS = 60.0
 
 
 @dataclass
@@ -45,6 +54,8 @@ class Manifest:
     # list regardless of the resuming cluster's size — unit ids must match
     # for the committed-set diff to skip finished work
     build_params: dict = dc_field(default_factory=dict)
+    # merged-away segment id -> [retiring version, unix time] until swept
+    retired: dict[str, list] = dc_field(default_factory=dict)
 
     def segment_ids(self) -> set[str]:
         return {s.segment_id for s in self.segments}
@@ -58,6 +69,13 @@ class Manifest:
 
     def ordered_segments(self) -> list[SegmentInfo]:
         return sorted(self.segments, key=lambda s: s.segment_id)
+
+    def contiguous(self, ids: list[str]) -> bool:
+        """Whether every id is registered and they are adjacent in docid
+        order: what a merge of them needs to swap in."""
+        pos = {s.segment_id: i for i, s in enumerate(self.ordered_segments())}
+        at = sorted(pos.get(sid, -1) for sid in ids)
+        return at[0] >= 0 and at[-1] - at[0] == len(at) - 1
 
     def doc_id_offsets(self) -> dict[str, int]:
         off, out = 0, {}
@@ -91,6 +109,7 @@ class Manifest:
             "opstamp": self.opstamp,
             "version": self.version,
             "build_params": self.build_params,
+            "retired": self.retired,
         }
 
     @staticmethod
@@ -102,6 +121,7 @@ class Manifest:
             opstamp=d.get("opstamp", 0),
             version=d.get("version", 0),
             build_params=d.get("build_params", {}),
+            retired=d.get("retired", {}),
         )
 
 
@@ -152,7 +172,6 @@ def write_manifest(index_dir: str, manifest: Manifest) -> None:
     """Atomic write: tmp file in the same dir + ``os.replace`` (the same
     discipline as the reference's ``directory.atomic_write``,
     ``index.rs:331-336``)."""
-    os.makedirs(index_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=index_dir, prefix=".manifest-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
@@ -174,16 +193,19 @@ def commit(
     ``LOCK_FILE`` (tantivy's single-writer lock [tantivy 0.18, public]),
     hand the freshly read manifest (``None`` if none exists) to
     ``mutate``, which returns the manifest to write or ``None`` to abort;
-    if it raises, nothing is written. Bumps the version and returns the
-    committed manifest (``None`` on abort)."""
+    if it raises, nothing is written. Bumps the version, sweeps (on abort,
+    over the read manifest) and returns the committed one or ``None``."""
     os.makedirs(index_dir, exist_ok=True)
     with open(os.path.join(index_dir, LOCK_FILE), "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         fresh = read_manifest(index_dir) if manifest_exists(index_dir) else None
         out = mutate(fresh)
+        if out is not None:
+            out.version = fresh.version + 1 if fresh is not None else 0
+        if out or fresh:
+            sweep(index_dir, out or fresh)
         if out is None:
             return None
-        out.version = fresh.version + 1 if fresh is not None else 0
         write_manifest(index_dir, out)
         return out
 
@@ -198,6 +220,39 @@ def _alive(pid: int) -> bool:
     return True
 
 
+def _unregistered(index_dir: str, manifest: Manifest):
+    """``(name, info)`` per entry of ``segments/`` that ``manifest``
+    neither registers nor retires; ``info`` only for complete segments."""
+    root = segments_dir(index_dir)
+    names = set(os.listdir(root)) if os.path.isdir(root) else set()
+    for entry in sorted(names - manifest.segment_ids() - manifest.retired.keys()):
+        meta = os.path.join(root, entry, META_FILE)
+        if entry.endswith(".tmp") or not os.path.isfile(meta):
+            yield entry, None
+            continue
+        with open(meta) as f:
+            yield entry, SegmentInfo.from_json(json.load(f))
+
+
+def sweep(index_dir: str, manifest: Manifest) -> None:
+    """The one rule that deletes segment and scratch directories, run by
+    :func:`commit` under its lock (so it adds no version). It deletes a
+    retired segment past both graces, a scratch directory or unregistered
+    Dataset block whose owner on this host is dead (``owner_pid``), and a
+    merge output that can no longer swap in. Everything else stays."""
+    live, now = manifest.segment_ids(), time.time()
+    for sid, (version, at) in list(manifest.retired.items()):
+        if (manifest.version - version >= RETIRE_GRACE_VERSIONS
+                and now - at >= RETIRE_GRACE_SECONDS and sid not in live):
+            shutil.rmtree(segment_path(index_dir, sid), ignore_errors=True)
+            del manifest.retired[sid]
+    for entry, info in _unregistered(index_dir, manifest):
+        pid, sources = owner_pid(entry), info and info.lineage.get("merged_from")
+        if (pid is not None and not _alive(pid)
+                or sources and not manifest.contiguous(sources)):
+            shutil.rmtree(segment_path(index_dir, entry), ignore_errors=True)
+
+
 def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentInfo]:
     """Adopt committed-but-unregistered segment directories into
     ``manifest``; the caller commits it. A segment write is atomic (tmp +
@@ -206,47 +261,14 @@ def recover_orphan_segments(index_dir: str, manifest: Manifest) -> list[SegmentI
     before registering it. This mirrors the reference's
     catalog startup scan (every subdir with a meta.json is an index —
     ``index.rs:49-87``) applied at segment granularity; it is what makes a
-    killed build resumable without redoing finished partitions. A merge
-    output (lineage ``merged_from``) left by a merge that died before its
-    swap is skipped: its sources are still registered. So is a source
-    that a registered segment lists in its ``merged_from``, left by a
-    merge that died after its swap but before deleting it: its documents
-    are already in the merge output.
+    killed build resumable without redoing finished partitions.
 
-    A Dataset block (lineage ``{"source": "dataset"}``) is skipped too and
-    its directory left in place: nothing can re-plan it, so whoever runs
-    its Dataset again builds its rows again. ``append_to_index`` commits
-    its blocks once at the end, so an unregistered block is either left
-    by an append that failed after writing it or belongs to an append
-    still running, whose commit does not look for ids already registered.
-    Adopting it would count its rows twice in both cases.
-
-    Scratch directories (``*.tmp``) are never adopted. Those that a write
-    attempt on this host left behind when its process died are deleted
-    (:func:`rayfts.index.segment.scratch_pid`); a live process's, another
-    host's and any name that does not parse are left alone."""
-    seg_root = segments_dir(index_dir)
-    if not os.path.isdir(seg_root):
-        return []
-    known = manifest.segment_ids()
-    merged_away = {sid for s in manifest.segments
-                   for sid in s.lineage.get("merged_from", ())}
-    adopted: list[SegmentInfo] = []
-    for entry in sorted(os.listdir(seg_root)):
-        if entry.endswith(".tmp"):
-            pid = scratch_pid(entry)
-            if pid is not None and not _alive(pid):
-                shutil.rmtree(os.path.join(seg_root, entry), ignore_errors=True)
-            continue
-        if entry in known or entry in merged_away:
-            continue
-        meta = os.path.join(seg_root, entry, "segment.json")
-        if not os.path.isfile(meta):
-            continue
-        with open(meta) as f:
-            info = SegmentInfo.from_json(json.load(f))
-        if ("merged_from" not in info.lineage
-                and info.lineage.get("source") != "dataset"):
-            adopted.append(info)
+    It deletes nothing and skips retired segments, scratch directories,
+    merge outputs (their sources are still registered) and Dataset blocks:
+    a block's append failed or is still running and commits its blocks at
+    the end, so adopting it would count its rows twice."""
+    adopted = [info for _entry, info in _unregistered(index_dir, manifest)
+               if info and "merged_from" not in info.lineage
+               and info.lineage.get("source") != "dataset"]
     manifest.add_segments(adopted)
     return adopted

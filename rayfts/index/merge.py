@@ -27,8 +27,8 @@ is an explicit, deterministic operation:
 - the merged segment is written by the build's own segment writer,
   ``segment.write_segment`` (a scratch directory per attempt, then one
   rename, which puts its term table and norms in the parts cache), and
-  swapped into the manifest atomically (originals dropped in the same
-  commit).
+  swapped into the manifest atomically (originals retired in the same
+  commit, for ``manifest.sweep`` to delete).
 
 Merge determinism (SURVEY.md §5 item 3): same source segments in any
 grouping order -> byte-identical merged postings, because inputs are
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -469,40 +469,21 @@ def _merge_group_task(
 def commit_merge(
     index_dir: str, groups: list[list[str]], merged_infos: list[SegmentInfo],
 ) -> mf.Manifest | None:
-    """Swap merged segments for their sources in one ``manifest.commit``,
-    then delete the source directories. Compare-and-swap: abort (return
-    ``None``) unless every source is still registered and each group is
-    still contiguous in docid order, and then delete the outputs the
-    manifest does not register (a concurrent merge of the same group
-    builds the same id).
-
-    A source that is itself a merge output also takes along any leftover
-    directories of its own ``merged_from`` sources: a driver killed
-    between an earlier swap and its deletes leaves them, and only that
-    source's lineage keeps orphan adoption from counting them again."""
+    """Swap merged segments for their retired sources in one
+    ``manifest.commit``. Compare-and-swap: abort (return ``None``) unless
+    every source is still registered and each group is still contiguous
+    in docid order."""
     merged_ids = {sid for g in groups for sid in g}
-    retired: set[str] = set()
 
     def swap(m: mf.Manifest) -> mf.Manifest | None:
-        pos = {s.segment_id: i for i, s in enumerate(m.ordered_segments())}
-        spans = [sorted(pos.get(sid, -1) for sid in g) for g in groups]
-        if all(at[0] >= 0 and at[-1] - at[0] == len(at) - 1 for at in spans):
-            retired.update(sid for s in m.segments if s.segment_id in merged_ids
-                           for sid in s.lineage.get("merged_from", ()))
-            m.segments = [s for s in m.segments if s.segment_id not in merged_ids]
-            m.segments += merged_infos
-            return m
-        for info in merged_infos:
-            if info.segment_id not in pos:
-                shutil.rmtree(mf.segment_path(index_dir, info.segment_id),
-                              ignore_errors=True)
-        return None
+        if not all(m.contiguous(g) for g in groups):
+            return None
+        m.segments = [s for s in m.segments if s.segment_id not in merged_ids]
+        m.segments += merged_infos
+        m.retired.update({sid: [m.version + 1, time.time()] for sid in merged_ids})
+        return m
 
-    committed = mf.commit(index_dir, swap)
-    if committed is not None:
-        for sid in (merged_ids | retired) - committed.segment_ids():
-            shutil.rmtree(mf.segment_path(index_dir, sid), ignore_errors=True)
-    return committed
+    return mf.commit(index_dir, swap)
 
 
 def merge_index(index_dir: str, group_size: int = 4) -> mf.Manifest:
@@ -590,13 +571,6 @@ def log_merge_index(
         # actor processes would cold-start (~10 s of spawn+imports on the
         # first merge of a session); big groups fan out term-sharded
         merged_infos = _merge_groups(index_dir, manifest, groups)
-        if os.environ.get("RAYFTS_CRASH_BEFORE_MANIFEST_SWAP"):
-            # test hook (kill-and-resume coverage): die in the widest
-            # crash window — merged segment dirs committed via tmp+rename,
-            # manifest NOT yet swapped. A rerun reuses them.
-            import signal
-
-            os.kill(os.getpid(), signal.SIGKILL)
         manifest = (commit_merge(index_dir, groups, merged_infos)
                     or mf.read_manifest(index_dir))
     return manifest

@@ -376,14 +376,14 @@ def _rebased(terms: pa.Table, post_base: int, pos_base: int) -> pa.Table:
     return terms.set_column(at("pos_off"), "pos_off", pa.array(pos_off, type=pa.int64()))
 
 
-# a write attempt's scratch directory: <segment dir>.<host>-<pid>-<hex8>.tmp
-_SCRATCH_NAME = re.compile(r"(?P<stem>.+)-(?P<pid>\d+)-[0-9a-f]{8}\.tmp")
+# <stem>.<host>-<pid>-<hex8>: a Dataset block, or with ".tmp" a scratch dir
+_OWNED_NAME = re.compile(r"(?P<stem>.+)-(?P<pid>\d+)-[0-9a-f]{8}(\.tmp)?")
 
 
-def scratch_pid(name: str) -> int | None:
-    """The pid in the name of a segment scratch directory made on this
-    host; ``None`` for another host's or any other name."""
-    m = _SCRATCH_NAME.fullmatch(name)
+def owner_pid(name: str) -> int | None:
+    """The owner's pid in a scratch directory's name or a Dataset block's
+    id made on this host; ``None`` for another host's or any other name."""
+    m = _OWNED_NAME.fullmatch(name)
     if m is None or not m["stem"].endswith("." + socket.gethostname()):
         return None
     return int(m["pid"])

@@ -205,14 +205,9 @@ class Searcher:
         the pruned top-k path."""
         if isinstance(q, Term):
             return [(q.field, q.value)]
-        if isinstance(q, Bool) and not q.must and not q.must_not and q.should:
-            pairs = []
-            for sub in q.should:
-                if isinstance(sub, Term):
-                    pairs.append((sub.field, sub.value))
-                else:
-                    return None
-            return pairs
+        if (isinstance(q, Bool) and q.should and not q.must and not q.must_not
+                and all(isinstance(sub, Term) for sub in q.should)):
+            return [(sub.field, sub.value) for sub in q.should]
         return None
 
     def top_k(
@@ -391,11 +386,8 @@ class Searcher:
             hits = self._hits(docids, keys, limit)
         for h in hits:
             h.doc = self._fetch_doc(h.doc_id)
-        facets: list[dict] = []
-        if search.facets:
-            for field in search.facets:
-                for term, cnt in sorted(facet_acc.get(field, {}).items()):
-                    facets.append({"term": term, "count": cnt})
+        facets = [{"term": term, "count": cnt} for field in search.facets or ()
+                  for term, cnt in sorted(facet_acc.get(field, {}).items())]
         return SearchResults(hits=len(hits), docs=hits, facets=facets)
 
     def facet_counts(

@@ -4,27 +4,28 @@ The reference serves queries from a single process holding per-index
 reader/parser singletons behind a strictly serial stdio loop
 (``rpc.rs:121-131`` — one request at a time). Here each ``QueryActor``
 owns a *subset* of segments (mmapped posting files + lazily cached term
-dictionaries, loaded once in ``__init__``), and a ``SearchService``
-fans a query out to the actors whose segments can match it (or to one
-hot-tier replica) and merges their per-shard top-k by (score desc,
-global docid asc) — SURVEY.md §2.3 #24 and §7.2.7.
+dictionaries), and a ``SearchService`` fans a query out to the actors
+whose segments can match it (or to one hot-tier replica) and merges
+their per-shard top-k by (score desc, global docid asc) — SURVEY.md
+§2.3 #24 and §7.2.7.
 
 Statistics are searcher-level across the WHOLE index in every actor
-(each actor reads the full manifest but opens only its own segments),
-so scores are identical no matter how segments are sharded over actors.
-Reload-on-commit: ``refresh()`` re-reads the manifest and picks up newly
-committed segments (ReloadPolicy::OnCommit, ``index.rs:219``).
+(each gets the full manifest the service read, one version for all, but
+opens only its own segments), so scores are identical no matter how
+segments are sharded over actors. Reload-on-commit: ``refresh()`` pins
+the current version (ReloadPolicy::OnCommit, ``index.rs:219``).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
 
 import ray
 
-from rayfts.index.manifest import read_manifest
+from rayfts.index.manifest import Manifest, read_manifest
 from rayfts.query.ast import collect_scored_terms, routing_terms
 from rayfts.query.exec import GlobalStats
 from rayfts.query.parser import QueryParseError
@@ -33,27 +34,32 @@ from rayfts.query.searcher import QueryError, Searcher
 logger = logging.getLogger(__name__)
 
 
+def _repinned(method):
+    """Run a service call again, once, after re-pinning if a pinned segment is gone."""
+    @functools.wraps(method)
+    def call(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except FileNotFoundError:
+            self.refresh()
+            return method(self, *args, **kwargs)
+    return call
+
+
 @ray.remote
 class QueryActor:
-    def __init__(self, index_dir: str, segment_ids: list[str],
-                 cache_size: int = 0):
+    def __init__(self, index_dir: str, cache_size: int = 0):
         self.index_dir = index_dir
-        self.searcher = Searcher(index_dir, segment_ids=segment_ids)
         # bounded result cache (hot-tier replicas only): head queries
         # repeat by definition, and results are immutable per manifest
         # version — refresh() drops the cache with the searcher
         self.cache_size = int(cache_size)
-        self._cache: dict = {}
 
-    def ready(self) -> bool:
-        return True
-
-    def refresh(self, segment_ids: list[str]) -> int:
-        """Adopt a new manifest version (and possibly more segments). The
-        old searcher holds its readers until the new one is built, so only
-        segments new to this actor are opened; the result cache is
-        dropped."""
-        self.searcher = Searcher(self.index_dir, segment_ids=segment_ids)
+    def refresh(self, manifest: dict, segment_ids: list[str]) -> int:
+        """Serve ``segment_ids`` of the service's manifest (JSON); return its
+        version. The old searcher holds its readers until the new one is
+        built, so only new segments open; the result cache is dropped."""
+        self.searcher = Searcher(self.index_dir, Manifest.from_json(manifest), segment_ids)
         self._cache = {}
         return self.searcher.manifest.version
 
@@ -140,34 +146,32 @@ class SearchService:
     def __init__(self, index_dir: str, num_actors: int = 4,
                  hot_replicas: int = 0, hot_cache_size: int = 4096):
         self.index_dir = index_dir
-        ordered, shards = self._split(max(1, num_actors))
+        manifest = read_manifest(index_dir)
         # at most one actor per segment, at least one actor
-        self.shards = [x for x in shards if x] or shards[:1]
-        self.actors = [
-            QueryActor.remote(index_dir, shard) for shard in self.shards
-        ]
+        self.actors = [QueryActor.remote(index_dir) for _ in
+                       range(max(1, min(num_actors, len(manifest.segments))))]
         self.hot_actors = [
-            QueryActor.remote(index_dir, ordered, cache_size=hot_cache_size)
+            QueryActor.remote(index_dir, cache_size=hot_cache_size)
             for _ in range(hot_replicas)
         ]
         self._hot_rr = 0  # round-robin cursor over the tier
-        # a segment-less local searcher: manifest + parser only, used to
-        # resolve query strings and to collect the scored-term pairs
-        self._resolver = Searcher(index_dir, segment_ids=[])
-        ray.get([a.ready.remote() for a in self.actors + self.hot_actors])
+        self._pin(manifest)
 
-    def _split(self, num_shards: int) -> tuple[list[str], list[list[str]]]:
-        """The current manifest's ordered segment ids, and their split
-        into ``num_shards`` contiguous (possibly empty) shards."""
-        manifest = read_manifest(self.index_dir)
+    def _pin(self, manifest) -> None:
+        """Send ``manifest`` and a contiguous shard of it to every actor, so all
+        serve one version; the segment-less resolver parses against it too."""
         ordered = [s.segment_id for s in manifest.ordered_segments()]
-        return ordered, [list(x) for x in np.array_split(ordered, num_shards)]
+        self.shards = [list(x) for x in np.array_split(ordered, len(self.actors))]
+        pinned = manifest.to_json()
+        served = ray.get(
+            [a.refresh.remote(pinned, s) for a, s in zip(self.actors, self.shards)]
+            + [a.refresh.remote(pinned, ordered) for a in self.hot_actors])
+        if set(served) != {manifest.version}:
+            raise RuntimeError(f"actors serve {served}, not version {manifest.version}")
+        self._resolver = Searcher(self.index_dir, manifest, segment_ids=[])
 
     def refresh(self) -> None:
-        ordered, shards = self._split(len(self.actors))
-        ray.get([a.refresh.remote(s) for a, s in zip(self.actors, shards)]
-                + [a.refresh.remote(ordered) for a in self.hot_actors])
-        self.shards = shards
+        self._pin(read_manifest(self.index_dir))
 
     def _route_live(self, need, parts_df) -> list[int]:
         """Shard indices that can possibly match (term-dictionary
@@ -235,6 +239,7 @@ class SearchService:
                     per_query[qi].extend((s, g, group[i]) for s, g in hits)
         return [sorted(hits, key=lambda h: (-h[0], h[1]))[:limit] for hits in per_query]
 
+    @_repinned
     def search(self, query, limit: int = 10, fetch: bool = False):
         """Global top-k of one query as ``(score, global docid)`` pairs, or
         ``(score, global docid, stored doc)`` with ``fetch``: each doc
@@ -253,6 +258,7 @@ class SearchService:
                 docs.update(part)
         return [(s, g, docs.get(g)) for s, g, _a in hits]
 
+    @_repinned
     def search_many(self, queries: list, limit: int = 10) -> list[list[tuple[float, int]]]:
         """Batched global top-k: the same two fan-outs as ``search``, once
         for the whole batch instead of twice per query — the latency
@@ -260,9 +266,11 @@ class SearchService:
         actor pool."""
         return [[(s, g) for s, g, _a in hits] for hits in self._top_k(queries, limit)]
 
+    @_repinned
     def count(self, query) -> int:
         return sum(ray.get([a.count.remote(query) for a in self.actors]))
 
+    @_repinned
     def facet_counts(self, query, facets: dict) -> list[dict]:
         """Distributed facet collector: per-actor counts (each actor scans
         only its own segments' match sets) summed on the client — a
@@ -291,18 +299,19 @@ class SearchService:
 class BatchSearchStage:
     """Ray-Data-native BULK query evaluation: a callable class for
     ``queries_ds.map_batches(BatchSearchStage, fn_constructor_kwargs=
-    {"index_dir": ...}, concurrency=N)`` — the whole Searcher (manifest,
-    mmapped segments, cached term dicts, parser) is built ONCE per actor
-    in ``__init__``; each batch of query strings returns top-k rows
-    ``(query, rank, global docid, score)``.
+    {"index_dir": ..., "manifest": ...}, concurrency=N)`` — the whole
+    Searcher (mmapped segments, cached term dicts, parser) is built ONCE
+    per actor in ``__init__``, over the driver's ``manifest`` (JSON); each
+    batch of query strings returns top-k rows ``(query, rank, global docid, score)``.
 
     This is the shape for evaluating millions of queries against a built
     index (relevance sweeps, query-log replay): queries stream as a
     Dataset, the index is per-actor state, results are a Dataset again.
     """
 
-    def __init__(self, index_dir: str, limit: int = 10, query_col: str = "query"):
-        self.searcher = Searcher(index_dir)
+    def __init__(self, index_dir: str, manifest: dict, limit: int = 10,
+                 query_col: str = "query"):
+        self.searcher = Searcher(index_dir, Manifest.from_json(manifest))
         self.limit = limit
         self.query_col = query_col
 
@@ -337,14 +346,12 @@ def batch_search(ds, index_dir: str, limit: int = 10, query_col: str = "query",
                  concurrency=None):
     """Wire a query Dataset through a BatchSearchStage actor pool."""
     if concurrency is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
+        from rayfts.index.build import cluster_cpus
+
         # FIXED pool size: the autoscaling ramp (start 1, grow on queue
         # depth) dominates short query jobs — measured 2.6x lower QPS
         # than starting the full pool eagerly
-        n = max(2, cpus // 2)
+        n = max(2, cluster_cpus() // 2)
         concurrency = (n, n)
     # a single-block query set would feed ONE task -> one actor; split so
     # the whole pool works (4 batches per max actor keeps the pool busy)
@@ -353,7 +360,8 @@ def batch_search(ds, index_dir: str, limit: int = 10, query_col: str = "query",
     return ds.map_batches(
         BatchSearchStage,
         fn_constructor_kwargs={"index_dir": index_dir, "limit": limit,
-                               "query_col": query_col},
+                               "query_col": query_col,
+                               "manifest": read_manifest(index_dir).to_json()},
         batch_format="pyarrow",
         concurrency=concurrency,
     )

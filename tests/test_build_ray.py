@@ -359,11 +359,79 @@ def _gid_docid_pairs(s):
     import numpy as np
 
     gids, _ = s.matches("the")
-    import sys
-    sys.path.insert(0, "/root/repo")
     from __ray_entry__ import _stored_doc_ids
 
     return gids, _stored_doc_ids(s, gids)
+
+
+def test_failed_append_blocks_go_once_their_driver_is_dead(
+        ray_session, tmp_path, monkeypatch):
+    """A Dataset block's id names its driver: a commit's sweep deletes the
+    unregistered blocks of a failed append once its driver has exited, and
+    keeps those of an append whose driver lives. Adoption takes neither,
+    and a retried append adds its rows once."""
+    import subprocess
+    import sys
+
+    import ray as _ray
+    import ray.data
+
+    from rayfts.index.build import append_to_index
+    from rayfts.index.segment import owner_pid
+
+    full = pq.read_table(f"{SF}/documents.parquet")
+    base, more = str(tmp_path / "base.parquet"), str(tmp_path / "more.parquet")
+    pq.write_table(full.slice(0, 100), base)
+    pq.write_table(full.slice(100, 100), more)
+    idx = str(tmp_path / "idx")
+    n_base = len(build_index(base, idx, doc_schema(), content_col="text",
+                             key_cols=["doc_id"]).segments)
+
+    def entries():
+        return set(os.listdir(mf.segments_dir(idx)))
+
+    def append():
+        return append_to_index(ray.data.read_parquet(more).repartition(2), idx,
+                               content_col="text", key_cols=["doc_id"])
+
+    # a driver that dies between its block writes and its commit
+    before = entries()
+    child = (
+        "import os, ray\n"
+        f"ray.init(address={_ray.get_runtime_context().gcs_address!r})\n"
+        "from rayfts.index import build, manifest as mf\n"
+        "mf.commit = lambda *a, **k: os._exit(3)\n"
+        f"build.append_to_index(ray.data.read_parquet({more!r}).repartition(2), "
+        f"{idx!r}, content_col='text', key_cols=['doc_id'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    proc = subprocess.Popen([sys.executable, "-c", child], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    _out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 3, err[-2000:]
+    dead = entries() - before
+    assert len(dead) == 2 and {owner_pid(b) for b in dead} == {proc.pid}
+
+    # an append of this (live) driver that fails at its commit
+    with monkeypatch.context() as patch:
+        def boom(*_args, **_kwargs):
+            raise RuntimeError("injected commit failure")
+
+        patch.setattr(mf, "commit", boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            append()
+    live = entries() - before - dead
+    assert len(live) == 2 and {owner_pid(b) for b in live} == {os.getpid()}
+
+    def adopt(m):
+        assert mf.recover_orphan_segments(idx, m) == []
+        return m
+
+    assert mf.commit(idx, adopt).num_docs == 100
+    assert not dead & entries() and live <= entries()
+    m = append()
+    assert m.num_docs == 200 and len(m.segments) == n_base + 2
 
 
 def test_append_then_compact_invariance(ray_session, tmp_path):

@@ -4,9 +4,13 @@ tests starts Ray.
 - ``commit`` bumps the version only when it writes, and writes nothing
   when its mutation aborts or raises;
 - ``commit_merge`` is a compare-and-swap: a merge whose sources changed
-  aborts, and deletes its output only if the manifest does not register it;
-- orphan adoption skips the output of a merge that died before its swap,
-  the sources of one that died after it, and Dataset blocks;
+  aborts, and the aborted commit's sweep deletes its output only if the
+  manifest does not register it;
+- a merge retires its sources instead of deleting them: a searcher of an
+  older version keeps answering, the sweep deletes them only after both
+  graces, and orphan adoption never adopts them;
+- orphan adoption skips the output of a merge that died before its swap
+  and Dataset blocks;
 - writers in separate processes, plus a merger, lose no commit.
 """
 
@@ -127,25 +131,28 @@ def test_orphan_merge_output_is_not_adopted(tmp_path):
     assert Searcher(idx.path).count({"term": {"body": "hello"}}) == 4
 
 
-def _merge_killed_before_deletes(idx, monkeypatch, group):
-    """Merge and swap ``group`` as a driver killed right after the swap
-    would: the source directories stay on disk."""
-    import rayfts.index.merge as merge_mod
-
+def _merge_and_swap(idx, group):
+    """Merge and swap ``group``: its sources are retired, still on disk."""
     m = idx.manifest
     info = merge_segment_group(idx.path, m.schema.to_json(), group)
-    with monkeypatch.context() as patch:
-        patch.setattr(merge_mod.shutil, "rmtree", lambda *a, **k: None)
-        assert commit_merge(idx.path, [group], [info]) is not None
+    assert commit_merge(idx.path, [group], [info]) is not None
     assert all(os.path.isdir(mf.segment_path(idx.path, s)) for s in group)
+    assert set(group) <= idx.manifest.retired.keys()
     return info
 
 
+def _no_grace(monkeypatch):
+    monkeypatch.setattr(mf, "RETIRE_GRACE_VERSIONS", 0)
+    monkeypatch.setattr(mf, "RETIRE_GRACE_SECONDS", 0.0)
+
+
 def test_sources_left_by_a_merge_killed_after_its_swap_are_not_adopted(
-        tmp_path, monkeypatch):
+        tmp_path):
+    """A swap retires its sources, so a driver killed right after it
+    leaves nothing that adoption may count again."""
     idx = _index(tmp_path, 4)
     group = [s.segment_id for s in idx.manifest.ordered_segments()[:3]]
-    _merge_killed_before_deletes(idx, monkeypatch, group)
+    _merge_and_swap(idx, group)
 
     m = idx.manifest
     assert m.num_docs == 8
@@ -155,24 +162,90 @@ def test_sources_left_by_a_merge_killed_after_its_swap_are_not_adopted(
 
 def test_retiring_a_merge_output_removes_its_leftover_sources(
         tmp_path, monkeypatch):
-    """One merge level up, the leftover sources are listed by no
-    registered segment any more, so the merge that retires their output
-    deletes them."""
+    """One merge level up, the first merge's retired sources and its
+    retired output are all deleted by the sweep of a commit past the
+    graces (patched to 0 here), which is the second merge's own swap."""
     idx = _index(tmp_path, 4)
     group = [s.segment_id for s in idx.manifest.ordered_segments()[:3]]
-    first = _merge_killed_before_deletes(idx, monkeypatch, group)
+    first = _merge_and_swap(idx, group)
 
     m = idx.manifest
     top = [s.segment_id for s in m.ordered_segments()]
     assert top[0] == first.segment_id and len(top) == 2
     info = merge_segment_group(idx.path, m.schema.to_json(), top)
+    _no_grace(monkeypatch)
     assert commit_merge(idx.path, [top], [info]) is not None
     assert os.listdir(mf.segments_dir(idx.path)) == [info.segment_id]
 
     m = idx.manifest
+    assert m.retired == {}
     assert mf.recover_orphan_segments(idx.path, m) == []
     assert m.num_docs == 8
     assert Searcher(idx.path).count({"term": {"body": "hello"}}) == 4
+
+
+def test_retired_sources_outlive_both_graces_and_are_never_adopted(
+        tmp_path, monkeypatch):
+    idx = _index(tmp_path, 4)
+    group = [s.segment_id for s in idx.manifest.ordered_segments()]
+    _merge_and_swap(idx, group)
+
+    def commit_nothing():
+        m = mf.commit(idx.path, lambda m: m)
+        assert mf.recover_orphan_segments(idx.path, m) == [] and m.num_docs == 8
+        return all(os.path.isdir(mf.segment_path(idx.path, s)) for s in group)
+
+    # the version grace is met, the time grace is not
+    assert commit_nothing() and commit_nothing() and commit_nothing()
+    monkeypatch.setattr(mf, "RETIRE_GRACE_SECONDS", 0.0)
+    monkeypatch.setattr(mf, "RETIRE_GRACE_VERSIONS", 5)
+    assert commit_nothing()  # 4 versions past the swap
+    assert not commit_nothing()
+    assert not any(os.path.exists(mf.segment_path(idx.path, s)) for s in group)
+    assert idx.manifest.retired == {}
+    assert Searcher(idx.path).count({"term": {"body": "hello"}}) == 4
+
+
+def _merge_all(path):
+    m = mf.read_manifest(path)
+    ids = [s.segment_id for s in m.ordered_segments()]
+    info = merge_segment_group(path, m.schema.to_json(), ids)
+    assert commit_merge(path, [ids], [info]) is not None
+
+
+def test_reader_of_an_older_version_survives_a_merge(tmp_path):
+    """A searcher opened at version 4 and not yet queried (a serving actor
+    between refreshes), then a merge of all its segments committed by
+    another process: the old searcher, and a new one given version 4's
+    manifest, both still answer with all 20 documents."""
+    from rayfts.index import segment
+
+    cat = IndexCatalog(str(tmp_path), auto_merge_min=0)
+    h = cat.create_index("race", _schema())
+    for c in range(4):
+        h.add_documents([{"body": f"alpha c{c} d{i}", "wid": 5 * c + i}
+                         for i in range(5)])
+    pinned = mf.read_manifest(h.path)
+    assert (pinned.version, len(pinned.segments)) == (4, 4)
+    segment._PARTS.clear()  # a reader that did not write the segments
+    old = Searcher(h.path)
+
+    proc = multiprocessing.get_context("spawn").Process(
+        target=_merge_all, args=(h.path,))
+    proc.start()
+    proc.join(120)
+    assert proc.exitcode == 0
+    assert (h.manifest.version, len(h.manifest.segments)) == (5, 1)
+
+    def answers_all(s):
+        hits = s.query_string("alpha", limit=50)
+        return (s.count("alpha") == 20
+                and sorted(hit["doc"]["wid"][0] for hit in hits) == list(range(20)))
+
+    assert answers_all(old)
+    ids = [s.segment_id for s in pinned.ordered_segments()]
+    assert answers_all(Searcher(h.path, manifest=pinned, segment_ids=ids))
+    assert answers_all(Searcher(h.path, manifest=pinned))
 
 
 def _recording_commit(versions):
@@ -221,7 +294,7 @@ def _merger(root, stop, out):
         json.dump(versions, f)
 
 
-def test_concurrent_writers_and_merger_lose_no_commit(tmp_path):
+def test_concurrent_writers_and_merger_lose_no_commit(tmp_path, monkeypatch):
     root = str(tmp_path)
     IndexCatalog(root, auto_merge_min=0).create_index("i", _schema())
     path = os.path.join(root, "i")
@@ -266,4 +339,9 @@ def test_concurrent_writers_and_merger_lose_no_commit(tmp_path):
     every = [v for vs in per_writer + [merges] for v in vs]
     assert len(every) == len(set(every)) and max(every) == m.version
 
+    # the merger's sources are retired, not deleted: a commit past the
+    # graces (patched to 0) sweeps them
+    monkeypatch.setattr(mf, "RETIRE_GRACE_VERSIONS", 0)
+    monkeypatch.setattr(mf, "RETIRE_GRACE_SECONDS", 0.0)
+    assert mf.commit(path, lambda m: m).retired == {}
     assert sorted(os.listdir(mf.segments_dir(path))) == sorted(m.segment_ids())

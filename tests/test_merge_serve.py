@@ -1,5 +1,7 @@
 """Actor-pool segment merging + query-serving actor pool."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,134 @@ def test_stale_shard_searcher_raises(ray_session, tmp_path):
     assert Searcher(h.path, segment_ids=[]).n_docs == 20
 
 
+def _race_index(path, commits=4, auto_merge_min=0):
+    """An index of ``commits`` one-segment commits of 5 "alpha" docs each
+    (version ``commits``)."""
+    from rayfts.index.catalog import IndexCatalog
+    from rayfts.index.schema import FieldDef, IndexSchema
+
+    cat = IndexCatalog(str(path), auto_merge_min=auto_merge_min)
+    h = cat.create_index("race", IndexSchema([
+        FieldDef("body", "text"),
+        FieldDef("n", "u64", indexed=False, stored=True, fast=True)]))
+    for c in range(commits):
+        h.add_documents([{"body": f"alpha c{c} d{i}", "n": 5 * c + i}
+                         for i in range(5)])
+    return h
+
+
+def _merge_all(path):
+    from rayfts.index.merge import commit_merge
+
+    m = mf.read_manifest(path)
+    ids = [s.segment_id for s in m.ordered_segments()]
+    info = merge_segment_group(path, m.schema.to_json(), ids)
+    return commit_merge(path, [ids], [info])
+
+
+def _served_versions(svc):
+    import ray
+
+    return ray.get([a.__ray_call__.remote(lambda a: a.searcher.manifest.version)
+                    for a in svc.actors + svc.hot_actors])
+
+
+def _serves_all(svc, n=20):
+    got = svc.search("alpha", limit=2 * n, fetch=True)
+    return (svc.count("alpha") == n
+            and sorted(d["n"][0] for _s, _g, d in got) == list(range(n)))
+
+
+def test_service_split_before_a_merge_serves_every_doc(ray_session, tmp_path):
+    """The race probe through the service: shards split at version 4, then
+    a merge commits version 5. The actors serve the version they were
+    given (its sources are retired, still on disk), all 20 docs, until a
+    refresh pins version 5."""
+    from rayfts.query.serve import SearchService
+
+    h = _race_index(tmp_path)
+    svc = SearchService(h.path, num_actors=2, hot_replicas=1)
+    try:
+        assert _served_versions(svc) == [4, 4, 4]
+        assert _merge_all(h.path).version == 5
+        assert _serves_all(svc)
+        assert _served_versions(svc) == [4, 4, 4]
+        svc.refresh()
+        assert _served_versions(svc) == [5, 5, 5]
+        assert _serves_all(svc)
+    finally:
+        svc.shutdown()
+
+
+def test_service_repins_once_when_its_segments_are_gone(
+        ray_session, tmp_path, monkeypatch):
+    """Past the grace (patched to 0) a commit's sweep deletes the sources a
+    service still pins: its next call pins the current version and runs
+    once more. A second miss raises."""
+    from rayfts.query.serve import SearchService
+
+    monkeypatch.setattr(mf, "RETIRE_GRACE_VERSIONS", 0)
+    monkeypatch.setattr(mf, "RETIRE_GRACE_SECONDS", 0.0)
+    h = _race_index(tmp_path)
+    svc = SearchService(h.path, num_actors=2)
+    stuck = SearchService(h.path, num_actors=2)
+    try:
+        _merge_all(h.path)  # its swap commit sweeps the retired sources
+        assert not any(os.path.exists(mf.segment_path(h.path, sid))
+                       for sid in svc.shards[0] + svc.shards[1])
+        assert _serves_all(svc)
+        assert _served_versions(svc) == [5, 5]
+        stuck.refresh = lambda: None  # the re-pin finds nothing new
+        with pytest.raises(FileNotFoundError):
+            stuck.count("alpha")
+    finally:
+        svc.shutdown()
+        stuck.shutdown()
+
+
+def _committer(path, commits):
+    from rayfts.index.catalog import IndexCatalog
+
+    h = IndexCatalog(os.path.dirname(path), auto_merge_min=3).open("race")
+    for c in range(commits):
+        h.add_documents([{"body": f"alpha more{c} d{i}", "n": 1000 + 2 * c + i}
+                         for i in range(2)])
+
+
+def test_refresh_under_concurrent_commits_serves_one_version(
+        ray_session, tmp_path):
+    """``refresh`` while another process commits (and auto-merges) never
+    leaves two versions among the actors, and each pinned version serves
+    exactly its own documents."""
+    import multiprocessing
+
+    from rayfts.query.serve import SearchService
+
+    h = _race_index(tmp_path)
+    svc = SearchService(h.path, num_actors=3, hot_replicas=1)
+    proc = multiprocessing.get_context("spawn").Process(
+        target=_committer, args=(h.path, 30))
+    try:
+        proc.start()
+        seen = set()
+        while proc.is_alive() or not seen:
+            svc.refresh()
+            versions = set(_served_versions(svc))
+            pinned = svc._resolver.manifest
+            assert versions == {pinned.version}
+            assert svc.count("alpha") == pinned.num_docs
+            seen.add(pinned.version)
+        proc.join(120)
+        assert proc.exitcode == 0
+        svc.refresh()
+        assert svc.count("alpha") == 20 + 2 * 30
+        assert len(seen) > 1
+    finally:
+        if proc.is_alive():
+            proc.kill()
+        svc.shutdown()
+
+
 def test_batch_search_dataset(built, ray_session):
     """Bulk query evaluation: Dataset of query strings -> actor-pool
     map_batches -> Dataset of (query, rank, doc_id, score); results match
@@ -400,7 +530,7 @@ def test_log_merge_idempotent_after_partial_crash(ray_session, tmp_path):
 def test_log_merge_survives_driver_sigkill(ray_session, tmp_path):
     """Real kill-and-resume (VERDICT r2 #4): a child driver process is
     SIGKILLed mid-`log_merge_index` (merged dirs committed, manifest not
-    swapped — the RAYFTS_CRASH_BEFORE_MANIFEST_SWAP hook). The index must
+    swapped: the child's ``commit_merge`` kills it). The index must
     stay queryable on the old manifest, and a rerun must converge to the
     same results as an uninterrupted merge. The child joins THIS test
     session's Ray cluster so its tasks are reaped by GCS on death."""
@@ -422,13 +552,16 @@ def test_log_merge_survives_driver_sigkill(ray_session, tmp_path):
 
     gcs = _ray.get_runtime_context().gcs_address
     child = (
-        "import ray, sys\n"
+        "import os, ray, signal, sys\n"
         f"ray.init(address={gcs!r}, ignore_reinit_error=True)\n"
-        "from rayfts.index.merge import log_merge_index\n"
-        f"log_merge_index({path!r}, min_merge=4, max_merge=4)\n"
-        "sys.exit(3)  # unreachable: the crash hook SIGKILLs first\n"
+        "from rayfts.index import merge\n"
+        "# die in the widest crash window: merged segment dirs renamed into\n"
+        "# place, manifest not yet swapped\n"
+        "merge.commit_merge = lambda *a: os.kill(os.getpid(), signal.SIGKILL)\n"
+        f"merge.log_merge_index({path!r}, min_merge=4, max_merge=4)\n"
+        "sys.exit(3)  # unreachable: commit_merge SIGKILLs first\n"
     )
-    env = dict(os.environ, RAYFTS_CRASH_BEFORE_MANIFEST_SWAP="1",
+    env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     proc = subprocess.run([sys.executable, "-c", child], env=env,
                           capture_output=True, text=True, timeout=300)

@@ -158,3 +158,42 @@ def test_term_postings_resume_skips_completed_buckets(ray_session, tmp_path):
     with pytest.raises(ValueError):
         build_term_postings(ds, out, col="text", id_col="doc_id",
                             analyzer="default", num_buckets=8, resume=True)
+
+
+@pytest.mark.parametrize("cmd", ["term-stats", "batch-search"])
+def test_cli_write_runs_its_pipeline_once(ray_session, tmp_path, monkeypatch,
+                                          capsys, cmd):
+    """A command that writes its Dataset and prints the row count runs the
+    pipeline once: the stage's one batch appends a line to a file on each
+    run."""
+    import json
+
+    import rayfts.ops.termstats
+    import rayfts.query.serve
+    from rayfts.cli import main
+
+    runs = str(tmp_path / "runs.txt")
+
+    def stage(batch):
+        with open(runs, "a") as f:
+            f.write("run\n")
+        return batch
+
+    def counted(*_args, **_kwargs):
+        return ray.data.from_items([{"x": i} for i in range(7)],
+                                   override_num_blocks=1).map_batches(
+            stage, batch_format="pyarrow", batch_size=None)
+
+    monkeypatch.setattr(rayfts.ops.termstats, "term_stats_ds", counted)
+    monkeypatch.setattr(rayfts.query.serve, "batch_search", counted)
+    queries = tmp_path / "queries.txt"
+    queries.write_text("alpha\n")
+    out = str(tmp_path / "out")
+    args = {"term-stats": ["--input", f"{SF}/documents.parquet", "--col", "text"],
+            "batch-search": ["--index", str(tmp_path), "--queries", str(queries)]}
+    assert main([cmd, *args[cmd], "--out", out]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == {
+        "out": out, "rows": 7}
+    with open(runs) as f:
+        assert f.read().count("run") == 1
+    assert pq.read_table(out).num_rows == 7

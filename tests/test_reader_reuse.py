@@ -117,7 +117,7 @@ def test_reuse_matches_fresh_searcher_across_commits_and_merges(tmp_path, count_
     assert merges >= 2
 
 
-def test_merged_away_readers_leave_the_cache(tmp_path):
+def test_merged_away_readers_leave_the_cache(tmp_path, monkeypatch):
     cat = IndexCatalog(str(tmp_path), auto_merge_min=3)
     h = cat.create_index("e", SCHEMA)
     rng = np.random.default_rng(3)
@@ -125,6 +125,9 @@ def test_merged_away_readers_leave_the_cache(tmp_path):
         h.add_documents(_docs(rng, c, 3))
     old = h.searcher()
     before = {r.path for r in old.readers}
+    # with no grace, the merge's own swap commit sweeps its retired sources
+    monkeypatch.setattr(mf, "RETIRE_GRACE_VERSIONS", 0)
+    monkeypatch.setattr(mf, "RETIRE_GRACE_SECONDS", 0.0)
     h.add_documents(_docs(rng, 2, 3))  # the third commit merges all three
     assert len(h.manifest.segments) == 1
     assert not any(os.path.isdir(p) for p in before)

@@ -11,7 +11,10 @@
 - ``tools/check_oracle.py`` rejects unknown row names and counts stale
   oracles as failures;
 - ``manifest.commit`` is the only caller of ``write_manifest`` in the
-  package, so every manifest change takes the commit lock.
+  package, so every manifest change takes the commit lock;
+- ``manifest.sweep`` is the only code that deletes segment and scratch
+  directories, besides a write attempt removing its own scratch and
+  ``delete_index`` removing a whole index.
 """
 
 import ast
@@ -161,6 +164,20 @@ def _callers_in(callee, *roots):
 def test_only_manifest_commit_writes_the_manifest():
     assert _callers_in("write_manifest", "rayfts") == {
         os.path.join("rayfts", "index", "manifest.py"): ["commit"]}
+
+
+def test_only_the_sweep_deletes_index_directories():
+    """Every decision to delete a segment or scratch directory is made in
+    ``manifest.sweep``. The other deletes are ``write_segment`` removing
+    its own attempt's scratch directory and ``delete_index`` removing a
+    whole index."""
+    index = os.path.join("rayfts", "index")
+    assert _callers_in("rmtree", "rayfts") == {
+        os.path.join(index, "manifest.py"): ["sweep", "sweep"],
+        os.path.join(index, "segment.py"): ["write_segment", "write_segment"],
+        os.path.join(index, "catalog.py"): ["delete_index"]}
+    assert _callers_in("rmdir", "rayfts") == {}
+    assert _callers_in("removedirs", "rayfts") == {}
 
 
 def test_only_the_two_writers_rename_into_the_index():

@@ -1,6 +1,6 @@
 """The one segment writer (``rayfts.index.segment.write_segment``): every
 attempt writes in its own scratch directory, leaves nothing behind when it
-fails, and a later build sweeps the scratch directories of dead attempts.
+fails, and a later commit sweeps the scratch directories of dead attempts.
 No Ray: the golden fixture's segments are built and merged in process."""
 
 import multiprocessing
@@ -147,6 +147,8 @@ def test_recovery_sweeps_dead_attempts_scratch(tmp_path):
     adopted = mf.recover_orphan_segments(root, m)
 
     assert sorted(s.segment_id for s in adopted) == SOURCES
+    assert set(names.values()) <= _entries(root)  # adoption deletes nothing
+    mf.commit(root, lambda _fresh: m)  # the adopting commit's sweep
     kept = {k for k, name in names.items() if name in _entries(root)}
     assert kept == {"live", "other host", "legacy", "unparsed"}
 
