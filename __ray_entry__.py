@@ -38,7 +38,7 @@ from rayfts.query.ast import All, Bool, Fuzzy, Phrase, Range, Regex, Term
 from rayfts.query.searcher import Searcher
 
 # bump when the on-disk index format changes (invalidates /tmp caches)
-FORMAT_VERSION = "v6"  # v6: tantivy-exact fieldnorm table + facet sidecars
+FORMAT_VERSION = "v7"  # v7: fieldnorms and facet codes are columns of store.parquet
 CACHE_ROOT = "/tmp/rayfts_cache"
 NUM_SEGMENTS = 16
 

@@ -24,6 +24,10 @@ is an explicit, deterministic operation:
   auto-merge reuses the readers the index's searcher already holds warm,
   and merge tasks in Ray workers share parsed term tables and norms
   through the process's parts cache;
+- the merged ``store.parquet`` is the concatenation of the sources'
+  stores, so fieldnorms and facet codes, which are hidden columns of
+  it, are merged by the same concat, and the postings encode the
+  concatenated norms;
 - the merged segment is written by the build's own segment writer,
   ``segment.write_segment`` (a scratch directory per attempt, then one
   rename, which puts its term table and norms in the parts cache), and
@@ -38,6 +42,7 @@ always processed in segment_id order.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import time
 
@@ -51,8 +56,8 @@ import ray
 from rayfts.index import manifest as mf
 from rayfts.index.schema import IndexSchema
 from rayfts.index.segment import (
-    NO_TERMS, SegmentInfo, SegmentReader, lower_bound, open_reader,
-    terms_table, write_segment)
+    NO_TERMS, NORM_PREFIX, SegmentInfo, SegmentReader, lower_bound,
+    open_reader, terms_table, write_segment)
 from rayfts.codec.postings import encode_postings_batch
 
 
@@ -74,9 +79,14 @@ def _merged_lineage(source_ids: list[str], readers) -> dict:
 
 
 def merged_segment_id(source_ids: list[str]) -> str:
-    """Sorts into the first source's position (prefix order), keeping
-    global docid order intact across the swap."""
-    return f"{min(source_ids)}.m{len(source_ids)}"
+    """``<first source id>.m<count>.<digest of the sorted source ids>``.
+    Sorts into the first source's position (prefix order), keeping global
+    docid order intact across the swap. The digest names the source set:
+    the writer keeps a directory already at an id, so two groups with one
+    first source and size must not share an output."""
+    ids = sorted(source_ids)
+    digest = hashlib.sha256("\n".join(ids).encode()).hexdigest()[:8]
+    return f"{ids[0]}.m{len(ids)}.{digest}"
 
 
 def _reconcile_store_schemas(stores: list[pa.Table]) -> list[pa.Table]:
@@ -263,31 +273,6 @@ def _merge_shard(
     }), blob, pos_blob
 
 
-def _merged_facets(schema: IndexSchema, readers: list[SegmentReader]) -> dict:
-    """Facet columns of the merged segment, regenerated from the SOURCE
-    sidecars (codes decoded to paths, re-factorized over the union by the
-    writer), not from the merged store, which lacks stored=False facet
-    fields. A source without a field's values adds nulls."""
-    facet_cols: dict[str, pa.Array] = {}
-    for f in schema.fields:
-        if f.type != "facet":
-            continue
-        vals_parts, present = [], False
-        for r in readers:
-            v = np.full(r.num_docs, None, dtype=object)
-            vals_parts.append(v)
-            try:
-                codes, paths = r.facet_dict(f.name)
-            except KeyError:
-                continue
-            present = True
-            m = codes >= 0
-            v[m] = paths[codes[m]]
-        if present:
-            facet_cols[f.name] = pa.array(np.concatenate(vals_parts))
-    return facet_cols
-
-
 def merge_segment_group(
     index_dir: str, schema_json: list, source_ids: list[str], num_shards: int = 1
 ) -> SegmentInfo:
@@ -298,13 +283,15 @@ def merge_segment_group(
     (:func:`plan_merge_shards`), each merged by a parallel Ray task that
     stages its files in the attempt's scratch directory, and the stitch
     streams them into the writer one shard at a time. Both give the same
-    bytes."""
+    bytes. The merged store is the sources' stores concatenated; a source
+    without a facet field's column gives its documents nulls."""
     source_ids = sorted(source_ids)
     schema = IndexSchema.from_json(schema_json)
     readers, offsets = _open_sources(index_dir, schema, source_ids)
     fields = schema.indexed_fields
-    norms = {f.name: np.concatenate([r.norms(f.name) for r in readers])
-             for f in fields}
+    docs = pa.concat_tables(_reconcile_store_schemas([r.store() for r in readers]),
+                            promote_options="default")
+    norms = {f.name: docs[NORM_PREFIX + f.name].to_numpy() for f in fields}
 
     def parts(scratch):
         if num_shards <= 1:
@@ -329,11 +316,7 @@ def merge_segment_group(
         lineage=_merged_lineage(source_ids, readers),
         fieldnorm_codec=readers[0].codec.kind,
     )
-    return write_segment(
-        mf.segment_path(index_dir, info.segment_id), info, parts, norms,
-        store=pa.concat_tables(_reconcile_store_schemas([r.store() for r in readers]),
-                               promote_options="default"),
-        facets=_merged_facets(schema, readers))
+    return write_segment(mf.segment_path(index_dir, info.segment_id), info, parts, docs)
 
 
 # Term-sharded parallel merge. One group's merge is single-threaded, so a

@@ -12,8 +12,11 @@ One segment directory holds:
     positions.bin   concatenated varint position-delta streams, one span
                     per term (within a span: runs of ``tf`` deltas per doc,
                     run starts absolute, rest diffs)
-    norms.npz       per indexed field: fieldnorm id per local docid
-    store.parquet   stored fields; row index == local docid
+    store.parquet   one row per local docid: the stored fields, and
+                    hidden columns ``__norm_<field>`` (each indexed
+                    field's fieldnorm id: uint8, uint32 for the ``exact``
+                    codec) and ``__facet_<field>`` (each facet field's
+                    path, dictionary-encoded)
     segment.json    num_docs, per-field token totals, lineage, metrics
 
 The inversion is fully vectorized: whole-column tokenization (one
@@ -60,11 +63,11 @@ from rayfts.index.schema import FACET, IndexSchema, TEXT
 TERMS_FILE = "terms.parquet"
 POSTINGS_FILE = "postings.bin"
 POSITIONS_FILE = "positions.bin"
-NORMS_FILE = "norms.npz"
 STORE_FILE = "store.parquet"
 META_FILE = "segment.json"
-FACETS_FILE = "facets.parquet"       # per-field facet path dictionary
-FACET_CODES_FILE = "facet_codes.npz"  # per-field int32 code per local docid
+# reserved prefixes of the store's hidden columns; a name is prefix + field
+NORM_PREFIX = "__norm_"
+FACET_PREFIX = "__facet_"
 
 _MISSING = object()
 
@@ -131,33 +134,12 @@ def _encode_position_stream(pos_sorted: np.ndarray, run_starts: np.ndarray) -> n
     return deltas.astype(np.uint64)
 
 
-def write_facet_sidecar(dir_path: str, columns: dict[str, pa.ChunkedArray | pa.Array]) -> None:
-    """Write the facet dictionary sidecar for a segment directory:
-    ``facet_codes.npz`` (int32 code per local docid, -1 = null) and
-    ``facets.parquet`` (field, code, path) with paths sorted per field so
-    codes are ordinal in path order. Shared by build and merge."""
-    if not columns:
-        return
-    codes_out: dict[str, np.ndarray] = {}
-    rows = {"field": [], "code": [], "path": []}
-    for name, col in columns.items():
-        vals = col.to_numpy(zero_copy_only=False) if hasattr(col, "to_numpy") else np.asarray(col)
-        codes, uniques = pd.factorize(vals, sort=True)
-        codes_out[name] = codes.astype(np.int32)
-        rows["field"].extend([name] * len(uniques))
-        rows["code"].extend(range(len(uniques)))
-        rows["path"].extend(str(u) for u in uniques)
-    np.savez(os.path.join(dir_path, FACET_CODES_FILE), **codes_out)
-    pq.write_table(
-        pa.table(
-            {
-                "field": pa.array(rows["field"], type=pa.string()),
-                "code": pa.array(rows["code"], type=pa.int32()),
-                "path": pa.array(rows["path"], type=pa.string()),
-            }
-        ),
-        os.path.join(dir_path, FACETS_FILE),
-    )
+def _factorize_paths(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """A facet column as an int32 code per local docid (-1 = null) and the
+    sorted paths the codes index, so codes are ordinal in path order."""
+    codes, paths = pd.factorize(
+        col.cast(pa.string()).to_numpy(zero_copy_only=False), sort=True)
+    return codes.astype(np.int32), paths
 
 
 # per-worker-process analyzer cache: the Porter2 stem cache inside each
@@ -188,6 +170,10 @@ def build_segment(
     them with one rename: the idempotent, resumable write (a crashed task
     leaves no committed segment, a retried one keeps the first copy).
     """
+    reserved = [c for c in table.column_names if c.startswith((NORM_PREFIX, FACET_PREFIX))]
+    if reserved:
+        raise ValueError(f"input columns {reserved} take a reserved store column prefix "
+                         f"({NORM_PREFIX!r} or {FACET_PREFIX!r})")
     t0 = time.time()
     n = table.num_rows
     analyzers = analyzers or {}
@@ -333,16 +319,19 @@ def build_segment(
     )
     stored_cols = [f.name for f in schema.stored_fields if f.name in table.column_names]
     extra_cols = [c for c in table.column_names if c.startswith("__") or c == "content_sha256"]
+    docs = table.select(stored_cols + [c for c in extra_cols if c not in stored_cols])
+    for name, ids in norms_out.items():
+        docs = docs.append_column(NORM_PREFIX + name, pa.array(ids))
     # facet fields: dictionary-encode '/a/b' paths at build time (code per
     # doc + sorted path dictionary) so the facet collector is one bincount
     # over matched docs instead of a string scan (tantivy indexes facets
     # as a term dictionary — SURVEY.md §2.3 #26)
-    return write_segment(
-        out_dir, info, lambda _scratch: parts, norms_out,
-        store=table.select(stored_cols + [c for c in extra_cols if c not in stored_cols]),
-        facets={f.name: table[f.name] for f in schema.fields
-                if f.type == FACET and f.name in table.column_names},
-    )
+    for f in schema.fields:
+        if f.type == FACET and f.name in table.column_names:
+            codes, paths = _factorize_paths(table[f.name])
+            docs = docs.append_column(FACET_PREFIX + f.name, pa.DictionaryArray.from_arrays(
+                pa.array(codes, mask=codes < 0), pa.array(paths, pa.string())))
+    return write_segment(out_dir, info, lambda _scratch: parts, docs)
 
 
 # terms.parquet columns after (field, term)
@@ -393,9 +382,7 @@ def write_segment(
     out_dir: str,
     info: SegmentInfo,
     parts: Callable[[str], Iterable[tuple[pa.Table, bytes, bytes]]],
-    norms: dict[str, np.ndarray],
-    store: pa.Table,
-    facets: dict[str, pa.ChunkedArray | pa.Array],
+    docs: pa.Table,
 ) -> SegmentInfo:
     """Write a segment and publish it at ``out_dir`` with one rename. The
     build and every merge write segments through here, and nothing else
@@ -407,9 +394,12 @@ def write_segment(
     ``scratch`` is the attempt's directory, where a term-sharded merge
     stages its shard files. The blobs stream into ``postings.bin`` and
     ``positions.bin``, the offsets move onto those files, and the rows
-    become one single-chunk ``terms.parquet``. The writer fills in what
-    the files decide: each field's ``num_terms`` in ``info.field_stats``
-    and the ``postings_bytes``/``positions_bytes`` metrics.
+    become one single-chunk ``terms.parquet``. ``docs`` is the segment's
+    one per-document table, ``store.parquet``: row i is local docid i,
+    with the stored fields and the hidden ``__norm_``/``__facet_``
+    columns. The writer fills in what the files decide: each field's
+    ``num_terms`` in ``info.field_stats`` and the
+    ``postings_bytes``/``positions_bytes`` metrics.
 
     Every attempt writes into its own scratch directory,
     ``<out_dir>.<host>-<pid>-<hex8>.tmp``, so two attempts at one segment
@@ -419,8 +409,8 @@ def write_segment(
     any error it deletes it and re-raises. This is the reference's atomic
     ``meta.json`` commit discipline (``index.rs:331-336``) at segment
     granularity. The attempt whose rename wins puts its term table and
-    norms in the process's parts cache (write-through), so a reader of
-    the new segment in this process parses neither file."""
+    the norms of ``docs`` in the process's parts cache (write-through), so
+    a reader of the new segment in this process parses neither."""
     scratch = f"{out_dir}.{socket.gethostname()}-{os.getpid()}-{os.urandom(4).hex()}.tmp"
     os.makedirs(scratch)
     try:
@@ -437,9 +427,7 @@ def write_segment(
                 pos_bytes += len(positions)
         terms = pa.concat_tables(tables).combine_chunks() if tables else NO_TERMS
         pq.write_table(terms, os.path.join(scratch, TERMS_FILE))
-        np.savez(os.path.join(scratch, NORMS_FILE), **norms)
-        pq.write_table(store, os.path.join(scratch, STORE_FILE))
-        write_facet_sidecar(scratch, facets)
+        pq.write_table(docs, os.path.join(scratch, STORE_FILE))
 
         counts = pa.compute.value_counts(terms["field"])
         num_terms = dict(zip(counts.field("values").to_pylist(),
@@ -462,19 +450,19 @@ def write_segment(
         else:
             # the rename keeps segment.json's inode, mtime and size, so
             # the committed segment opens warm under this key
-            _parts(key).update({TERMS_FILE: terms, NORMS_FILE: {
-                k: np.asarray(v) for k, v in norms.items()}})
+            _parts(key).update({TERMS_FILE: terms, NORM_PREFIX: _norm_columns(docs)})
     except BaseException:
         shutil.rmtree(scratch, ignore_errors=True)
         raise
     return info
 
 
-# The parts cache: file name -> parsed term table or norms, per segment,
-# keyed like open_reader. It outlives readers: write_segment fills an
-# entry when its rename wins, a reader that misses fills it on first load,
-# and the term-sharded merge tasks a worker process runs share it. Whole
-# stores are never cached here.
+# The parts cache: TERMS_FILE -> parsed term table and NORM_PREFIX ->
+# fieldnorm ids per field, per segment, keyed like open_reader. It
+# outlives readers: write_segment fills an entry when its rename wins, a
+# reader that misses fills it on first load, and the term-sharded merge
+# tasks a worker process runs share it. Whole stores are never cached
+# here.
 _PARTS: "OrderedDict[tuple, dict]" = OrderedDict()
 _PARTS_MAX = 16
 
@@ -487,7 +475,7 @@ def _segment_key(path: str, st: os.stat_result) -> tuple:
 
 
 def _parts(key: tuple) -> dict:
-    """The parts entry of ``key`` (file name -> parsed part), made most
+    """The parts entry of ``key`` (part name -> parsed part), made most
     recently used, with the oldest entries evicted past the bound."""
     entry = _PARTS.get(key)
     if entry is None:
@@ -499,17 +487,22 @@ def _parts(key: tuple) -> dict:
     return entry
 
 
-def _read_terms(path: str) -> pa.Table:
-    # ParquetFile.read skips pq.read_table's dataset layer: 0.34 against
-    # 0.75 ms for a 25-doc commit's 37 KB table on one x86 core. Stores
-    # keep pq.read_table, through which perfbench counts store loads
+def _read_parquet(path: str, keep: Callable[[str], bool] | None = None) -> pa.Table:
+    """The table at ``path``, or only its columns whose names ``keep``
+    accepts. ParquetFile.read skips pq.read_table's dataset layer: 0.34
+    against 0.75 ms for a 25-doc commit's 37 KB term table on one x86
+    core. Whole stores keep pq.read_table, through which perfbench counts
+    store loads."""
     with pq.ParquetFile(path) as f:
-        return f.read()
+        if keep is None:
+            return f.read()
+        return f.read(columns=[c for c in f.schema_arrow.names if keep(c)])
 
 
-def _read_norms(path: str) -> dict[str, np.ndarray]:
-    with np.load(path) as z:
-        return {k: z[k] for k in z.files}
+def _norm_columns(docs: pa.Table) -> dict[str, np.ndarray]:
+    """Fieldnorm ids per indexed field from a store's ``__norm_`` columns."""
+    return {c[len(NORM_PREFIX):]: docs[c].to_numpy()
+            for c in docs.column_names if c.startswith(NORM_PREFIX)}
 
 
 def _map(path: str) -> np.ndarray:
@@ -532,7 +525,9 @@ class SegmentReader:
     its term dictionaries, caches, norms and store, and a merge reads its
     sources through the readers the searchers hold. Term tables and norms
     load through the parts cache (``_PARTS``), so a segment this process
-    wrote or recently read opens without parsing them."""
+    wrote or recently read opens without parsing them. Norms load when
+    the reader opens, which fails for a segment of the older layout that
+    kept them in a file of their own."""
 
     def __init__(self, path: str, schema: IndexSchema):
         self.path = path
@@ -541,10 +536,10 @@ class SegmentReader:
             self.info = SegmentInfo.from_json(json.load(f))
             self._key = _segment_key(path, os.fstat(f.fileno()))
         self.codec = FieldNormCodec(self.info.fieldnorm_codec)
+        self._norms: dict[str, np.ndarray] = self._part(NORM_PREFIX, self._load_norms)
         self._terms_by_field: dict[str, dict] = {}
         self._postings_mm: np.ndarray | None = None
         self._positions_mm: np.ndarray | None = None
-        self._norms: dict[str, np.ndarray] | None = None
         self._store: pa.Table | None = None
         self._terms_table: pa.Table | None = None
         self._facets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -564,7 +559,8 @@ class SegmentReader:
         if cached is not None:
             return cached
         if self._terms_table is None:
-            self._terms_table = self._part(TERMS_FILE, _read_terms)
+            self._terms_table = self._part(
+                TERMS_FILE, lambda: _read_parquet(os.path.join(self.path, TERMS_FILE)))
         t = self._terms_table
         mask = pa.compute.equal(t["field"], field)
         sub = t.filter(mask)
@@ -580,13 +576,24 @@ class SegmentReader:
         self._terms_by_field[field] = entry
         return entry
 
-    def _part(self, name: str, load: Callable[[str], object]):
-        """File ``name`` of this segment, parsed, through the parts cache."""
+    def _part(self, name: str, load: Callable[[], object]):
+        """Part ``name`` of this segment, parsed, through the parts cache."""
         entry = _parts(self._key)
         part = entry.get(name)
         if part is None:
-            part = entry[name] = load(os.path.join(self.path, name))
+            part = entry[name] = load()
         return part
+
+    def _store_columns(self, keep: Callable[[str], bool]) -> pa.Table:
+        return _read_parquet(os.path.join(self.path, STORE_FILE), keep)
+
+    def _load_norms(self) -> dict[str, np.ndarray]:
+        norms = _norm_columns(self._store_columns(lambda c: c.startswith(NORM_PREFIX)))
+        if self.info.field_stats and not norms:
+            raise ValueError(
+                f"segment {self.path} has no fieldnorm columns in its {STORE_FILE}: "
+                "it was written in an older on-disk layout; rebuild the index")
+        return norms
 
     def _postings_buf(self) -> np.ndarray:
         if self._postings_mm is None:
@@ -729,8 +736,6 @@ class SegmentReader:
         return self._terms(field)
 
     def norms(self, field: str) -> np.ndarray:
-        if self._norms is None:
-            self._norms = self._part(NORMS_FILE, _read_norms)
         return self._norms[field]
 
     def decoded_norms(self, field: str) -> np.ndarray:
@@ -750,24 +755,19 @@ class SegmentReader:
         return self.store()[name].to_numpy(zero_copy_only=False)
 
     def facet_dict(self, field: str) -> tuple[np.ndarray, np.ndarray]:
-        """Facet dictionary of a field from the segment's sidecar:
-        ``(codes, paths)`` where ``codes`` is an int32 code per local docid
-        (-1 = null) and ``paths`` the path per code. ``KeyError`` if the
-        segment holds no value of the field (its column was missing from
-        the documents the segment was built from)."""
+        """Facet dictionary of a field from its store column: ``(codes,
+        paths)`` where ``codes`` is an int32 code per local docid (-1 =
+        null) and ``paths`` the sorted path per code (a merged store's
+        Arrow dictionary comes back unsorted). ``KeyError`` if the segment
+        has no column of the field (its column was missing from the
+        documents the segment was built from)."""
         cached = self._facets.get(field)
-        if cached is not None:
-            return cached
-        codes_path = os.path.join(self.path, FACET_CODES_FILE)
-        if not os.path.exists(codes_path):
-            raise KeyError(field)
-        with np.load(codes_path) as z:
-            codes = z[field]
-        t = pq.read_table(os.path.join(self.path, FACETS_FILE))
-        sub = t.filter(pa.compute.equal(t["field"], field))
-        paths = np.asarray(sub["path"].to_pylist(), dtype=object)
-        self._facets[field] = (codes, paths)
-        return codes, paths
+        if cached is None:
+            col = self._store_columns(lambda c: c == FACET_PREFIX + field)
+            if not col.num_columns:
+                raise KeyError(field)
+            cached = self._facets[field] = _factorize_paths(col.column(0))
+        return cached
 
 
 # held weakly: a reader leaves once no searcher holds it, so merged-away

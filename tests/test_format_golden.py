@@ -13,13 +13,13 @@ import pytest
 
 from rayfts.corpus import generate_shard
 from rayfts.index import manifest as mf
-from rayfts.index.merge import merge_segment_group
+from rayfts.index.merge import merge_segment_group, merged_segment_id
 from rayfts.index.schema import FieldDef, IndexSchema
 from rayfts.index.segment import (
     POSITIONS_FILE, POSTINGS_FILE, TERMS_FILE, build_segment)
 
 SOURCES = ["seg-000000", "seg-000001", "seg-000002"]
-MERGED = "seg-000000.m3"
+MERGED = merged_segment_id(SOURCES)
 
 # segment -> sha256 of (postings.bin, positions.bin, terms.parquet rows)
 GOLDEN = {
@@ -35,7 +35,7 @@ GOLDEN = {
         "229ec9e79f6597b70f23b6b8e4a7ecf1f919d15385057c9b09d9fc1300fa1117",
         "68c9f25fa3d3e04b77842a9ab3c17d157255025049a6af438537aed8a41abc38",
         "015ca36508315835fd50b7d0f8deed3efb08fce95a425f24f27a74fe505126d3"),
-    "seg-000000.m3": (
+    MERGED: (
         "08f46e396f8aebcc1a8a8ef3354585bd7c57e7a0e96f2cb0e9f03780aa8da43d",
         "9dabe7de001a85967b7ba8389704874f801ba1049d578cfa9ded1574df2d0d4a",
         "e48aa933602c9f159e6d26eaf8100e479d3d2b53aae2e34d888a2db3ad7eb0e4"),

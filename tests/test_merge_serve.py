@@ -427,8 +427,9 @@ def test_merge_index_preserves_build_params(ray_session, tmp_path):
 
 
 def test_unstored_facet_field_survives_merge(tmp_path):
-    """Review r2: facet sidecars regenerate from SOURCE sidecars on merge,
-    so a stored=False facet field keeps working after compaction."""
+    """Review r2: a stored=False facet field's codes are a hidden store
+    column, which a merge concatenates, so the field keeps counting after
+    compaction, and no stored document ever shows it."""
     from rayfts.index.catalog import IndexCatalog
     from rayfts.index.schema import FieldDef, IndexSchema
 
@@ -438,13 +439,22 @@ def test_unstored_facet_field_survives_merge(tmp_path):
         FieldDef("cat", "facet", stored=False),
     ])
     h = cat.create_index("uf", schema)
+
+    def check(n):
+        res = h.query_json({"query": {"term": {"body": "x"}}, "limit": 10,
+                            "facets": {"cat": ["/top"]}})
+        got = {f["term"]: f["count"] for f in res.facets}
+        assert got == {"/top/a": (n + 1) // 2, "/top/b": n // 2}
+        s = h.searcher()
+        assert [sorted(s._fetch_doc(g)) for g in range(n)] == [["body"]] * n
+        assert [sorted(r["doc"]) for r in h.query("x")] == [["body"]] * n
+
     for i in range(6):  # crosses the auto-merge threshold
         h.add_documents([{"body": f"x tok{i}", "cat": f"/top/{'ab'[i % 2]}"}])
+        if i == 1:
+            check(2)
     assert len(h.manifest.segments) < 6
-    res = h.query_json({"query": {"term": {"body": "x"}}, "limit": 10,
-                        "facets": {"cat": ["/top"]}})
-    got = {f["term"]: f["count"] for f in res.facets}
-    assert got == {"/top/a": 3, "/top/b": 3}
+    check(6)
 
 
 def test_facet_prefix_respects_path_components(tmp_path):
@@ -761,8 +771,8 @@ def test_sharded_merge_cleans_stale_tmp(built, ray_session, tmp_path):
 
 
 def test_sharded_merge_with_facets_byte_identical(ray_session, tmp_path):
-    """Facet sidecars regenerate in the (sharding-independent) doc-order
-    step; a facet-bearing index must still stitch byte-identically and
+    """Facet codes merge in the (sharding-independent) store concat; a
+    facet-bearing index must still stitch byte-identically and
     serve identical facet counts after a sharded merge."""
     import hashlib
     import os
@@ -801,7 +811,7 @@ def test_sharded_merge_with_facets_byte_identical(ray_session, tmp_path):
     def digests(p, sids):
         seg = mf.segment_path(p, merged_segment_id(sids))
         # segment.json carries lineage (the two builds have distinct
-        # source segment ids) — compare the seven DATA files
+        # source segment ids) — compare the four DATA files
         return {f: hashlib.sha256(
             open(os.path.join(seg, f), "rb").read()).hexdigest()
             for f in sorted(os.listdir(seg)) if f != "segment.json"}

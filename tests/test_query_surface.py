@@ -339,11 +339,12 @@ def test_single_pass_multi_collector(idx):
 
 def test_facet_field_type_build_time_dictionary(tmp_path_factory):
     """`facet`-typed fields are dictionary-encoded at segment build time
-    (facets.parquet + facet_codes.npz) and survive merges."""
+    (a hidden column of store.parquet) and survive merges."""
     import os
 
     from rayfts.index.merge import merge_segment_group
     from rayfts.index import manifest as mf
+    from tests.test_segment_writer import SEGMENT_FILES
 
     cat = IndexCatalog(str(tmp_path_factory.mktemp("fac")))
     schema = IndexSchema([
@@ -361,8 +362,7 @@ def test_facet_field_type_build_time_dictionary(tmp_path_factory):
     ])
     seg0 = h.manifest.ordered_segments()[0].segment_id
     segdir = mf.segment_path(h.path, seg0)
-    assert os.path.exists(os.path.join(segdir, "facets.parquet"))
-    assert os.path.exists(os.path.join(segdir, "facet_codes.npz"))
+    assert set(os.listdir(segdir)) == SEGMENT_FILES
     res = h.query_json({"query": {"term": {"body": "x"}}, "limit": 10,
                         "facets": {"cat": ["/top"]}})
     got = {f["term"]: f["count"] for f in res.facets}
@@ -370,7 +370,7 @@ def test_facet_field_type_build_time_dictionary(tmp_path_factory):
     # schema JSON round-trip keeps the type
     rt = IndexSchema.from_json(schema.to_json())
     assert rt.field("cat").type == "facet"
-    # merge the two segments; facet sidecar regenerated over merged store
+    # merge the two segments; facet codes come from the merged store
     ids_ = [s.segment_id for s in h.manifest.ordered_segments()]
     merge_segment_group(h.path, schema.to_json(), ids_)
     from rayfts.index.segment import SegmentReader

@@ -14,7 +14,9 @@
   package, so every manifest change takes the commit lock;
 - ``manifest.sweep`` is the only code that deletes segment and scratch
   directories, besides a write attempt removing its own scratch and
-  ``delete_index`` removing a whole index.
+  ``delete_index`` removing a whole index;
+- only ``rayfts/index/segment.py`` names a segment file, and nothing in
+  the package reads or writes ``.npz`` files.
 """
 
 import ast
@@ -188,6 +190,37 @@ def test_only_the_two_writers_rename_into_the_index():
         os.path.join(index, "manifest.py"): ["write_manifest"],
         os.path.join(index, "segment.py"): ["write_segment"]}
     assert _callers_in("os.rename", index) == {}
+
+
+def _string_literals(path):
+    """String constants in a file's code, docstrings and other bare string
+    statements left out."""
+    with open(path) as f:
+        tree = ast.parse(f.read(), filename=path)
+    bare = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    return [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+            and isinstance(n.value, str) and id(n) not in bare]
+
+
+def test_only_segment_py_names_segment_files():
+    """The segment layout is one module's decision: the ``*_FILE`` names
+    of ``segment.py`` appear as literals nowhere else in the package."""
+    segment_py = os.path.join(ROOT, "rayfts", "index", "segment.py")
+    with open(segment_py) as f:
+        body = ast.parse(f.read()).body
+    names = {n.value.value for n in body if isinstance(n, ast.Assign)
+             and getattr(n.targets[0], "id", "").endswith("_FILE")}
+    assert {"store.parquet", "terms.parquet", "segment.json"} <= names
+    hits = {os.path.relpath(p, ROOT): sorted(
+        lit for lit in _string_literals(p)
+        if any(lit == n or lit.endswith("/" + n) for n in names))
+        for p in _py_files("rayfts") if p != segment_py}
+    assert {p: h for p, h in hits.items() if h} == {}
+
+
+def test_no_npz_files():
+    for callee in ("savez", "savez_compressed", "np.load", "numpy.load"):
+        assert _callers_in(callee, "rayfts") == {}, callee
 
 
 def test_index_builds_segments_with_no_shuffle():

@@ -1,7 +1,9 @@
 """The one segment writer (``rayfts.index.segment.write_segment``): every
 attempt writes in its own scratch directory, leaves nothing behind when it
 fails, and a later commit sweeps the scratch directories of dead attempts.
-No Ray: the golden fixture's segments are built and merged in process."""
+Every segment it writes is five files, and a merge's output id names its
+source set. No Ray: the golden fixture's segments are built and merged in
+process."""
 
 import multiprocessing
 import os
@@ -10,16 +12,21 @@ import subprocess
 import sys
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from rayfts.corpus import generate_shard
 from rayfts.index import manifest as mf
 from rayfts.index import segment
 from rayfts.index.catalog import IndexCatalog
-from rayfts.index.merge import merge_segment_group
+from rayfts.index.merge import commit_merge, merge_segment_group
 from rayfts.index.schema import FieldDef, IndexSchema
 from rayfts.index.segment import build_segment
 from tests.test_format_golden import GOLDEN, MERGED, SOURCES, _digests, _schema
+
+# fieldnorms and facet codes are columns of store.parquet
+SEGMENT_FILES = {"postings.bin", "positions.bin", "terms.parquet",
+                 "store.parquet", "segment.json"}
 
 
 def _build_sources(root: str) -> IndexSchema:
@@ -103,17 +110,21 @@ def test_two_processes_merge_one_group(tmp_path):
     assert _entries(root) == set(SOURCES) | {MERGED}
 
 
-def _fail_facets(monkeypatch):
-    def boom(*_args):
-        raise OSError("injected write failure")
+def _fail_store_write(monkeypatch):
+    write_table = segment.pq.write_table
 
-    monkeypatch.setattr(segment, "write_facet_sidecar", boom)
+    def failing(table, where, *args, **kwargs):
+        if str(where).endswith(segment.STORE_FILE):
+            raise OSError("injected write failure")
+        return write_table(table, where, *args, **kwargs)
+
+    monkeypatch.setattr(segment.pq, "write_table", failing)
 
 
 def test_failed_build_leaves_nothing(tmp_path, monkeypatch):
     root = str(tmp_path)
     os.makedirs(mf.segments_dir(root))
-    _fail_facets(monkeypatch)
+    _fail_store_write(monkeypatch)
     with pytest.raises(OSError, match="injected"):
         build_segment(generate_shard(0, 50, seed=11), _schema(), SOURCES[0],
                       mf.segment_path(root, SOURCES[0]))
@@ -123,7 +134,7 @@ def test_failed_build_leaves_nothing(tmp_path, monkeypatch):
 def test_failed_merge_leaves_nothing(tmp_path, monkeypatch):
     root = str(tmp_path)
     schema = _build_sources(root)
-    _fail_facets(monkeypatch)
+    _fail_store_write(monkeypatch)
     with pytest.raises(OSError, match="injected"):
         merge_segment_group(root, schema.to_json(), SOURCES)
     assert _entries(root) == set(SOURCES)
@@ -154,9 +165,9 @@ def test_recovery_sweeps_dead_attempts_scratch(tmp_path):
 
 
 def test_facet_column_missing_from_table(tmp_path):
-    """A facet field absent from an added ``pa.Table`` has no sidecar entry
-    in that segment: counting skips the segment, and a merge keeps the
-    other segments' facet values and gives the segment's docs none."""
+    """A facet field absent from an added ``pa.Table`` has no facet column
+    in that segment's store: counting skips the segment, and a merge keeps
+    the other segments' facet values and gives the segment's docs none."""
     schema = IndexSchema([
         FieldDef("body", "text", tokenizer="default"),
         FieldDef("cat", "facet"),
@@ -179,3 +190,61 @@ def test_facet_column_missing_from_table(tmp_path):
     codes, paths = merged.facet_dict("cat")
     assert [paths[c] if c >= 0 else None for c in codes] == [
         "/a/x", "/a/y", None, "/a/x"]
+
+
+@pytest.mark.parametrize("facets", [False, True])
+def test_segment_is_five_files(tmp_path, facets):
+    fields = [FieldDef("body", "text", tokenizer="default", record="position")]
+    if facets:
+        fields.append(FieldDef("cat", "facet"))
+    h = IndexCatalog(str(tmp_path), auto_merge_min=0).create_index(
+        "five", IndexSchema(fields))
+    for i in range(2):
+        h.add_documents([{"body": f"alpha {i}", "cat": f"/top/{i}"}])
+    ids = [s.segment_id for s in h.manifest.ordered_segments()]
+    info = merge_segment_group(h.path, h.manifest.schema.to_json(), ids)
+    for sid in ids + [info.segment_id]:
+        assert set(os.listdir(mf.segment_path(h.path, sid))) == SEGMENT_FILES
+
+
+def test_merged_ids_name_the_source_set(tmp_path):
+    """Two groups with one first source and one size merge into two
+    segments: a group planned before a segment sorted in between must not
+    hand its output to the group planned after."""
+    schema = IndexSchema([FieldDef("body", "text", tokenizer="default")])
+    h = IndexCatalog(str(tmp_path), auto_merge_min=0).create_index("ids", schema)
+    infos = [build_segment(pa.table({"body": [f"alpha from {tag}"]}), schema, sid,
+                           mf.segment_path(h.path, sid))
+             for sid, tag in (("a", "a"), ("b", "b"), ("ax", "x"))]
+    h.add_segments(infos)
+    merge_segment_group(h.path, schema.to_json(), ["a", "b"])  # a stale plan
+    merged = merge_segment_group(h.path, schema.to_json(), ["a", "ax"])
+    assert commit_merge(h.path, [["a", "ax"]], [merged]) is not None
+    res = h.query_json({"query": {"term": {"body": "alpha"}}, "limit": 10})
+    assert sorted(d.doc["body"][0] for d in res.docs) == [
+        "alpha from a", "alpha from b", "alpha from x"]
+
+
+def test_old_layout_fails_loudly(tmp_path):
+    """A segment whose store has no fieldnorm columns (norms were a file of
+    their own before) does not open: the error names it and says to
+    rebuild."""
+    schema = _schema()
+    out = mf.segment_path(str(tmp_path), SOURCES[0])
+    build_segment(generate_shard(0, 20, seed=11), schema, SOURCES[0], out)
+    store = os.path.join(out, segment.STORE_FILE)
+    docs = pq.read_table(store)
+    pq.write_table(docs.drop_columns([c for c in docs.column_names
+                                      if c.startswith(segment.NORM_PREFIX)]), store)
+    segment._PARTS.clear()  # no norms cached by the build's write-through
+    with pytest.raises(ValueError, match=f"{out}.*rebuild"):
+        segment.open_reader(out, schema)
+
+
+def test_reserved_store_columns_are_rejected(tmp_path):
+    schema = IndexSchema([FieldDef("body", "text", tokenizer="default")])
+    for name in ("__norm_body", "__facet_cat"):
+        with pytest.raises(ValueError, match=name):
+            build_segment(pa.table({"body": ["alpha"], name: ["x"]}), schema,
+                          "seg", str(tmp_path / "seg"))
+    assert not os.path.exists(tmp_path / "seg")

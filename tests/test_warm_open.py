@@ -1,7 +1,8 @@
 """Freshly written segments open warm: ``write_segment`` puts each new
-segment's term table and norms in the process's parts cache, a reader
-that misses fills it, and a merge reads its sources through the live
-readers the index's searcher holds. Warm answers equal cold ones."""
+segment's term table and norms (columns of its store) in the process's
+parts cache, a reader that misses fills it, and a merge reads its
+sources through the live readers the index's searcher holds. Warm
+answers equal cold ones."""
 
 import json
 import os
@@ -16,7 +17,7 @@ from rayfts.index import manifest as mf
 from rayfts.index import segment
 from rayfts.index.catalog import IndexCatalog
 from rayfts.index.schema import FieldDef, IndexSchema
-from rayfts.index.segment import (NORMS_FILE, TERMS_FILE, SegmentReader,
+from rayfts.index.segment import (STORE_FILE, TERMS_FILE, SegmentReader,
                                   build_segment, open_reader)
 from rayfts.query.searcher import Searcher
 
@@ -51,20 +52,29 @@ def _top_k(s: Searcher) -> list:
 
 @pytest.fixture()
 def file_reads(monkeypatch):
-    """Paths read through ``ParquetFile``, ``read_table`` or ``np.load``."""
-    seen: list[str] = []
-    parquet_file, read_table, load = pq.ParquetFile, pq.read_table, np.load
+    """``(how, path)`` per read through ``ParquetFile`` or ``read_table``."""
+    seen: list[tuple[str, str]] = []
 
-    def recording(real):
+    def recording(how, real):
         def call(source, *args, **kwargs):
-            seen.append(str(source))
+            seen.append((how, str(source)))
             return real(source, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(pq, "ParquetFile", recording(parquet_file))
-    monkeypatch.setattr(pq, "read_table", recording(read_table))
-    monkeypatch.setattr(np, "load", recording(load))
+    monkeypatch.setattr(pq, "ParquetFile", recording("ParquetFile", pq.ParquetFile))
+    monkeypatch.setattr(pq, "read_table", recording("read_table", pq.read_table))
     return seen
+
+
+def _norm_reads(reads) -> list:
+    """Norm loads: column reads (``ParquetFile``) of a store. A whole
+    store read (``read_table``) is a document fetch."""
+    return [p for how, p in reads if how == "ParquetFile" and p.endswith(STORE_FILE)]
+
+
+def _parsed(reads) -> list:
+    """Reads that parse a term table or norms."""
+    return [p for _, p in reads if p.endswith(TERMS_FILE)] + _norm_reads(reads)
 
 
 @pytest.fixture()
@@ -89,8 +99,7 @@ def test_query_after_commit_parses_no_terms_or_norms(tmp_path, file_reads):
         h.add_documents(_docs(rng, 6, tag="red" if c % 2 else "blue"))
         file_reads.clear()
         assert h.query("alpha", 5)
-        assert not [p for p in file_reads
-                    if p.endswith((TERMS_FILE, NORMS_FILE))], file_reads
+        assert not _parsed(file_reads), file_reads
     warm = h.searcher()
     warm_state = [_reader_state(r) for r in warm.readers]
     warm_top = _top_k(warm)
@@ -101,7 +110,8 @@ def test_query_after_commit_parses_no_terms_or_norms(tmp_path, file_reads):
     file_reads.clear()
     cold_state = [_reader_state(SegmentReader(r.path, SCHEMA))
                   for r in warm.readers]
-    assert sum(p.endswith(TERMS_FILE) for p in file_reads) == len(warm.readers)
+    assert sum(p.endswith(TERMS_FILE) for _, p in file_reads) == len(warm.readers)
+    assert len(_norm_reads(file_reads)) == len(warm.readers)
     assert cold_state == warm_state
     cold_dir = str(tmp_path / "cold")
     shutil.copytree(h.path, cold_dir)
@@ -168,12 +178,12 @@ def test_auto_merge_reads_live_sources_through_their_readers(
     # the merge opened only the commit's own segment, which its write
     # left warm; the two live sources it read through the searcher's readers
     assert len(reader_opens) == 1 and reader_opens[0] not in live
-    assert not [p for p in file_reads if p.endswith((TERMS_FILE, NORMS_FILE))]
+    assert not _parsed(file_reads)
     merged = h.searcher()
     reader_opens.clear()
     file_reads.clear()
     want = _top_k(merged)
-    assert not [p for p in file_reads if p.endswith((TERMS_FILE, NORMS_FILE))]
+    assert not _parsed(file_reads)
     segment._PARTS.clear()
     cold_dir = str(tmp_path / "cold")
     shutil.copytree(h.path, cold_dir)
